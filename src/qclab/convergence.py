@@ -1,12 +1,15 @@
 """Equilibrium solves on the mean-zero subspace and convergence-rate studies.
 
-The linearized operators annihilate constants, so equilibrium systems are
-solved on the mean-zero subspace via a bordered factorization: append the
-mean constraint as an extra row/column and LU-factorize the sparse result.
-The right-hand side is first projected off the left-null direction (obtained
-from the transposed factorization; for symmetric operators this is mean
-removal), and one step of iterative refinement keeps the residual at the
-1e-10 ||f|| contract even on the largest chains.
+The linearized operators annihilate constants, so an equilibrium is fixed
+only up to a constant. The solver grounds atom N (drops its row and column),
+which leaves a nonsingular system whenever the kernel is exactly the
+constants. Numbering the remaining atoms 1, N-1, 2, N-2, ... folds the ring
+so that the periodic band of half-width K becomes a plain band of half-width
+2K, which one banded LU factorization (LAPACK gbtrf) handles for every model
+kind. The right-hand side is first projected off the left-null direction
+(from the transposed factors; for symmetric operators this is mean removal),
+and iterative refinement keeps the residual at the 1e-10 ||f|| contract even
+on the largest chains.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .chain import ChainConfig, PeriodicField, difference, lp_norm, sample_field
 from .models import (
@@ -58,28 +59,74 @@ def fit_slope(points) -> tuple:
     return float(slope), float(intercept), r2
 
 
-def _bordered_lu(op: LinearChainOperator):
+def _grounded_lu(op: LinearChainOperator):
+    """Factor the operator with atom N grounded, in folded ring order.
+
+    Returns (solve, w): w is the left-null vector of A scaled to w_N = 1, and
+    solve(r) is the u with u_N = 0 and A u = r - mu w, mu being the left-null
+    component of r (zero for a projected r, up to rounding).
+    Raises NumericalError when the grounded system is (numerically) singular,
+    i.e. when the kernel of A is larger than the constants.
+    """
+    # imported here so that `import qclab` does not load scipy
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
     N = op.config.N
     K = op.half_width
-    eps2 = op.config.epsilon**2
-    idx = np.arange(N)
-    rows = [np.full(N, N), idx]
-    cols = [idx, np.full(N, N)]
-    vals = [np.ones(N), np.ones(N)]
+    n = N - 1
+    kb = 2 * K  # a ring distance d <= K becomes a folded distance <= 2d
+    order = np.empty(n, dtype=np.intp)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n + 1) // 2 - 1, -1)
+    pos = np.zeros(N, dtype=np.intp)
+    pos[order] = np.arange(n)
+    p = pos[:n]
+    # LAPACK band storage: A'[p, q] at ab[2*kb + p - q, q], kb spare rows on top
+    ab = np.zeros((3 * kb + 1, n))
+    flat = ab.reshape(-1)
+    last_row = np.zeros(N)
+    scale = 1.0 / op.config.epsilon**2
     for k in range(-K, K + 1):
-        rows.append(idx)
-        cols.append((idx + k) % N)
-        vals.append(op.band[:, K + k] / eps2)
-    B = sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N + 1, N + 1),
-    )
-    try:
-        return spla.splu(B)
-    except RuntimeError as exc:
+        vals = op.band[:n, K + k] * scale
+        q = np.roll(pos, -k)[:n]
+        i0 = (n - k) % N  # the one row whose k-th neighbour is the grounded atom
+        if i0 < n:
+            q[i0], vals[i0] = p[i0], 0.0
+        flat[(2 * kb + p - q) * n + q] += vals  # distinct targets: p is a permutation
+        last_row[(n + k) % N] += op.band[n, K + k] * scale
+    lu, piv, info = dgbtrf(ab, kb, kb, overwrite_ab=1)
+    pivots = np.abs(lu[2 * kb])
+    ratio = pivots.min() / pivots.max() if info == 0 else 0.0
+    # A well-posed chain keeps the smallest U pivot near 1/N of the largest;
+    # a kernel beyond the constants leaves one at roundoff level, and the
+    # refinement loop cannot see that (its floor grows with the garbage u).
+    if ratio < math.sqrt(np.finfo(float).eps):
         raise NumericalError(
-            "bordered system is singular: operator kernel exceeds the constants"
-        ) from exc
+            "operator is singular: its kernel is larger than the constants "
+            f"(smallest/largest LU pivot {ratio:.1e})"
+        )
+
+    def grounded(r, trans=0):
+        x, _ = dgbtrs(lu, kb, kb, r[order], piv, trans=trans)
+        out = np.zeros(N)
+        out[order] = x
+        return out
+
+    # w^T A = 0 with w_N = 1: rows 1..N-1 give A'^T w' = -(row N of A)'
+    w = grounded(-last_row, trans=1)
+    w[n] = 1.0
+    z = grounded(w)
+    denom = 1.0 - last_row @ z  # = w.w in exact arithmetic
+
+    def solve(r):
+        # A u = r - mu w on all N rows: mu picks up what rounding leaves of
+        # r outside the range of A and spreads it along w, instead of
+        # dumping it on the grounded row (N times larger in the sup norm)
+        y = grounded(r)
+        mu = (r[n] - last_row @ y) / denom
+        return y - mu * z
+
+    return solve, w
 
 
 def _abs_apply(op: LinearChainOperator, v_abs: np.ndarray) -> np.ndarray:
@@ -95,26 +142,34 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
     """Unique mean-zero u with (linear part of op) u = P f, where P removes
     the left-null component of f (the mean, for symmetric operators).
 
-    The residual contract is 1e-10 ||f||_inf, widened to the float64
-    representation floor eps_mach * || |A| |u| ||_inf where the latter is
-    larger (rounding u alone perturbs A u by that much on the finest chains).
+    One banded LU factorization of the grounded, ring-folded operator serves
+    the left-null vector, the solve and the refinement steps. The residual
+    contract is 1e-10 ||f||_inf, widened to the float64 representation floor
+    eps_mach * || |A| |u| ||_inf where the latter is larger (rounding u alone
+    perturbs A u by that much on the finest chains); it is checked on the
+    returned mean-zero u. Raises ValueError for an operator with nonzero row
+    sums and NumericalError when the kernel is larger than the constants.
     """
     fv = f.values if isinstance(f, PeriodicField) else np.asarray(f, dtype=float)
     N = op.config.N
     if len(fv) != N:
         raise ValueError("right-hand side length does not match operator size")
-    lu = _bordered_lu(op)
-    # left-null vector: A^T w = -mu 1, 1^T w = 1 forces mu = 0, A^T w = 0
-    wfull = lu.solve(np.concatenate([np.zeros(N), [1.0]]), trans="T")
-    w = wfull[:N]
+    defect = float(np.abs(op.row_sums()).max())
+    if defect > 1e-12 * float(np.abs(op.band).max()):
+        raise ValueError(
+            f"operator does not annihilate constants (max |row sum| {defect:.1e} "
+            "in eps^2 stencil units); equilibria are defined up to a constant only "
+            "for shift-invariant operators"
+        )
+    solve, w = _grounded_lu(op)
     fproj = fv - (w @ fv) / (w @ w) * w
-    sol = lu.solve(np.concatenate([fproj, [0.0]]))
-    u = sol[:N]
+    u = solve(fproj)
     scale = float(np.abs(fv).max())
     macheps = np.finfo(float).eps
     converged = False
     resid_inf = math.inf
     for attempt in range(4):  # iterative refinement: LU error grows with cond(A)
+        u = u - u.mean()
         resid = fproj - apply_linear(op, u)
         resid_inf = float(np.abs(resid).max())
         floor = macheps * float(_abs_apply(op, np.abs(u)).max())
@@ -122,14 +177,12 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
             converged = True
             break
         if attempt < 3:
-            corr = lu.solve(np.concatenate([resid, [0.0]]))
-            u = u + corr[:N]
+            u = u + solve(resid)
     if not converged:
         raise NumericalError(
             f"equilibrium residual {resid_inf:.3e} exceeds "
             f"{RESIDUAL_RTOL:.0e} * ||f|| after refinement"
         )
-    u = u - u.mean()
     return PeriodicField(op.config, u)
 
 

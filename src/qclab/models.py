@@ -143,7 +143,7 @@ def apply_linear(op: LinearChainOperator, v: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _TermGroup:
     shell: int            # neighbor distance r; bond argument is r F + g.u/eps
-    anchors: np.ndarray   # 0-based anchor atoms
+    anchors: np.ndarray   # distinct 0-based anchor atoms (so indexed += never collides)
     pattern: tuple        # ((offset, coeff), ...) defining g relative to anchor
     weight: float
 
@@ -237,7 +237,7 @@ def energy_gradient(
             s += c * v[(g.anchors + off) % config.N]
         dphi = np.asarray(evaluate(potential, g.shell * config.F + s / eps, 1))
         for off, c in g.pattern:
-            np.add.at(grad, (g.anchors + off) % config.N, g.weight * c * dphi)
+            grad[(g.anchors + off) % config.N] += g.weight * c * dphi
     return grad / eps
 
 
@@ -254,9 +254,9 @@ def _shell_bands(groups, N: int, R: int, K: int):
         gw = gweights[g.shell - 1]
         for o1, c1 in g.pattern:
             rows = (g.anchors + o1) % N
-            np.add.at(gw, rows, g.weight * c1)
+            gw[rows] += g.weight * c1
             for o2, c2 in g.pattern:
-                np.add.at(band, (rows, K + (o2 - o1)), g.weight * c1 * c2)
+                band[rows, K + (o2 - o1)] += g.weight * c1 * c2
     return bands, gweights
 
 

@@ -97,12 +97,8 @@ def region_boundaries(mask: np.ndarray) -> list:
     b is the 1-based atom directly left of the cut (between atoms b and b+1,
     periodically); orientation is "AC" when atom b is atomistic, else "CA".
     """
-    N = len(mask)
-    out = []
-    for b0 in range(N):
-        if mask[b0] != mask[(b0 + 1) % N]:
-            out.append((b0 + 1, "AC" if mask[b0] else "CA"))
-    return out
+    cuts = np.flatnonzero(mask != np.roll(mask, -1))
+    return [(int(b) + 1, "AC" if mask[b] else "CA") for b in cuts]
 
 
 def block_atoms(boundary, m: int, N: int) -> np.ndarray:

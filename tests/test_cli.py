@@ -209,6 +209,15 @@ def test_console_script_entry_point(tmp_path):
     assert "weighted sum -2" in proc.stdout
 
 
+def test_import_loads_no_scipy():
+    # scipy is imported by the solver on first use; commands that never solve
+    # (certify, stencil, moments, ...) do not pay for it
+    code = "import sys, qclab, qclab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     import qclab.cli as cli
     from qclab.convergence import NumericalError

@@ -1,5 +1,6 @@
 """Mean-zero equilibrium solves and convergence-rate experiments."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,15 +16,57 @@ from qclab import (
     assemble_operator,
     convergence_study,
     default_witness,
+    difference,
     fit_slope,
     harmonic,
+    lp_norm,
     sample_field,
     solve_equilibrium,
 )
+from qclab.convergence import RESIDUAL_RTOL
 from qclab.models import LinearChainOperator
+from qclab.potentials import evaluate
 
 HALF_PART = RegionPartition([(0.0, 0.5)], interface_width_m=4, reach=2)
 POT1 = harmonic(1.0, 1.0)
+
+
+def bordered_reference(op, f):
+    """The bordered SuperLU solve that qclab used before its banded solver,
+    kept as an oracle: the mean constraint is appended as row and column N+1,
+    the left-null vector comes from the transposed factors, then three
+    refinement steps. Returns (mean-zero u, projected right-hand side)."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    N = op.config.N
+    K = op.half_width
+    idx = np.arange(N)
+    rows = [np.full(N, N), idx]
+    cols = [idx, np.full(N, N)]
+    vals = [np.ones(N), np.ones(N)]
+    for k in range(-K, K + 1):
+        rows.append(idx)
+        cols.append((idx + k) % N)
+        vals.append(op.band[:, K + k] / op.config.epsilon**2)
+    B = sp.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(N + 1, N + 1),
+    )
+    lu = spla.splu(B)
+    w = lu.solve(np.append(np.zeros(N), 1.0), trans="T")[:N]
+    fproj = f - (w @ f) / (w @ w) * w
+    u = lu.solve(np.append(fproj, 0.0))[:N]
+    for _ in range(3):
+        u = u + lu.solve(np.append(fproj - apply_linear(op, u), 0.0))[:N]
+    return u - u.mean(), fproj
+
+
+def residual_contract(op, u, f):
+    """max(1e-10 ||f||, 8 eps_mach || |A| |u| ||), the bound solve_equilibrium keeps."""
+    abs_op = LinearChainOperator(op.config, op.kind, np.abs(op.band), np.zeros(op.config.N))
+    floor = np.finfo(float).eps * np.abs(apply_linear(abs_op, np.abs(u))).max()
+    return max(RESIDUAL_RTOL * np.abs(f).max(), 8.0 * floor)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +161,49 @@ def test_solver_reports_rank_deficiency():
     op = LinearChainOperator(config, ModelKind.ATOMISTIC, band, np.zeros(16))
     with pytest.raises(NumericalError):
         solve_equilibrium(op, np.ones(16))
+
+
+@pytest.mark.parametrize("N", [16, 1024])
+def test_solver_rejects_kernel_beyond_constants(N):
+    # [-1, 0, 2, 0, -1] on every row: for even N the kernel is {1, (-1)^i}, and
+    # the residual floor, which grows with u, would otherwise accept garbage
+    config = ChainConfig(N=N, F=1.2, R=2)
+    band = np.tile([-1.0, 0.0, 2.0, 0.0, -1.0], (N, 1))
+    op = LinearChainOperator(config, ModelKind.ATOMISTIC, band, np.zeros(N))
+    f = np.random.default_rng(0).standard_normal(N)
+    with pytest.raises(NumericalError, match="kernel is larger than the constants"):
+        solve_equilibrium(op, f)
+
+
+def test_solver_rejects_operator_that_moves_constants():
+    config = ChainConfig(N=32, F=1.2, R=2)
+    band = np.tile([-1.0, 0.0, 2.5, 0.0, -1.0], (32, 1))
+    op = LinearChainOperator(config, ModelKind.ATOMISTIC, band, np.zeros(32))
+    with pytest.raises(ValueError, match="row sum"):
+        solve_equilibrium(op, np.ones(32))
+
+
+@pytest.mark.parametrize(
+    "N, potential, n_intervals",
+    list(itertools.product([64, 256, 1024, 4096], ["harmonic", "lennard_jones"], [1, 2, 3])),
+)
+def test_solve_matches_bordered_reference(N, potential, n_intervals, random_geometry):
+    rng = np.random.default_rng([N, n_intervals, len(potential)])
+    config, pot, partition = random_geometry(rng, N, potential, n_intervals)
+    # For a discrete -(c u')' on the unit period, ||D e||_inf <= 2 ||A e||_inf / c.
+    # Two solutions that both keep the residual contract R have ||A e|| <= 2R;
+    # c is the Cauchy-Born modulus of the uniform chain.
+    c = sum(r * r * evaluate(pot, r * config.F, 2) for r in (1, 2))
+    for kind in (ModelKind.QNL, ModelKind.QCF, ModelKind.QCE, ModelKind.CONTINUUM):
+        op = assemble_operator(kind, config, pot, partition=partition)
+        f = rng.standard_normal(N)
+        u = solve_equilibrium(op, f).values
+        want, fproj = bordered_reference(op, f)
+        tol = 4.0 * residual_contract(op, want, f) / c
+        assert lp_norm(difference(PeriodicField(config, u - want), 1, 1), math.inf) <= tol
+        assert abs(u.mean()) <= 1e-12 * np.abs(u).max()
+        resid = np.abs(apply_linear(op, u) - fproj).max()
+        assert resid <= residual_contract(op, u, f)
 
 
 def test_solve_rejects_wrong_length():

@@ -28,6 +28,7 @@ from qclab import (
     total_energy,
     zeros,
 )
+from qclab.models import _shell_bands, _term_groups
 from qclab.potentials import evaluate
 from qclab.regions import INTERIOR_ATOMISTIC, INTERIOR_CONTINUUM
 
@@ -52,6 +53,33 @@ def brute_force_energy(kind, config, pot, u):
                 strain = r * (ui - u[i - 1]) / eps
             total += eps * evaluate(pot, r * F + strain, 0)
     return total
+
+
+def shell_bands_add_at(groups, N, R, K):
+    """np.add.at reference for the band and ghost-weight accumulation."""
+    bands = [np.zeros((N, 2 * K + 1)) for _ in range(R)]
+    gweights = [np.zeros(N) for _ in range(R)]
+    for g in groups:
+        for o1, c1 in g.pattern:
+            rows = (g.anchors + o1) % N
+            np.add.at(gweights[g.shell - 1], rows, g.weight * c1)
+            for o2, c2 in g.pattern:
+                np.add.at(bands[g.shell - 1], (rows, K + (o2 - o1)), g.weight * c1 * c2)
+    return bands, gweights
+
+
+def energy_gradient_add_at(kind, config, pot, u, partition):
+    """np.add.at reference for the scaled energy gradient."""
+    v, eps, N = u.values, config.epsilon, config.N
+    grad = np.zeros(N)
+    for g in _term_groups(kind, config, partition):
+        s = np.zeros(len(g.anchors))
+        for off, c in g.pattern:
+            s += c * v[(g.anchors + off) % N]
+        dphi = np.asarray(evaluate(pot, g.shell * config.F + s / eps, 1))
+        for off, c in g.pattern:
+            np.add.at(grad, (g.anchors + off) % N, g.weight * c * dphi)
+    return grad / eps
 
 
 # ---------------------------------------------------------------------------
@@ -465,3 +493,25 @@ def test_general_cutoff_pure_models():
     assert got == pytest.approx(want_e, abs=1e-13)
     dev = hessian_consistency_check(ModelKind.ATOMISTIC, config, POT1)
     assert dev <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# indexed accumulation
+
+
+@pytest.mark.parametrize("potential", ["harmonic", "lennard_jones"])
+def test_accumulation_matches_add_at_reference(potential, random_geometry):
+    rng = np.random.default_rng(len(potential))
+    for N, n_intervals in ((64, 1), (256, 2), (1024, 3)):
+        config, pot, partition = random_geometry(rng, N, potential, n_intervals)
+        u = PeriodicField(config, rng.uniform(-0.01, 0.01, N) / N)
+        for kind in (ModelKind.ATOMISTIC, ModelKind.CONTINUUM, ModelKind.QCE, ModelKind.QNL):
+            groups = _term_groups(kind, config, partition)
+            got = _shell_bands(groups, N, 2, 2)
+            want = shell_bands_add_at(groups, N, 2, 2)
+            for a, b in zip(got[0] + got[1], want[0] + want[1]):
+                assert np.array_equal(a, b)
+            assert np.array_equal(
+                energy_gradient(kind, config, pot, u, partition),
+                energy_gradient_add_at(kind, config, pot, u, partition),
+            )

@@ -104,3 +104,29 @@ def test_partition_parameter_validation():
         RegionPartition([(0.0, 0.5)], interface_width_m=0)
     with pytest.raises(ValueError):
         RegionPartition([(0.0, 0.5)], reach=0)
+
+
+def _region_boundaries_loop(mask):
+    """Per-atom reference for region_boundaries."""
+    N = len(mask)
+    out = []
+    for b0 in range(N):
+        if mask[b0] != mask[(b0 + 1) % N]:
+            out.append((b0 + 1, "AC" if mask[b0] else "CA"))
+    return out
+
+
+def test_region_boundaries_match_loop_reference():
+    rng = np.random.default_rng(8)
+    masks = [rng.random(n) < p for n in (1, 2, 7, 64, 1000) for p in (0.1, 0.5, 0.9)]
+    masks += [
+        np.ones(16, dtype=bool),
+        np.zeros(16, dtype=bool),
+        np.arange(16) % 2 == 0,                   # alternating: every bond is a cut
+        np.arange(16) < 5,                        # cut between atoms 16 and 1
+        (np.arange(16) < 3) | (np.arange(16) > 12),  # A region across the wrap
+    ]
+    for mask in masks:
+        got = region_boundaries(mask)
+        assert got == _region_boundaries_loop(mask)
+        assert all(type(b) is int for b, _ in got)
