@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -67,7 +66,7 @@ def criterion_1_certificate() -> CriterionResult:
     start = time.perf_counter()
     values = [certificate(m).value for m in range(1, 13)]
     elapsed = time.perf_counter() - start
-    ok = all(v == Fraction(-2) for v in values) and elapsed < 1.0
+    ok = all(v == -2 for v in values) and elapsed < 1.0
     detail = f"values {{{', '.join(str(v) for v in set(values))}}}, {elapsed:.3f} s"
     return _result(1, "exact certificate value -2 for m=1..12", start, ok, detail)
 

@@ -21,7 +21,7 @@ from .chain import ChainConfig, PeriodicField, sample_field
 from .consistency import consistency_sweep, ghost_force, moment_residuals
 from .convergence import NumericalError, convergence_study, fit_slope
 from .impossibility import CertificateError, certificate, min_residual
-from .models import ModelKind, assemble_operator, total_energy
+from .models import COUPLED, ModelKind, assemble_operator, total_energy
 from .potentials import harmonic, lennard_jones
 from .regions import RegionPartition
 from . import acceptance
@@ -149,14 +149,10 @@ def _kind(cfg: RunConfig) -> ModelKind:
     return ModelKind(cfg.model)
 
 
-def _needs_partition(kind: ModelKind) -> bool:
-    return kind in (ModelKind.QCE, ModelKind.QNL, ModelKind.QCF)
-
-
 def _assemble(cfg: RunConfig, N: int | None = None):
     kind = _kind(cfg)
     config = ChainConfig(N=N or cfg.N, F=cfg.F, R=cfg.R)
-    part = _partition(cfg) if _needs_partition(kind) else None
+    part = _partition(cfg) if kind in COUPLED else None
     return assemble_operator(kind, config, _potential(cfg), partition=part), config
 
 
@@ -210,7 +206,7 @@ def cmd_energy(cfg: RunConfig, args) -> int:
     config = ChainConfig(N=cfg.N, F=cfg.F, R=cfg.R)
     u = sample_field(_witness(cfg), config)
     u = PeriodicField(config, cfg.amplitude * u.values)
-    part = _partition(cfg) if kind in (ModelKind.QCE, ModelKind.QNL) else None
+    part = _partition(cfg) if kind in COUPLED else None
     value = total_energy(kind, config, _potential(cfg), u, partition=part)
     _emit(cfg.out, ("model", "potential", "N", "F", "amplitude", "energy"),
           [(kind.value, cfg.potential, cfg.N, cfg.F, cfg.amplitude, value)])
@@ -290,7 +286,7 @@ def _exact_moments(op, ref):
 def cmd_ghost(cfg: RunConfig, args) -> int:
     kind = _kind(cfg)
     N_list = cfg.N_list or tuple(2**k for k in range(6, 12))
-    part = _partition(cfg) if _needs_partition(kind) else None
+    part = _partition(cfg) if kind in COUPLED else None
     rows = []
     sups = []
     for N in N_list:
@@ -310,7 +306,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         raise ConfigError("sweep measures residuals against the atomistic reference; "
                           "pick continuum, qce, qnl or qcf")
     N_list = cfg.N_list or tuple(2**k for k in range(6, 13))
-    part = _partition(cfg) if _needs_partition(kind) else None
+    part = _partition(cfg) if kind in COUPLED else None
     result = consistency_sweep(
         kind, _witness(cfg), N_list, _potential(cfg), partition=part, F=cfg.F
     )
@@ -356,7 +352,7 @@ def cmd_converge(cfg: RunConfig, args) -> int:
     if kind is ModelKind.ATOMISTIC:
         raise ConfigError("converge compares coupled or continuum models against atomistic")
     N_list = cfg.N_list or tuple(2**k for k in range(6, 14))
-    part = _partition(cfg) if _needs_partition(kind) else None
+    part = _partition(cfg) if kind in COUPLED else None
     table = convergence_study(
         kind, _witness(cfg), N_list, list(cfg.p_list), _potential(cfg),
         partition=part, F=cfg.F,

@@ -23,6 +23,7 @@ from .chain import ChainConfig, PeriodicField, difference, lp_norm, sample_field
 from .models import (
     LinearChainOperator,
     ModelKind,
+    _band_apply,
     apply_linear,
     assemble_operator,
     to_strain_form,
@@ -129,15 +130,6 @@ def _grounded_lu(op: LinearChainOperator):
     return solve, w
 
 
-def _abs_apply(op: LinearChainOperator, v_abs: np.ndarray) -> np.ndarray:
-    """|A| |v|: row-wise worst-case magnitude of the banded product."""
-    K = op.half_width
-    out = np.zeros(op.config.N)
-    for k in range(-K, K + 1):
-        out += np.abs(op.band[:, K + k]) * np.roll(v_abs, -k)
-    return out / op.config.epsilon**2
-
-
 def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
     """Unique mean-zero u with (linear part of op) u = P f, where P removes
     the left-null component of f (the mean, for symmetric operators).
@@ -172,7 +164,8 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
         u = u - u.mean()
         resid = fproj - apply_linear(op, u)
         resid_inf = float(np.abs(resid).max())
-        floor = macheps * float(_abs_apply(op, np.abs(u)).max())
+        abs_au = _band_apply(np.abs(op.band), -op.half_width, np.abs(u))  # eps^2 |A| |u|
+        floor = macheps * float(abs_au.max()) / op.config.epsilon**2
         if resid_inf <= max(RESIDUAL_RTOL * scale, 8.0 * floor):
             converged = True
             break
@@ -252,7 +245,7 @@ def convergence_study(
             val = lp_norm(de, p)
             rows.append(ConvergenceRow(N=int(N), epsilon=eps, p=p, error_norm=val))
             per_p[p].append((eps, val))
-        ghost_free = LinearChainOperator(config, op_k.kind, op_k.band.copy(), np.zeros(config.N))
+        ghost_free = LinearChainOperator(config, op_k.kind, op_k.band, np.zeros(config.N))
         bound_C = to_strain_form(ghost_free).bound_C
         le_inf = float(np.abs(apply_linear(op_k, e.values)).max())
         norm_ok = all(

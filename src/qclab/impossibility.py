@@ -12,21 +12,20 @@ pure stencils
 
 The weighted sum with multipliers i^2 on the p=j equation and -i on the
 p=j^2 equation of row i cancels every block unknown exactly and evaluates to
--2, an exact-arithmetic witness that no symmetric block satisfies the
-consistency equations. The least-squares defect over those same equations
-quantifies the infeasibility and attains the Cauchy-Schwarz lower bound
-2/||w||_2.
+-2, an exact witness that no symmetric block satisfies the consistency
+equations. Weights, stencils and moments are all integers, so the witness is
+computed in exact integer arithmetic (Python ints, no rationals). The
+least-squares defect over those same equations quantifies the infeasibility
+and attains the Cauchy-Schwarz lower bound 2/||w||_2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-ATOM_L2 = {-2: -1, -1: 0, 0: 2, 1: 0, 2: -1}
-CONT_L2 = {-2: 0, -1: -4, 0: 8, 1: -4, 2: 0}
+from .models import ATOM_L2, CONT_L2, InterfaceStencil
 
 POWERS = (0, 1, 2)  # moments against u_j = 1, j, j^2
 
@@ -82,8 +81,9 @@ class ConstraintSystem:
         return np.array([r for r in range(3 * self.m) if r % 3 != 0])
 
 
-def build_constraint_system(m: int, reach: int = 2) -> ConstraintSystem:
-    """Assemble the consistency equations for an m-atom symmetric block.
+def _equations(m: int, reach: int, n_unknowns: int, column):
+    """Integer (matrix, rhs) of the consistency equations, defect = rhs -
+    matrix . x, where block entry (i, j) is the unknown x[column(i, j)].
 
     Columns run over j = 1-reach .. m+reach; for reach 2 this is the
     j = -1 .. m+2 bookkeeping of the second-neighbor problem. Larger reach
@@ -93,11 +93,8 @@ def build_constraint_system(m: int, reach: int = 2) -> ConstraintSystem:
         raise ValueError(f"m must be positive, got {m}")
     if reach < 2:
         raise ValueError(f"reach must be at least 2, got {reach}")
-    pairs = pair_index(m)
-    col_of = {pair: idx for idx, pair in enumerate(pairs)}
-    n_rows = 3 * m
-    A = np.zeros((n_rows, len(pairs)), dtype=np.int64)   # coefficient of x in defect
-    c = np.zeros(n_rows, dtype=np.int64)                 # fixed part of defect
+    matrix = np.zeros((3 * m, n_unknowns), dtype=np.int64)
+    rhs = np.zeros(3 * m, dtype=np.int64)
     for i in range(1, m + 1):
         for ip, p in enumerate(POWERS):
             row = 3 * (i - 1) + ip
@@ -105,22 +102,28 @@ def build_constraint_system(m: int, reach: int = 2) -> ConstraintSystem:
                 off = j - i
                 la = ATOM_L2.get(off, 0)
                 if 1 <= j <= m:
-                    A[row, col_of[(min(i, j), max(i, j))]] += j**p
-                    c[row] -= la * j**p
+                    matrix[row, column(i, j)] -= j**p
+                    rhs[row] -= la * j**p
                 elif j < 1:
-                    c[row] += (CONT_L2.get(off, 0) - la) * j**p
+                    rhs[row] += (CONT_L2.get(off, 0) - la) * j**p
                 # j > m: pinned atomistic, (L^a - L^a) = 0
-    # defect(x) = A x + c  ==  rhs - matrix x  with matrix = -A, rhs = c
-    return ConstraintSystem(m=m, reach=reach, matrix=-A, rhs=c)
+    return matrix, rhs
+
+
+def build_constraint_system(m: int, reach: int = 2) -> ConstraintSystem:
+    """Assemble the consistency equations for an m-atom symmetric block."""
+    col_of = {pair: idx for idx, pair in enumerate(pair_index(m))}
+    matrix, rhs = _equations(m, reach, len(col_of), lambda i, j: col_of[min(i, j), max(i, j)])
+    return ConstraintSystem(m=m, reach=reach, matrix=matrix, rhs=rhs)
 
 
 def certificate_weights(m: int):
     """Multiplier i^2 on the p=j equation and -i on the p=j^2 equation of
     row i; zero on the p=1 equations."""
-    w = [Fraction(0)] * (3 * m)
+    w = [0] * (3 * m)
     for i in range(1, m + 1):
-        w[3 * (i - 1) + 1] = Fraction(i * i)
-        w[3 * (i - 1) + 2] = Fraction(-i)
+        w[3 * (i - 1) + 1] = i * i
+        w[3 * (i - 1) + 2] = -i
     return w
 
 
@@ -135,7 +138,7 @@ class Certificate:
 
     m: int
     weights: tuple
-    value: Fraction
+    value: int
     weight_norm_sq: int
 
     @property
@@ -145,18 +148,17 @@ class Certificate:
 
 def certificate(m: int, reach: int = 2) -> Certificate:
     """Compute the weighted combination of the consistency equations in exact
-    rational arithmetic and verify that every unknown cancels."""
+    integer arithmetic and verify that every unknown cancels."""
     system = build_constraint_system(m, reach=reach)
     w = certificate_weights(m)
-    n_rows, n_cols = system.matrix.shape
-    for col in range(n_cols):
-        s = sum(w[r] * int(system.matrix[r, col]) for r in range(n_rows))
+    # object dtype keeps Python ints, so the sums cannot overflow
+    wo = np.array(w, dtype=object)
+    for pair, s in zip(system.unknown_pairs, wo @ system.matrix.astype(object)):
         if s != 0:
-            pair = system.unknown_pairs[col]
             raise CertificateError(
                 f"unknown {pair} does not cancel (coefficient {s}); assembly bug"
             )
-    value = sum(w[r] * int(system.rhs[r]) for r in range(n_rows))
+    value = int(wo @ system.rhs.astype(object))
     norm_sq = sum(i**4 + i**2 for i in range(1, m + 1))
     return Certificate(m=m, weights=tuple(w), value=value, weight_norm_sq=norm_sq)
 
@@ -177,37 +179,18 @@ def min_residual(m: int, symmetric: bool = True, reach: int = 2) -> MinResidualR
     the certificate bound; dropping it (diagnostic mode) admits exact
     solutions such as the force-based (QCF) interface rows.
     """
-    from .models import InterfaceStencil
-
     system = build_constraint_system(m, reach=reach)
     rows = system.consistency_rows()
     if symmetric:
-        M = system.matrix[rows].astype(float)
-        rhs = system.rhs[rows].astype(float)
-        x, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        res = float(np.linalg.norm(M @ x - rhs))
-        return MinResidualResult(
-            m=m, residual=res, stencil=InterfaceStencil(m, system.vector_to_block(x)),
-            symmetric=True,
-        )
-    # free m x m block: build the unsymmetrized coefficient matrix directly
-    Mf = np.zeros((len(rows), m * m))
-    rhsf = np.zeros(len(rows))
-    for rr, row in enumerate(rows):
-        i, p = system.row_label(int(row))
-        for j in range(1 - reach, m + reach + 1):
-            off = j - i
-            la = ATOM_L2.get(off, 0)
-            if 1 <= j <= m:
-                Mf[rr, (i - 1) * m + (j - 1)] -= j**p
-                rhsf[rr] -= la * j**p
-            elif j < 1:
-                rhsf[rr] += (CONT_L2.get(off, 0) - la) * j**p
-    x, *_ = np.linalg.lstsq(Mf, rhsf, rcond=None)
-    res = float(np.linalg.norm(Mf @ x - rhsf))
-    return MinResidualResult(
-        m=m, residual=res, stencil=x.reshape(m, m), symmetric=False
-    )
+        matrix, rhs = system.matrix, system.rhs
+    else:  # free m x m block, row-major unknowns
+        matrix, rhs = _equations(m, reach, m * m, lambda i, j: (i - 1) * m + (j - 1))
+    M = matrix[rows].astype(float)
+    b = rhs[rows].astype(float)
+    x, *_ = np.linalg.lstsq(M, b, rcond=None)
+    res = float(np.linalg.norm(M @ x - b))
+    stencil = InterfaceStencil(m, system.vector_to_block(x)) if symmetric else x.reshape(m, m)
+    return MinResidualResult(m=m, residual=res, stencil=stencil, symmetric=symmetric)
 
 
 def qcf_witness_block(m: int) -> np.ndarray:

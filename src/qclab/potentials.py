@@ -21,9 +21,6 @@ class PairPotential:
     k: float = 1.0
     s0: float = 1.0
 
-    def evaluate(self, s, order: int = 0):
-        return evaluate(self, s, order)
-
 
 def harmonic(k: float = 1.0, s0: float = 1.0) -> PairPotential:
     return PairPotential(HARMONIC, k=k, s0=s0)

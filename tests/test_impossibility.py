@@ -76,10 +76,25 @@ def test_defect_matches_exact_oracle():
 
 
 def test_certificate_value_minus_two():
-    for m in range(1, 13):
+    for m in range(1, 65):
         cert = certificate(m)
-        assert cert.value == Fraction(-2)
+        assert cert.value == -2 and type(cert.value) is int
+        assert all(type(w) is int for w in cert.weights)
         assert cert.weight_norm_sq == sum(i**4 + i**2 for i in range(1, m + 1))
+
+
+def test_weighted_sum_cancels_every_unknown_symbolically():
+    """Unknown x_kl (k < l) sits at (k, l) in row k and at (l, k) in row l,
+    where the p=j and p=j^2 equations carry j and j^2 with weights i^2 and -i;
+    its coefficient in the weighted sum vanishes for every k and l."""
+    sympy = pytest.importorskip("sympy")
+    k, l = sympy.symbols("k l", integer=True, positive=True)
+
+    def coefficient(i, j):
+        return i**2 * j - i * j**2
+
+    assert sympy.expand(coefficient(k, l) + coefficient(l, k)) == 0
+    assert sympy.expand(coefficient(k, k)) == 0  # diagonal unknown x_kk, one entry
 
 
 def test_certificate_runtime_under_one_second():

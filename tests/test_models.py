@@ -28,7 +28,7 @@ from qclab import (
     total_energy,
     zeros,
 )
-from qclab.models import _shell_bands, _term_groups
+from qclab.models import _band_apply, _shell_bands, _term_groups
 from qclab.potentials import evaluate
 from qclab.regions import INTERIOR_ATOMISTIC, INTERIOR_CONTINUUM
 
@@ -242,6 +242,34 @@ def test_apply_matches_dense_oracle(N):
         want = op.dense() @ u + op.ghost
         # compared in the eps^2-scaled dimensionless units of the stencils
         assert np.abs(eps2 * (got - want)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("length", [1, 65])
+def test_apply_rejects_wrong_field_length(length):
+    config = ChainConfig(N=64, F=1.2, R=2)
+    op = assemble_operator(ModelKind.QNL, config, POT1, partition=HALF_PART)
+    v = np.ones(length)
+    with pytest.raises(ValueError, match="field length"):
+        apply_linear(op, v)
+    with pytest.raises(ValueError, match="field length"):
+        to_strain_form(op).apply_strain(v)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_abs_band_apply_matches_dense_oracle(kind):
+    # the |A| |u| term of the solver's residual floor
+    rng = np.random.default_rng(17)
+    config = ChainConfig(N=64, F=1.1, R=2)
+    b = rng.standard_normal((4, 4))
+    op = assemble_operator(
+        kind, config, lennard_jones(),
+        partition=None if kind in (ModelKind.ATOMISTIC, ModelKind.CONTINUUM) else HALF_PART,
+        stencil=InterfaceStencil(4, b + b.T) if kind is ModelKind.CUSTOM else None,
+    )
+    u = rng.standard_normal(64)
+    got = _band_apply(np.abs(op.band), -op.half_width, np.abs(u)) / config.epsilon**2
+    want = np.abs(op.dense()) @ np.abs(u)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_apply_wraps_field_type():
