@@ -83,7 +83,8 @@ class ConstraintSystem:
 
 def _equations(m: int, reach: int, n_unknowns: int, column):
     """Integer (matrix, rhs) of the consistency equations, defect = rhs -
-    matrix . x, where block entry (i, j) is the unknown x[column(i, j)].
+    matrix . x, where block entry (i, j) is the unknown x[column(i, j)];
+    column maps integer arrays of i and j elementwise.
 
     Columns run over j = 1-reach .. m+reach; for reach 2 this is the
     j = -1 .. m+2 bookkeeping of the second-neighbor problem. Larger reach
@@ -93,27 +94,31 @@ def _equations(m: int, reach: int, n_unknowns: int, column):
         raise ValueError(f"m must be positive, got {m}")
     if reach < 2:
         raise ValueError(f"reach must be at least 2, got {reach}")
+    i = np.arange(1, m + 1)[:, None]                    # block rows
+    j = np.arange(1 - reach, m + reach + 1)             # columns
+    off = j - i
+    la = sum(c * (off == o) for o, c in ATOM_L2.items())
+    lc = sum(c * (off == o) for o, c in CONT_L2.items())
+    # defect weight of each column: L^c - L^a where j < 1 is pinned to the
+    # continuum, -L^a where the block unknown sits, zero where j > m is
+    # pinned atomistic
+    weight = np.where(j < 1, lc - la, np.where(j <= m, -la, 0))
+    rhs = (weight @ (j ** np.array(POWERS)[:, None]).T).reshape(-1)  # row 3(i-1) + ip
     matrix = np.zeros((3 * m, n_unknowns), dtype=np.int64)
-    rhs = np.zeros(3 * m, dtype=np.int64)
-    for i in range(1, m + 1):
-        for ip, p in enumerate(POWERS):
-            row = 3 * (i - 1) + ip
-            for j in range(1 - reach, m + reach + 1):
-                off = j - i
-                la = ATOM_L2.get(off, 0)
-                if 1 <= j <= m:
-                    matrix[row, column(i, j)] -= j**p
-                    rhs[row] -= la * j**p
-                elif j < 1:
-                    rhs[row] += (CONT_L2.get(off, 0) - la) * j**p
-                # j > m: pinned atomistic, (L^a - L^a) = 0
+    bi, bj = np.broadcast_arrays(i, np.arange(1, m + 1))
+    for ip, p in enumerate(POWERS):
+        np.subtract.at(matrix, (3 * (bi - 1) + ip, column(bi, bj)), bj**p)
     return matrix, rhs
 
 
 def build_constraint_system(m: int, reach: int = 2) -> ConstraintSystem:
     """Assemble the consistency equations for an m-atom symmetric block."""
-    col_of = {pair: idx for idx, pair in enumerate(pair_index(m))}
-    matrix, rhs = _equations(m, reach, len(col_of), lambda i, j: col_of[min(i, j), max(i, j)])
+
+    def column(i, j):  # position of (min, max) in pair_index(m)
+        k, l = np.minimum(i, j), np.maximum(i, j)
+        return (k - 1) * m - (k - 1) * (k - 2) // 2 + (l - k)
+
+    matrix, rhs = _equations(m, reach, m * (m + 1) // 2, column)
     return ConstraintSystem(m=m, reach=reach, matrix=matrix, rhs=rhs)
 
 

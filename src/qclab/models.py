@@ -15,6 +15,11 @@ Operators store their rows in eps^2-scaled dimensionless units (integer or
 small-rational entries for unit moduli); application divides by eps^2. The
 force-based QCF and the parametric interface-stencil model are assembled
 directly from closed-form rows and carry no energy.
+
+Translation-invariant kinds (atomistic, continuum) have one stencil row for
+every atom. Their band stores that row once, as a read-only broadcast view:
+still an (N, 2K+1) array, with row stride 0, so assembling it costs the same
+at every N. Coupled kinds build whole band columns from region masks.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .chain import ChainConfig, PeriodicField
-from .potentials import PairPotential, evaluate
+from .potentials import PairPotential, evaluate, singular
 from .regions import (
     RegionPartition,
     block_atoms,
@@ -154,7 +159,8 @@ def _band_apply(band: np.ndarray, first_offset: int, v) -> np.ndarray:
 @dataclass(frozen=True)
 class _TermGroup:
     shell: int            # neighbor distance r; bond argument is r F + g.u/eps
-    anchors: np.ndarray   # distinct 0-based anchor atoms (so indexed += never collides)
+    anchors: np.ndarray   # distinct 0-based anchor atoms (so indexed += never
+                          # collides, and N anchors are every atom)
     pattern: tuple        # ((offset, coeff), ...) defining g relative to anchor
     weight: float
 
@@ -207,16 +213,30 @@ def _term_groups(kind: ModelKind, config: ChainConfig, partition=None) -> list:
     raise ValueError(f"{kind.value} does not derive from an energy")
 
 
-def _bond_arguments(kind, config: ChainConfig, u: PeriodicField, partition):
-    """Each bond-term group of an energy-based kind with its arguments rF + g.u/eps."""
+def _bond_arguments(kind, config: ChainConfig, potential, u: PeriodicField, partition):
+    """Each bond-term group of an energy-based kind with its arguments rF + g.u/eps.
+
+    Raises ValueError naming the first bond whose argument is singular for
+    the potential.
+    """
+    kind = ModelKind(kind)
     if kind not in ENERGY_BASED:
-        raise ValueError(f"{ModelKind(kind).value} does not derive from an energy")
+        raise ValueError(f"{kind.value} does not derive from an energy")
     v = u.values
-    for g in _term_groups(ModelKind(kind), config, partition):
+    for g in _term_groups(kind, config, partition):
         s = np.zeros(len(g.anchors))
         for off, c in g.pattern:
             s += c * v[(g.anchors + off) % config.N]
-        yield g, g.shell * config.F + s / config.epsilon
+        args = g.shell * config.F + s / config.epsilon
+        bad = np.flatnonzero(singular(potential, args))
+        if bad.size:
+            first = bad[0]
+            raise ValueError(
+                f"{potential.kind} is singular at bond argument s = {float(args[first])!r}: "
+                f"{kind.value} bond of shell r={g.shell} anchored at atom "
+                f"{g.anchors[first] + 1}"
+            )
+        yield g, args
 
 
 def total_energy(
@@ -229,7 +249,7 @@ def total_energy(
     """Scaled total energy sum_terms w * eps * phi(rF + strain)."""
     eps = config.epsilon
     total = 0.0
-    for g, args in _bond_arguments(kind, config, u, partition):
+    for g, args in _bond_arguments(kind, config, potential, u, partition):
         total += g.weight * eps * float(np.sum(evaluate(potential, args, 0)))
     return total
 
@@ -243,7 +263,7 @@ def energy_gradient(
 ) -> np.ndarray:
     """Scaled gradient (1/eps) dE/du as a raw array; at u = 0 this is the ghost field."""
     grad = np.zeros(config.N)
-    for g, args in _bond_arguments(kind, config, u, partition):
+    for g, args in _bond_arguments(kind, config, potential, u, partition):
         dphi = np.asarray(evaluate(potential, args, 1))
         for off, c in g.pattern:
             grad[(g.anchors + off) % config.N] += g.weight * c * dphi
@@ -255,23 +275,41 @@ def energy_gradient(
 
 
 def _shell_bands(groups, N: int, R: int, K: int):
-    """Per-shell integer band matrices and gradient weight vectors."""
-    bands = [np.zeros((N, 2 * K + 1)) for _ in range(R)]
-    gweights = [np.zeros(N) for _ in range(R)]
-    for g in groups:
-        band = bands[g.shell - 1]
-        gw = gweights[g.shell - 1]
-        for o1, c1 in g.pattern:
-            rows = (g.anchors + o1) % N
-            gw[rows] += g.weight * c1
-            for o2, c2 in g.pattern:
-                band[rows, K + (o2 - o1)] += g.weight * c1 * c2
+    """Per-shell integer bands and gradient weights, accumulated group by group.
+
+    A shell whose groups all anchor every atom is translation invariant: each
+    row receives the same terms in the same order, so its band is one stencil
+    row of 2K+1 floats and its gradient weight a 0-d array. Other shells add
+    whole columns through a rolled 0/1 anchor indicator; a row outside the
+    anchors gains 0.0 * x, which leaves a +0.0 or nonzero entry unchanged, so
+    the bits equal those of an indexed scatter.
+    """
+    bands, gweights = [], []
+    for r in range(1, R + 1):
+        shell = [g for g in groups if g.shell == r]
+        invariant = all(len(g.anchors) == N for g in shell)
+        band = np.zeros(2 * K + 1 if invariant else (N, 2 * K + 1))
+        gw = np.zeros(() if invariant else N)
+        for g in shell:
+            if not invariant:
+                anchored = np.zeros(N)
+                anchored[g.anchors] = 1.0
+            for o1, c1 in g.pattern:
+                at = 1.0 if invariant else np.roll(anchored, o1)  # rows anchors + o1
+                gw += at * (g.weight * c1)
+                for o2, c2 in g.pattern:
+                    band[..., K + (o2 - o1)] += at * (g.weight * c1 * c2)
+        bands.append(band)
+        gweights.append(gw)
     return bands, gweights
 
 
-def _row_band(row_map: dict, rows: np.ndarray, K: int, out: np.ndarray):
+def _stencil_row(row_map: dict, K: int) -> np.ndarray:
+    """The offset -> coefficient table as one row of a half-width-K band."""
+    row = np.zeros(2 * K + 1)
     for off, c in row_map.items():
-        out[rows, K + off] += c
+        row[K + off] = c
+    return row
 
 
 def assemble_from_moduli(
@@ -299,12 +337,16 @@ def assemble_from_moduli(
         groups = _term_groups(kind, config, partition)
         K = R
         bands, gweights = _shell_bands(groups, N, R, K)
-        band = np.zeros((N, 2 * K + 1))
-        ghost = np.zeros(N)
+        # one row (and a 0-d ghost weight) while every shell is invariant
+        band = np.zeros(np.broadcast_shapes(*(b.shape for b in bands)))
+        ghost = np.zeros(np.broadcast_shapes(*(w.shape for w in gweights)))
         for r in range(R):
             band += second[r] * bands[r]
             ghost += first[r] * gweights[r]
-        return LinearChainOperator(config, kind, band, ghost / config.epsilon)
+        return LinearChainOperator(
+            config, kind, np.broadcast_to(band, (N, 2 * K + 1)),
+            np.broadcast_to(ghost, (N,)) / config.epsilon,
+        )
 
     # QCF and CUSTOM: L1 everywhere plus the native L2 row of each atom's
     # region; CUSTOM widens the band to its block and overwrites the block rows.
@@ -321,11 +363,7 @@ def assemble_from_moduli(
                 f"stencil block is {stencil.m}x{stencil.m} but partition has m={m}"
             )
         K = max(2, m + 1)
-    band1 = np.zeros((N, 2 * K + 1))
-    l2 = np.zeros_like(band1)
-    _row_band(L1_ROW, np.arange(N), K, band1)
-    _row_band(ATOM_L2, np.flatnonzero(mask), K, l2)
-    _row_band(CONT_L2, np.flatnonzero(~mask), K, l2)
+    l2 = np.where(mask[:, None], _stencil_row(ATOM_L2, K), _stencil_row(CONT_L2, K))
     if kind is ModelKind.CUSTOM:
         # row i of the block reads continuum values at j < 1, the block at
         # 1 <= j <= m and atomistic values at j > m (j = -1 .. m+2)
@@ -342,7 +380,7 @@ def assemble_from_moduli(
                 ))
                 l2[row, :] = 0.0
                 l2[row, K + direction * (js - i)] += coeffs
-    band = second[0] * band1 + second[1] * l2
+    band = second[0] * _stencil_row(L1_ROW, K) + second[1] * l2
     return LinearChainOperator(config, kind, band, np.zeros(N))
 
 

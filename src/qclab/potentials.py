@@ -30,6 +30,13 @@ def lennard_jones() -> PairPotential:
     return PairPotential(LENNARD_JONES)
 
 
+def singular(pot: PairPotential, s) -> np.ndarray:
+    """Elementwise mask of the arguments where phi is singular: s <= 0 for
+    Lennard-Jones, nowhere for the harmonic potential."""
+    s = np.asarray(s, dtype=float)
+    return s <= 0 if pot.kind == LENNARD_JONES else np.zeros(s.shape, dtype=bool)
+
+
 def evaluate(pot: PairPotential, s, order: int = 0):
     """phi(s), phi'(s) or phi''(s), elementwise over s."""
     if order not in (0, 1, 2):
@@ -44,7 +51,7 @@ def evaluate(pot: PairPotential, s, order: int = 0):
         else:
             out = np.full_like(s, pot.k)
     elif pot.kind == LENNARD_JONES:
-        if np.any(s <= 0):
+        if np.any(singular(pot, s)):
             raise ValueError("lennard_jones is singular at s <= 0")
         if order == 0:
             out = s**-12 - 2.0 * s**-6

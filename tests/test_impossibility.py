@@ -43,6 +43,43 @@ def exact_defect(block, m, i, power):
     return total
 
 
+def equations_loop(m, reach, n_unknowns, column):
+    """Row-by-row reference for the constraint equations (defect = rhs -
+    matrix . x), one (i, p, j) step at a time."""
+    matrix = np.zeros((3 * m, n_unknowns), dtype=np.int64)
+    rhs = np.zeros(3 * m, dtype=np.int64)
+    for i in range(1, m + 1):
+        for ip, p in enumerate((0, 1, 2)):
+            row = 3 * (i - 1) + ip
+            for j in range(1 - reach, m + reach + 1):
+                la = ATOM_L2.get(j - i, 0)
+                if 1 <= j <= m:
+                    matrix[row, column(i, j)] -= j**p
+                    rhs[row] -= la * j**p
+                elif j < 1:
+                    rhs[row] += (CONT_L2.get(j - i, 0) - la) * j**p
+    return matrix, rhs
+
+
+def test_equations_match_loop_reference():
+    for m in range(1, 41):
+        col_of = {pair: idx for idx, pair in enumerate(imp.pair_index(m))}
+
+        def free(i, j):
+            return (i - 1) * m + (j - 1)
+
+        for reach in (2, 3, 4):
+            s = build_constraint_system(m, reach=reach)
+            want = equations_loop(
+                m, reach, len(col_of), lambda i, j: col_of[min(i, j), max(i, j)]
+            )
+            assert s.matrix.dtype == s.rhs.dtype == np.int64
+            assert np.array_equal(s.matrix, want[0]) and np.array_equal(s.rhs, want[1])
+            got = imp._equations(m, reach, m * m, free)
+            want = equations_loop(m, reach, m * m, free)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_system_shapes():
     s4 = build_constraint_system(4)
     assert s4.matrix.shape == (12, 10)

@@ -1,6 +1,8 @@
 """Model energies, operator assembly, ghost fields, strain form, diagnostics."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from qclab import (
     ChainConfig,
     InterfaceStencil,
+    LinearChainOperator,
     ModelKind,
     PeriodicField,
     RegionPartition,
@@ -22,12 +25,15 @@ from qclab import (
     hessian_consistency_check,
     lennard_jones,
     lp_norm,
+    moment_residuals,
     sample_field,
+    solve_equilibrium,
     symmetry_defect,
     to_strain_form,
     total_energy,
     zeros,
 )
+from qclab.cli import _exact_moments
 from qclab.models import _band_apply, _shell_bands, _term_groups
 from qclab.potentials import evaluate
 from qclab.regions import INTERIOR_ATOMISTIC, INTERIOR_CONTINUUM
@@ -535,11 +541,82 @@ def test_accumulation_matches_add_at_reference(potential, random_geometry):
         u = PeriodicField(config, rng.uniform(-0.01, 0.01, N) / N)
         for kind in (ModelKind.ATOMISTIC, ModelKind.CONTINUUM, ModelKind.QCE, ModelKind.QNL):
             groups = _term_groups(kind, config, partition)
-            got = _shell_bands(groups, N, 2, 2)
-            want = shell_bands_add_at(groups, N, 2, 2)
-            for a, b in zip(got[0] + got[1], want[0] + want[1]):
-                assert np.array_equal(a, b)
+            got_bands, got_weights = _shell_bands(groups, N, 2, 2)
+            want_bands, want_weights = shell_bands_add_at(groups, N, 2, 2)
+            for a, b in zip(got_bands + got_weights, want_bands + want_weights):
+                # an invariant shell comes back as one row and a 0-d weight
+                assert np.broadcast_to(a, b.shape).tobytes() == b.tobytes()
             assert np.array_equal(
                 energy_gradient(kind, config, pot, u, partition),
                 energy_gradient_add_at(kind, config, pot, u, partition),
             )
+
+
+# ---------------------------------------------------------------------------
+# translation-invariant kinds: one stencil row, broadcast
+
+
+@pytest.mark.parametrize("kind", [ModelKind.ATOMISTIC, ModelKind.CONTINUUM])
+def test_invariant_kinds_store_one_broadcast_row(kind):
+    op = assemble_operator(kind, ChainConfig(N=64, F=1.2, R=2), POT1)
+    assert op.band.shape == (64, 5)
+    assert op.band.strides[0] == 0
+    assert not op.band.flags.writeable
+    with pytest.raises(ValueError):
+        op.band[3, 2] = 0.0
+
+
+def test_invariant_assembly_peak_memory():
+    # a full (N, 5) band alone is 40 MiB at N = 2^20
+    config = ChainConfig(N=2**20, F=1.2, R=2)
+    tracemalloc.start()
+    try:
+        assemble_operator(ModelKind.ATOMISTIC, config, POT1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
+def test_broadcast_band_consumers_match_contiguous_copy():
+    config = ChainConfig(N=64, F=1.1, R=2)
+    pot = lennard_jones()
+    op, ref = (assemble_operator(k, config, pot) for k in (ModelKind.CONTINUUM, ModelKind.ATOMISTIC))
+    op_copy, ref_copy = (
+        LinearChainOperator(config, o.kind, np.ascontiguousarray(o.band), o.ghost.copy())
+        for o in (op, ref)
+    )
+    assert op_copy.band.strides[0] != 0
+
+    def same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    u = np.random.default_rng(3).standard_normal(64)
+    assert same(op.dense(), op_copy.dense())
+    assert same(_band_apply(op.band, -2, u), _band_apply(op_copy.band, -2, u))
+    sf, sf_copy = to_strain_form(op), to_strain_form(op_copy)
+    assert same(sf.band, sf_copy.band) and sf.bound_C == sf_copy.bound_C
+    assert symmetry_defect(op) == symmetry_defect(op_copy)
+    assert same(moment_residuals(op, ref).residuals, moment_residuals(op_copy, ref_copy).residuals)
+    assert _exact_moments(op, ref) == _exact_moments(op_copy, ref_copy)
+    f = u - u.mean()
+    assert same(solve_equilibrium(op, f).values, solve_equilibrium(op_copy, f).values)
+
+
+@pytest.mark.parametrize("kind", [ModelKind.ATOMISTIC, ModelKind.QNL])
+def test_singular_lennard_jones_bond_is_named(kind):
+    config = ChainConfig(N=32, F=1.1, R=2)
+    u = np.zeros(32)
+    u[5] = -1.2 * config.epsilon  # bond (5, 6) pushed through zero
+    field = PeriodicField(config, u)
+    s = config.F + u[5] / config.epsilon
+    want = re.escape(
+        f"singular at bond argument s = {float(s)!r}: {kind.value} bond of shell r=1 "
+        "anchored at atom 6"
+    )
+    part = None if kind is ModelKind.ATOMISTIC else HALF_PART
+    for fn in (total_energy, energy_gradient):
+        with pytest.raises(ValueError, match=want):
+            fn(kind, config, lennard_jones(), field, partition=part)
+    assert math.isfinite(total_energy(kind, config, POT1, field, partition=part))
