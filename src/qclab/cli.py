@@ -136,7 +136,10 @@ def _potential(cfg: RunConfig):
     return harmonic(cfg.k, cfg.s0)
 
 
-def _partition(cfg: RunConfig) -> RegionPartition:
+def _partition(cfg: RunConfig) -> RegionPartition | None:
+    """The configured partition for a coupled model; None otherwise."""
+    if _kind(cfg) not in COUPLED:
+        return None
     return RegionPartition(cfg.partition, interface_width_m=cfg.m, reach=cfg.reach)
 
 
@@ -152,8 +155,7 @@ def _kind(cfg: RunConfig) -> ModelKind:
 def _assemble(cfg: RunConfig, N: int | None = None):
     kind = _kind(cfg)
     config = ChainConfig(N=N or cfg.N, F=cfg.F, R=cfg.R)
-    part = _partition(cfg) if kind in COUPLED else None
-    return assemble_operator(kind, config, _potential(cfg), partition=part), config
+    return assemble_operator(kind, config, _potential(cfg), partition=_partition(cfg)), config
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +208,7 @@ def cmd_energy(cfg: RunConfig, args) -> int:
     config = ChainConfig(N=cfg.N, F=cfg.F, R=cfg.R)
     u = sample_field(_witness(cfg), config)
     u = PeriodicField(config, cfg.amplitude * u.values)
-    part = _partition(cfg) if kind in COUPLED else None
-    value = total_energy(kind, config, _potential(cfg), u, partition=part)
+    value = total_energy(kind, config, _potential(cfg), u, partition=_partition(cfg))
     _emit(cfg.out, ("model", "potential", "N", "F", "amplitude", "energy"),
           [(kind.value, cfg.potential, cfg.N, cfg.F, cfg.amplitude, value)])
     _report(args, f"total energy of {kind.value} at amplitude {cfg.amplitude}: {value!r}")
@@ -240,7 +241,7 @@ def cmd_moments(cfg: RunConfig, args) -> int:
         for p in (0, 1, 2)
     ]
     _emit(cfg.out, ("atom", "p", "residual"), rows)
-    if cfg.exact or args.exact:
+    if cfg.exact:
         exact = _exact_moments(op, ref)
         worst = max(
             abs(float(exact[i][p]) - report.residuals[i, p])
@@ -286,7 +287,7 @@ def _exact_moments(op, ref):
 def cmd_ghost(cfg: RunConfig, args) -> int:
     kind = _kind(cfg)
     N_list = cfg.N_list or tuple(2**k for k in range(6, 12))
-    part = _partition(cfg) if kind in COUPLED else None
+    part = _partition(cfg)
     rows = []
     sups = []
     for N in N_list:
@@ -305,10 +306,11 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     if kind is ModelKind.ATOMISTIC:
         raise ConfigError("sweep measures residuals against the atomistic reference; "
                           "pick continuum, qce, qnl or qcf")
+    if cfg.R != 2:
+        raise ConfigError(f"sweep runs at R=2 only, got R={cfg.R}")
     N_list = cfg.N_list or tuple(2**k for k in range(6, 13))
-    part = _partition(cfg) if kind in COUPLED else None
     result = consistency_sweep(
-        kind, _witness(cfg), N_list, _potential(cfg), partition=part, F=cfg.F
+        kind, _witness(cfg), N_list, _potential(cfg), partition=_partition(cfg), F=cfg.F
     )
     rows = [(N, 1.0 / N, r, kind.value) for N, r in result.points]
     _emit(cfg.out, ("N", "epsilon", "residual", "model"), rows)
@@ -327,7 +329,7 @@ def cmd_certify(cfg: RunConfig, args) -> int:
         res = min_residual(m)
         bound = cert.residual_lower_bound
         rows.append((m, str(cert.value), res.residual, bound))
-        if cfg.exact or args.exact:
+        if cfg.exact:
             lines.append(
                 f"m={m}: weighted sum = {cert.value} (exact), ||w||^2 = "
                 f"{cert.weight_norm_sq}, bound^2 = {Fraction(4, cert.weight_norm_sq)}"
@@ -351,11 +353,12 @@ def cmd_converge(cfg: RunConfig, args) -> int:
     kind = _kind(cfg)
     if kind is ModelKind.ATOMISTIC:
         raise ConfigError("converge compares coupled or continuum models against atomistic")
+    if cfg.R != 2:
+        raise ConfigError(f"converge runs at R=2 only, got R={cfg.R}")
     N_list = cfg.N_list or tuple(2**k for k in range(6, 14))
-    part = _partition(cfg) if kind in COUPLED else None
     table = convergence_study(
         kind, _witness(cfg), N_list, list(cfg.p_list), _potential(cfg),
-        partition=part, F=cfg.F,
+        partition=_partition(cfg), F=cfg.F,
     )
     rows = []
     blocks = []
@@ -424,16 +427,10 @@ def main(argv=None) -> int:
         if args.exact:
             cfg.exact = True
         return COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (NumericalError, CertificateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

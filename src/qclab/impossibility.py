@@ -35,8 +35,10 @@ class CertificateError(RuntimeError):
 
 
 def pair_index(m: int):
-    """Ordered unknowns (k, l), k <= l, of the symmetric m x m block."""
-    return [(k, l) for k in range(1, m + 1) for l in range(k, m + 1)]
+    """Ordered unknowns (k, l), k <= l, of the symmetric m x m block: the
+    upper triangle in row-major order, as np.triu_indices(m) gives it."""
+    k, l = np.triu_indices(m)
+    return list(zip((k + 1).tolist(), (l + 1).tolist()))
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,6 @@ class ConstraintSystem:
     """
 
     m: int
-    reach: int
     matrix: np.ndarray   # (3m, m(m+1)/2) integers
     rhs: np.ndarray      # (3m,) integers
 
@@ -62,14 +63,13 @@ class ConstraintSystem:
         return row // 3 + 1, POWERS[row % 3]
 
     def block_to_vector(self, block: np.ndarray) -> np.ndarray:
-        blk = np.asarray(block, dtype=float)
-        return np.array([blk[k - 1, l - 1] for k, l in self.unknown_pairs])
+        return np.asarray(block, dtype=float)[np.triu_indices(self.m)]
 
     def vector_to_block(self, x: np.ndarray) -> np.ndarray:
+        k, l = np.triu_indices(self.m)
         blk = np.zeros((self.m, self.m))
-        for val, (k, l) in zip(x, self.unknown_pairs):
-            blk[k - 1, l - 1] = val
-            blk[l - 1, k - 1] = val
+        blk[k, l] = x
+        blk[l, k] = x
         return blk
 
     def defect(self, x: np.ndarray) -> np.ndarray:
@@ -81,21 +81,16 @@ class ConstraintSystem:
         return np.array([r for r in range(3 * self.m) if r % 3 != 0])
 
 
-def _equations(m: int, reach: int, n_unknowns: int, column):
+def _equations(m: int, n_unknowns: int, column):
     """Integer (matrix, rhs) of the consistency equations, defect = rhs -
     matrix . x, where block entry (i, j) is the unknown x[column(i, j)];
     column maps integer arrays of i and j elementwise.
 
-    Columns run over j = 1-reach .. m+reach; for reach 2 this is the
-    j = -1 .. m+2 bookkeeping of the second-neighbor problem. Larger reach
-    only widens the pinned (zero) margins.
+    Columns run over j = -1 .. m+2, every column a second-neighbor row of
+    the block reaches.
     """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if reach < 2:
-        raise ValueError(f"reach must be at least 2, got {reach}")
     i = np.arange(1, m + 1)[:, None]                    # block rows
-    j = np.arange(1 - reach, m + reach + 1)             # columns
+    j = np.arange(-1, m + 3)                            # columns
     off = j - i
     la = sum(c * (off == o) for o, c in ATOM_L2.items())
     lc = sum(c * (off == o) for o, c in CONT_L2.items())
@@ -111,15 +106,15 @@ def _equations(m: int, reach: int, n_unknowns: int, column):
     return matrix, rhs
 
 
-def build_constraint_system(m: int, reach: int = 2) -> ConstraintSystem:
+def build_constraint_system(m: int) -> ConstraintSystem:
     """Assemble the consistency equations for an m-atom symmetric block."""
-
-    def column(i, j):  # position of (min, max) in pair_index(m)
-        k, l = np.minimum(i, j), np.maximum(i, j)
-        return (k - 1) * m - (k - 1) * (k - 2) // 2 + (l - k)
-
-    matrix, rhs = _equations(m, reach, m * (m + 1) // 2, column)
-    return ConstraintSystem(m=m, reach=reach, matrix=matrix, rhs=rhs)
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    k, l = np.triu_indices(m)
+    column = np.empty((m, m), dtype=np.int64)  # position of (k, l) in pair_index(m)
+    column[k, l] = column[l, k] = np.arange(len(k))
+    matrix, rhs = _equations(m, len(k), lambda i, j: column[i - 1, j - 1])
+    return ConstraintSystem(m=m, matrix=matrix, rhs=rhs)
 
 
 def certificate_weights(m: int):
@@ -151,10 +146,10 @@ class Certificate:
         return float(abs(self.value)) / float(self.weight_norm_sq) ** 0.5
 
 
-def certificate(m: int, reach: int = 2) -> Certificate:
+def certificate(m: int) -> Certificate:
     """Compute the weighted combination of the consistency equations in exact
     integer arithmetic and verify that every unknown cancels."""
-    system = build_constraint_system(m, reach=reach)
+    system = build_constraint_system(m)
     w = certificate_weights(m)
     # object dtype keeps Python ints, so the sums cannot overflow
     wo = np.array(w, dtype=object)
@@ -176,7 +171,7 @@ class MinResidualResult:
     symmetric: bool
 
 
-def min_residual(m: int, symmetric: bool = True, reach: int = 2) -> MinResidualResult:
+def min_residual(m: int, symmetric: bool = True) -> MinResidualResult:
     """Least-squares minimizer of the consistency defect (Eq. cons2 rows,
     p in {j, j^2}) over interface blocks; the residual is its Euclidean norm.
 
@@ -184,12 +179,12 @@ def min_residual(m: int, symmetric: bool = True, reach: int = 2) -> MinResidualR
     the certificate bound; dropping it (diagnostic mode) admits exact
     solutions such as the force-based (QCF) interface rows.
     """
-    system = build_constraint_system(m, reach=reach)
+    system = build_constraint_system(m)
     rows = system.consistency_rows()
     if symmetric:
         matrix, rhs = system.matrix, system.rhs
     else:  # free m x m block, row-major unknowns
-        matrix, rhs = _equations(m, reach, m * m, lambda i, j: (i - 1) * m + (j - 1))
+        matrix, rhs = _equations(m, m * m, lambda i, j: (i - 1) * m + (j - 1))
     M = matrix[rows].astype(float)
     b = rhs[rows].astype(float)
     x, *_ = np.linalg.lstsq(M, b, rcond=None)
@@ -199,18 +194,15 @@ def min_residual(m: int, symmetric: bool = True, reach: int = 2) -> MinResidualR
 
 
 def qcf_witness_block(m: int) -> np.ndarray:
-    """Unsymmetric block realizing zero defect for m >= 4: the first two rows
-    are pure continuum stencils, the last two pure atomistic, so every row's
-    moments vanish and the pinned off-block entries are matched exactly."""
+    """Unsymmetric block realizing zero defect for m >= 4: rows 1..m//2 (at
+    least the first two) are pure continuum stencils, the rest (at least the
+    last two) pure atomistic, so every row's moments vanish and the pinned
+    off-block entries are matched exactly."""
     if m < 4:
         raise ValueError("the force-based witness needs m >= 4")
     block = np.zeros((m, m))
     for i in range(1, m + 1):
         native = CONT_L2 if i <= m // 2 else ATOM_L2
-        if i <= 2:
-            native = CONT_L2
-        if i >= m - 1:
-            native = ATOM_L2
         for j in range(1, m + 1):
             block[i - 1, j - 1] = native.get(j - i, 0)
     return block

@@ -32,13 +32,7 @@ import numpy as np
 
 from .chain import ChainConfig, PeriodicField
 from .potentials import PairPotential, evaluate, singular
-from .regions import (
-    RegionPartition,
-    block_atoms,
-    classify,
-    membership_mask,
-    region_boundaries,
-)
+from .regions import RegionPartition, block_atoms, classify, membership_mask
 
 
 class ModelKind(str, Enum):
@@ -62,6 +56,10 @@ COUPLED = frozenset({ModelKind.QCE, ModelKind.QNL, ModelKind.QCF, ModelKind.CUST
 L1_ROW = {-1: -1, 0: 2, 1: -1}
 ATOM_L2 = {-2: -1, 0: 2, 2: -1}
 CONT_L2 = {-1: -4, 0: 8, 1: -4}
+
+# Largest |row sum| and |ghost| (eps^2 stencil units, force units) for which
+# an operator still has a strain form.
+STRAIN_FORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -165,13 +163,18 @@ class _TermGroup:
     weight: float
 
 
-def _require_partition(kind, partition):
+def _coupled_partition(kind: ModelKind, config: ChainConfig, partition):
+    """The partition of a coupled kind, which is defined for R = 2 only."""
+    if config.R != 2:
+        raise ValueError(f"coupled models are defined for R=2 only, got R={config.R}")
     if partition is None:
         raise ValueError(f"{kind.value} requires a region partition")
     return partition
 
 
-def _term_groups(kind: ModelKind, config: ChainConfig, partition=None) -> list:
+def _term_groups(kind: ModelKind, config: ChainConfig, mask) -> list:
+    """Bond-term groups of an energy-based kind; mask is the membership mask
+    of a coupled kind's partition (unused by the pure kinds)."""
     N, R = config.N, config.R
     everyone = np.arange(N)
     groups = []
@@ -183,9 +186,6 @@ def _term_groups(kind: ModelKind, config: ChainConfig, partition=None) -> list:
         for r in range(1, R + 1):
             groups.append(_TermGroup(r, everyone, ((0, float(r)), (-1, -float(r))), 1.0))
         return groups
-    if R != 2:
-        raise ValueError(f"coupled models are defined for R=2 only, got R={R}")
-    mask = membership_mask(_require_partition(kind, partition), config)
     in_a = everyone[mask]
     in_c = everyone[~mask]
     if kind is ModelKind.QCE:
@@ -222,8 +222,11 @@ def _bond_arguments(kind, config: ChainConfig, potential, u: PeriodicField, part
     kind = ModelKind(kind)
     if kind not in ENERGY_BASED:
         raise ValueError(f"{kind.value} does not derive from an energy")
+    mask = None
+    if kind in COUPLED:
+        mask = membership_mask(_coupled_partition(kind, config, partition), config)
     v = u.values
-    for g in _term_groups(kind, config, partition):
+    for g in _term_groups(kind, config, mask):
         s = np.zeros(len(g.anchors))
         for off, c in g.pattern:
             s += c * v[(g.anchors + off) % config.N]
@@ -331,10 +334,12 @@ def assemble_from_moduli(
     if len(second) != R or len(first) != R:
         raise ValueError(f"need one modulus per shell r=1..{R}")
 
+    mask = None
+    if kind in COUPLED:
+        regions = classify(_coupled_partition(kind, config, partition), config)
+        mask = regions.in_atomistic
     if kind in ENERGY_BASED:
-        if kind in COUPLED:
-            classify(_require_partition(kind, partition), config)  # validates geometry
-        groups = _term_groups(kind, config, partition)
+        groups = _term_groups(kind, config, mask)
         K = R
         bands, gweights = _shell_bands(groups, N, R, K)
         # one row (and a 0-d ghost weight) while every shell is invariant
@@ -350,9 +355,6 @@ def assemble_from_moduli(
 
     # QCF and CUSTOM: L1 everywhere plus the native L2 row of each atom's
     # region; CUSTOM widens the band to its block and overwrites the block rows.
-    if R != 2:
-        raise ValueError(f"coupled models are defined for R=2 only, got R={R}")
-    mask = classify(_require_partition(kind, partition), config).in_atomistic
     K = 2
     if kind is ModelKind.CUSTOM:
         if stencil is None:
@@ -368,7 +370,7 @@ def assemble_from_moduli(
         # row i of the block reads continuum values at j < 1, the block at
         # 1 <= j <= m and atomistic values at j > m (j = -1 .. m+2)
         js = np.arange(-1, m + 3)
-        for boundary in region_boundaries(mask):
+        for boundary in regions.boundaries:
             atoms = block_atoms(boundary, m, N)         # block index 1..m -> atom
             direction = 1 if boundary[1] == "CA" else -1
             for i in range(1, m + 1):
@@ -433,29 +435,26 @@ class StrainFormOperator:
         return out
 
 
-def to_strain_form(op: LinearChainOperator, tol: float = 1e-12) -> StrainFormOperator:
+def to_strain_form(op: LinearChainOperator) -> StrainFormOperator:
     """Rewrite L in terms of backward differences via telescoping.
 
     Requires zero row sums (shift invariance) and a zero ghost field; the
     coefficient of (Du)_{i+k} collects the stencil weight that telescopes
-    across the bond (i+k-1, i+k).
+    across the bond (i+k-1, i+k): minus the sum of offsets below k for
+    k <= 0, the sum of offsets k..K for k >= 1.
     """
-    if np.abs(op.row_sums()).max() > tol:
+    if np.abs(op.row_sums()).max() > STRAIN_FORM_TOL:
         raise ValueError("operator has nonzero row sums; no strain form exists")
-    if np.abs(op.ghost).max() > tol:
+    if np.abs(op.ghost).max() > STRAIN_FORM_TOL:
         raise ValueError("operator has a ghost field; no strain form exists")
-    N = op.config.N
-    K = op.half_width
-    sband = np.zeros((N, 2 * K))
-    col = {k: idx for idx, k in enumerate(range(1 - K, K + 1))}
-    for off in range(-K, K + 1):
-        c = op.band[:, K + off]
-        if off > 0:
-            for k in range(1, off + 1):
-                sband[:, col[k]] += c
-        elif off < 0:
-            for k in range(off + 1, 1):
-                sband[:, col[k]] -= c
+    N, K = op.config.N, op.half_width
+    sband = np.empty((N, 2 * K))
+    below = above = 0.0  # running sums from the two ends of the stencil
+    for c in range(K):
+        below = below - op.band[:, c]           # k = c+1-K
+        sband[:, c] = below
+        above = above + op.band[:, 2 * K - c]   # k = K-c
+        sband[:, 2 * K - 1 - c] = above
     bound = float(np.abs(sband).sum(axis=1).max())
     return StrainFormOperator(op.config, sband, bound)
 

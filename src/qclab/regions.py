@@ -68,11 +68,13 @@ def validate(partition: RegionPartition) -> list:
 
 @dataclass(frozen=True)
 class AtomLabels:
-    """Per-atom classification plus the underlying region membership mask."""
+    """Per-atom classification plus the region membership mask and the
+    boundaries it was derived from."""
 
     config: ChainConfig
     labels: np.ndarray       # int8, one of the label constants
     in_atomistic: np.ndarray  # bool, position membership of A
+    boundaries: list         # (b, orientation) pairs, as from region_boundaries
 
     def atoms(self, label: int) -> np.ndarray:
         """1-based atom indices carrying `label`."""
@@ -83,7 +85,14 @@ class AtomLabels:
 
 
 def membership_mask(partition: RegionPartition, config: ChainConfig) -> np.ndarray:
-    """Boolean mask over atoms 1..N: True where i/N lies in A."""
+    """Boolean mask over atoms 1..N: True where i/N lies in A.
+
+    Raises ValueError("invalid partition: ...") listing every problem that
+    `validate` reports.
+    """
+    problems = validate(partition)
+    if problems:
+        raise ValueError("invalid partition: " + "; ".join(problems))
     x = config.positions()
     mask = np.zeros(config.N, dtype=bool)
     for a, b in partition.atomistic_intervals:
@@ -101,6 +110,14 @@ def region_boundaries(mask: np.ndarray) -> list:
     return [(int(b) + 1, "AC" if mask[b] else "CA") for b in cuts]
 
 
+def _block_sides(m: int, atomistic_left):
+    """Atoms of an m-block left and right of its cut, ceil(m/2) of them on
+    the atomistic side; atomistic_left is a bool or one bool per cut."""
+    n_atom = math.ceil(m / 2)
+    left = np.where(atomistic_left, n_atom, m - n_atom)
+    return left, m - left
+
+
 def block_atoms(boundary, m: int, N: int) -> np.ndarray:
     """1-based atoms of the m-wide interface block at a boundary, ordered by
     block index 1..m from the continuum end toward the atomistic end.
@@ -108,59 +125,48 @@ def block_atoms(boundary, m: int, N: int) -> np.ndarray:
     ceil(m/2) atoms sit on the atomistic side of the cut.
     """
     b, orient = boundary
-    n_atom = math.ceil(m / 2)
-    n_cont = m - n_atom
+    left, right = _block_sides(m, orient == "AC")
+    raw = np.arange(b + 1 - left, b + right + 1)
     if orient == "AC":
-        raw = np.arange(b + n_cont, b - n_atom, -1)
-    else:
-        raw = np.arange(b - n_cont + 1, b + n_atom + 1)
+        raw = raw[::-1]
     return (raw - 1) % N + 1
-
-
-def _boundary_window(boundary, m: int, reach: int, N: int) -> set:
-    """Atoms owned by one boundary: the m block plus the reach collar."""
-    b, _ = boundary
-    collar = np.arange(b - reach + 1, b + reach + 1)
-    window = set(((collar - 1) % N + 1).tolist())
-    window.update(block_atoms(boundary, m, N).tolist())
-    return window
 
 
 def classify(partition: RegionPartition, config: ChainConfig) -> AtomLabels:
     """Label atoms interior-atomistic / interior-continuum / interface.
 
-    Atom i is interior to a region iff every atom within `reach` of it lies
-    in the same region. Rejects partitions whose per-boundary interface
-    segments (block of m plus reach collar) are not pairwise disjoint.
+    Each boundary owns one window of the ring: its m-block plus the collar
+    of `reach` atoms on either side of the cut. Atom i is interface iff it
+    lies in a collar, i.e. iff an atom within `reach` of it lies in the other
+    region. Rejects invalid partitions (see `membership_mask`), chains too
+    short for their interface segments and windows that overlap.
     """
-    problems = validate(partition)
-    if problems:
-        raise ValueError("invalid partition: " + "; ".join(problems))
     N, reach, m = config.N, partition.reach, partition.interface_width_m
     mask = membership_mask(partition, config)
     boundaries = region_boundaries(mask)
+    labels = np.where(mask, INTERIOR_ATOMISTIC, INTERIOR_CONTINUUM).astype(np.int8)
     if boundaries:
-        n_intervals = max(len(boundaries) // 2, 1)
-        need = n_intervals * (m + 4 * reach)
+        B = len(boundaries)
+        need = B // 2 * (m + 4 * reach)
         if N < need:
             raise ValueError(
-                f"N={N} too small for {n_intervals} interface segment(s): need N >= {need}"
+                f"N={N} too small for {B // 2} interface segment(s): need N >= {need}"
             )
-        windows = [_boundary_window(bd, m, reach, N) for bd in boundaries]
-        for i in range(len(windows)):
-            for j in range(i + 1, len(windows)):
-                if windows[i] & windows[j]:
-                    raise ValueError(
-                        f"interface collars of boundaries {boundaries[i][0]} and "
-                        f"{boundaries[j][0]} overlap"
-                    )
+        cuts = np.array([b for b, _ in boundaries]) - 1  # 0-based atom left of each cut
+        left, right = _block_sides(m, mask[cuts])
+        lo, hi = cuts + 1 - np.maximum(reach, left), cuts + np.maximum(reach, right)
 
-    deep_a = mask.copy()
-    deep_c = ~mask
-    for off in range(1, reach + 1):
-        deep_a &= np.roll(mask, off) & np.roll(mask, -off)
-        deep_c &= np.roll(~mask, off) & np.roll(~mask, -off)
-    labels = np.full(N, INTERFACE, dtype=np.int8)
-    labels[deep_a] = INTERIOR_ATOMISTIC
-    labels[deep_c] = INTERIOR_CONTINUUM
-    return AtomLabels(config=config, labels=labels, in_atomistic=mask)
+        def meets(i, j):  # windows are shorter than N, so j > i meets i above or across the wrap
+            return (lo[j] <= hi[i]) | (lo[i] + N <= hi[j])
+
+        # when two windows meet, so do two ring neighbours (a cut between the
+        # two lies in one of them), so the pairwise search runs only then
+        if meets(np.arange(B - 1), np.arange(1, B)).any() or meets(0, B - 1):
+            i = next(i for i in range(B) if meets(i, np.arange(i + 1, B)).any())
+            j = i + 1 + int(np.argmax(meets(i, np.arange(i + 1, B))))
+            raise ValueError(
+                f"interface collars of boundaries {boundaries[i][0]} and "
+                f"{boundaries[j][0]} overlap"
+            )
+        labels[(cuts[:, None] + np.arange(1 - reach, reach + 1)) % N] = INTERFACE
+    return AtomLabels(config=config, labels=labels, in_atomistic=mask, boundaries=boundaries)

@@ -241,3 +241,13 @@ def test_moments_exact_mode_lennard_jones(tmp_path, capsys):
 
 def test_sweep_rejects_atomistic(tmp_path):
     assert run(["sweep"], tmp_path, config_text="model=atomistic\n") == 2
+
+
+@pytest.mark.parametrize("command", ["sweep", "converge"])
+def test_sweep_and_converge_reject_other_cutoffs(tmp_path, capsys, command):
+    # both studies are defined on R = 2 chains; R = 3 must not print R = 2 rows
+    code = run([command], tmp_path, config_text="model=continuum\nR=3\nN_list=64,128\n")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "R=2 only, got R=3" in captured.err
+    assert captured.out == ""

@@ -43,7 +43,7 @@ def exact_defect(block, m, i, power):
     return total
 
 
-def equations_loop(m, reach, n_unknowns, column):
+def equations_loop(m, n_unknowns, column):
     """Row-by-row reference for the constraint equations (defect = rhs -
     matrix . x), one (i, p, j) step at a time."""
     matrix = np.zeros((3 * m, n_unknowns), dtype=np.int64)
@@ -51,7 +51,7 @@ def equations_loop(m, reach, n_unknowns, column):
     for i in range(1, m + 1):
         for ip, p in enumerate((0, 1, 2)):
             row = 3 * (i - 1) + ip
-            for j in range(1 - reach, m + reach + 1):
+            for j in range(-1, m + 3):
                 la = ATOM_L2.get(j - i, 0)
                 if 1 <= j <= m:
                     matrix[row, column(i, j)] -= j**p
@@ -63,21 +63,19 @@ def equations_loop(m, reach, n_unknowns, column):
 
 def test_equations_match_loop_reference():
     for m in range(1, 41):
+        assert imp.pair_index(m) == [(k, l) for k in range(1, m + 1) for l in range(k, m + 1)]
         col_of = {pair: idx for idx, pair in enumerate(imp.pair_index(m))}
 
         def free(i, j):
             return (i - 1) * m + (j - 1)
 
-        for reach in (2, 3, 4):
-            s = build_constraint_system(m, reach=reach)
-            want = equations_loop(
-                m, reach, len(col_of), lambda i, j: col_of[min(i, j), max(i, j)]
-            )
-            assert s.matrix.dtype == s.rhs.dtype == np.int64
-            assert np.array_equal(s.matrix, want[0]) and np.array_equal(s.rhs, want[1])
-            got = imp._equations(m, reach, m * m, free)
-            want = equations_loop(m, reach, m * m, free)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        s = build_constraint_system(m)
+        want = equations_loop(m, len(col_of), lambda i, j: col_of[min(i, j), max(i, j)])
+        assert s.matrix.dtype == s.rhs.dtype == np.int64
+        assert np.array_equal(s.matrix, want[0]) and np.array_equal(s.rhs, want[1])
+        got = imp._equations(m, m * m, free)
+        want = equations_loop(m, m * m, free)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_system_shapes():
@@ -157,8 +155,8 @@ def test_certificate_detects_corrupted_assembly(monkeypatch):
     good = imp.build_constraint_system(3)
     bad_matrix = good.matrix.copy()
     bad_matrix[1, 0] += 1
-    bad = imp.ConstraintSystem(m=3, reach=2, matrix=bad_matrix, rhs=good.rhs)
-    monkeypatch.setattr(imp, "build_constraint_system", lambda m, reach=2: bad)
+    bad = imp.ConstraintSystem(m=3, matrix=bad_matrix, rhs=good.rhs)
+    monkeypatch.setattr(imp, "build_constraint_system", lambda m: bad)
     with pytest.raises(imp.CertificateError):
         imp.certificate(3)
 
@@ -211,14 +209,6 @@ def test_symmetric_argmin_defect_is_orthogonal_to_weights_span():
     w = np.array([float(certificate_weights(4)[r]) for r in rows])
     cos = defect @ w / np.linalg.norm(defect) / np.linalg.norm(w)
     assert abs(abs(cos) - 1.0) <= 1e-10
-
-
-def test_reach_parameter_numeric_certification():
-    for reach in (3, 4):
-        res = min_residual(4, reach=reach)
-        assert res.residual > 0.1  # still infeasible, certified numerically
-    with pytest.raises(ValueError):
-        build_constraint_system(4, reach=1)
 
 
 def test_cross_module_agreement_with_operator_moments():

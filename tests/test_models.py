@@ -34,9 +34,16 @@ from qclab import (
     zeros,
 )
 from qclab.cli import _exact_moments
-from qclab.models import _band_apply, _shell_bands, _term_groups
+from qclab.models import (
+    ATOM_L2,
+    CONT_L2,
+    COUPLED,
+    _band_apply,
+    _shell_bands,
+    _term_groups,
+)
 from qclab.potentials import evaluate
-from qclab.regions import INTERIOR_ATOMISTIC, INTERIOR_CONTINUUM
+from qclab.regions import INTERIOR_ATOMISTIC, INTERIOR_CONTINUUM, membership_mask
 
 HALF_PART = RegionPartition([(0.0, 0.5)], interface_width_m=4, reach=2)
 POT1 = harmonic(1.0, 1.0)
@@ -78,7 +85,8 @@ def energy_gradient_add_at(kind, config, pot, u, partition):
     """np.add.at reference for the scaled energy gradient."""
     v, eps, N = u.values, config.epsilon, config.N
     grad = np.zeros(N)
-    for g in _term_groups(kind, config, partition):
+    mask = membership_mask(partition, config) if kind in COUPLED else None
+    for g in _term_groups(kind, config, mask):
         s = np.zeros(len(g.anchors))
         for off, c in g.pattern:
             s += c * v[(g.anchors + off) % N]
@@ -472,6 +480,61 @@ def test_strain_form_rejections():
         to_strain_form(op)  # nonzero row sums
 
 
+def strain_band_loop(op):
+    """Per-(offset, k) reference for the strain band of to_strain_form."""
+    N, K = op.config.N, op.half_width
+    sband = np.zeros((N, 2 * K))
+    col = {k: idx for idx, k in enumerate(range(1 - K, K + 1))}
+    for off in range(-K, K + 1):
+        c = op.band[:, K + off]
+        if off > 0:
+            for k in range(1, off + 1):
+                sband[:, col[k]] += c
+        elif off < 0:
+            for k in range(off + 1, 1):
+                sband[:, col[k]] -= c
+    return sband
+
+
+def zero_sum_custom_stencil(rng, m):
+    """Random symmetric block whose CUSTOM rows have zero row sums."""
+    block = rng.standard_normal((m, m))
+    block += block.T
+    pinned = [
+        sum(CONT_L2.get(j - i, 0) for j in (-1, 0))
+        + sum(ATOM_L2.get(j - i, 0) for j in (m + 1, m + 2))
+        for i in range(1, m + 1)
+    ]
+    block[np.diag_indices(m)] -= block.sum(axis=1) + pinned
+    return InterfaceStencil(m, block)
+
+
+@pytest.mark.parametrize("potential", ["harmonic", "lennard_jones"])
+def test_strain_band_matches_loop_reference(potential, random_geometry):
+    rng = np.random.default_rng(17 + len(potential))
+    for N, n_intervals in ((64, 1), (256, 2), (1024, 3)):
+        config, pot, partition = random_geometry(rng, N, potential, n_intervals)
+        ops = [
+            assemble_operator(kind, config, pot, partition=partition if kind in COUPLED else None)
+            for kind in (ModelKind.ATOMISTIC, ModelKind.CONTINUUM, ModelKind.QNL, ModelKind.QCF)
+        ]
+        # ghost-free QCE: second moduli only
+        ops.append(
+            assemble_from_moduli(ModelKind.QCE, config, rng.normal(size=2), partition=partition)
+        )
+        for op in ops:
+            want = strain_band_loop(op)
+            sf = to_strain_form(op)
+            assert sf.band.tobytes() == want.tobytes()
+            assert sf.bound_C == float(np.abs(want).sum(axis=1).max())
+        stencil = zero_sum_custom_stencil(rng, partition.interface_width_m)
+        op = assemble_operator(ModelKind.CUSTOM, config, pot, partition=partition, stencil=stencil)
+        want = strain_band_loop(op)
+        sf = to_strain_form(op)
+        assert sf.band.shape == want.shape
+        assert np.abs(sf.band - want).max() <= 1e-15 * np.abs(want).max()
+
+
 # ---------------------------------------------------------------------------
 # parametric interface stencils
 
@@ -540,7 +603,7 @@ def test_accumulation_matches_add_at_reference(potential, random_geometry):
         config, pot, partition = random_geometry(rng, N, potential, n_intervals)
         u = PeriodicField(config, rng.uniform(-0.01, 0.01, N) / N)
         for kind in (ModelKind.ATOMISTIC, ModelKind.CONTINUUM, ModelKind.QCE, ModelKind.QNL):
-            groups = _term_groups(kind, config, partition)
+            groups = _term_groups(kind, config, membership_mask(partition, config))
             got_bands, got_weights = _shell_bands(groups, N, 2, 2)
             want_bands, want_weights = shell_bands_add_at(groups, N, 2, 2)
             for a, b in zip(got_bands + got_weights, want_bands + want_weights):
@@ -620,3 +683,21 @@ def test_singular_lennard_jones_bond_is_named(kind):
         with pytest.raises(ValueError, match=want):
             fn(kind, config, lennard_jones(), field, partition=part)
     assert math.isfinite(total_energy(kind, config, POT1, field, partition=part))
+
+
+@pytest.mark.parametrize(
+    "intervals, problem",
+    [
+        ([(0.5, 0.2)], "empty or inverted interval (0.5, 0.2]"),
+        ([(0.0, 1.5)], "interval (0.0, 1.5] not contained in (0, 1]"),
+        ([(0.0, 0.5), (0.25, 0.75)], "intervals (0.0, 0.5] and (0.25, 0.75] overlap"),
+    ],
+    ids=["inverted", "out_of_range", "overlapping"],
+)
+def test_energy_path_rejects_invalid_partition(intervals, problem):
+    config = ChainConfig(N=64, F=1.2, R=2)
+    want = re.escape("invalid partition: " + problem)
+    for kind in (ModelKind.QCE, ModelKind.QNL):
+        for fn in (total_energy, energy_gradient):
+            with pytest.raises(ValueError, match=want):
+                fn(kind, config, POT1, zeros(config), partition=RegionPartition(intervals))

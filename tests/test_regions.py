@@ -1,5 +1,7 @@
 """Region partitioning and atom classification."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,94 @@ def test_region_boundaries_match_loop_reference():
         got = region_boundaries(mask)
         assert got == _region_boundaries_loop(mask)
         assert all(type(b) is int for b, _ in got)
+
+
+def _block_atoms_reference(boundary, m, N):
+    b, orient = boundary
+    n_atom = math.ceil(m / 2)
+    n_cont = m - n_atom
+    if orient == "AC":
+        raw = np.arange(b + n_cont, b - n_atom, -1)
+    else:
+        raw = np.arange(b - n_cont + 1, b + n_atom + 1)
+    return (raw - 1) % N + 1
+
+
+def _classify_reference(partition, config):
+    """Set-window and roll-loop reference for classify: returns (labels,
+    mask, boundaries) or raises the same ValueError."""
+    problems = validate(partition)
+    if problems:
+        raise ValueError("invalid partition: " + "; ".join(problems))
+    N, reach, m = config.N, partition.reach, partition.interface_width_m
+    x = config.positions()
+    mask = np.zeros(N, dtype=bool)
+    for a, b in partition.atomistic_intervals:
+        mask |= (x > a) & (x <= b)
+    boundaries = _region_boundaries_loop(mask)
+    if boundaries:
+        n_intervals = max(len(boundaries) // 2, 1)
+        need = n_intervals * (m + 4 * reach)
+        if N < need:
+            raise ValueError(
+                f"N={N} too small for {n_intervals} interface segment(s): need N >= {need}"
+            )
+        windows = []
+        for bd in boundaries:
+            collar = np.arange(bd[0] - reach + 1, bd[0] + reach + 1)
+            window = set(((collar - 1) % N + 1).tolist())
+            window.update(_block_atoms_reference(bd, m, N).tolist())
+            windows.append(window)
+        for i in range(len(windows)):
+            for j in range(i + 1, len(windows)):
+                if windows[i] & windows[j]:
+                    raise ValueError(
+                        f"interface collars of boundaries {boundaries[i][0]} and "
+                        f"{boundaries[j][0]} overlap"
+                    )
+    deep_a = mask.copy()
+    deep_c = ~mask
+    for off in range(1, reach + 1):
+        deep_a &= np.roll(mask, off) & np.roll(mask, -off)
+        deep_c &= np.roll(~mask, off) & np.roll(~mask, -off)
+    labels = np.full(N, INTERFACE, dtype=np.int8)
+    labels[deep_a] = INTERIOR_ATOMISTIC
+    labels[deep_c] = INTERIOR_CONTINUUM
+    return labels, mask, boundaries
+
+
+def _random_intervals(rng, n):
+    if rng.random() < 0.85:  # sorted ends: disjoint intervals inside (0, 1]
+        ends = np.sort(rng.random(2 * n))
+        if rng.random() < 0.2:
+            ends = np.round(ends * 16) / 16  # shared ends and whole-period cuts
+        return list(zip(ends[::2], ends[1::2]))
+    return [tuple(rng.uniform(-0.1, 1.1, 2)) for _ in range(n)]  # often invalid
+
+
+def test_classify_matches_set_window_reference():
+    rng = np.random.default_rng(2024)
+    outcomes = {"accepted": 0, "invalid": 0, "too small": 0, "overlap": 0}
+    for _ in range(2400):
+        N = int(rng.integers(12, 1025)) if rng.random() < 0.5 else int(rng.integers(12, 129))
+        partition = RegionPartition(
+            _random_intervals(rng, int(rng.integers(0, 5))),
+            interface_width_m=int(rng.integers(1, 9)),
+            reach=int(rng.integers(1, 4)),
+        )
+        config = ChainConfig(N=N, F=1.0)
+        try:
+            want = _classify_reference(partition, config)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                classify(partition, config)
+            assert str(got.value) == str(exc)
+            key = next(k for k in ("invalid", "too small", "overlap") if k in str(exc))
+            outcomes[key] += 1
+            continue
+        got = classify(partition, config)
+        assert got.labels.dtype == np.int8 and np.array_equal(got.labels, want[0])
+        assert np.array_equal(got.in_atomistic, want[1])
+        assert got.boundaries == want[2]
+        outcomes["accepted"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
