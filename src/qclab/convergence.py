@@ -1,15 +1,27 @@
 """Equilibrium solves on the mean-zero subspace and convergence-rate studies.
 
 The linearized operators annihilate constants, so an equilibrium is fixed
-only up to a constant. The solver grounds atom N (drops its row and column),
-which leaves a nonsingular system whenever the kernel is exactly the
-constants. Numbering the remaining atoms 1, N-1, 2, N-2, ... folds the ring
-so that the periodic band of half-width K becomes a plain band of half-width
-2K, which one banded LU factorization (LAPACK gbtrf) handles for every model
-kind. The right-hand side is first projected off the left-null direction
-(from the transposed factors; for symmetric operators this is mean removal),
-and iterative refinement keeps the residual at the 1e-10 ||f|| contract even
-on the largest chains.
+only up to a constant. Two factorizations solve it, and `solve_equilibrium`
+picks one from the band alone:
+
+- Stress form, for an exactly symmetric band of half-width 2 (every
+  energy-based kind at R = 2): the band is D^T C D / eps^2 with D the backward
+  difference and C a cyclic symmetric tridiagonal matrix of condition O(1).
+  One pivoted tridiagonal LU of C (LAPACK gttrf) with a rank-1 correction
+  for the ring's corner gives the strains, and a running sum the
+  displacements.
+- Grounded LU, for every other band (QCF, custom stencils, R > 2) and for a
+  stress form whose C is singular: atom N is grounded (its row and column
+  dropped), which leaves a nonsingular system whenever the kernel is
+  exactly the constants. Numbering the remaining atoms 1, N-1, 2, N-2, ...
+  folds the ring so that the periodic band of half-width K becomes a plain
+  band of half-width 2K, which one banded LU factorization (LAPACK gbtrf)
+  handles.
+
+The right-hand side is first projected off the left-null direction (the
+mean, for symmetric operators; from the transposed factors otherwise), and
+iterative refinement keeps the residual at the 1e-10 ||f|| contract even on
+the largest chains.
 """
 
 from __future__ import annotations
@@ -130,17 +142,103 @@ def _grounded_lu(op: LinearChainOperator):
     return solve, w
 
 
+def _stress_lu(op: LinearChainOperator):
+    """Factor a symmetric, zero-row-sum band of half-width 2 in stress form.
+
+    Such a band is A = D^T C D / eps^2, with (D u)_i = u_i - u_{i-1} and C the
+    cyclic symmetric tridiagonal matrix read off its two lower diagonals:
+    C[i, i-1] = -band[i, 0] and C[i, i] = C[i, i-1] + C[i+1, i] - band[i, 1].
+    A u = r becomes C t = sigma + c 1 with sum(t) = 0, where the stress
+    sigma is a prefix sum of eps^2 r and c is fixed by the constraint; then
+    u = cumsum(t). C is factored as its open chain (pivoted tridiagonal LU,
+    LAPACK gttrf) plus a Sherman-Morrison correction for the two corner
+    entries. Folding the ring instead would fill a banded factor with
+    subnormal numbers, and gttrf pivots where a positive-definite factor
+    would refuse the negative moduli of stretched Lennard-Jones chains.
+
+    Returns (solve, w) as `_grounded_lu` does, with w = 1. Returns None when
+    C itself is (numerically) singular: A may still be well posed then (the
+    bilaplacian band has C = D D^T), and the grounded LU decides. Raises
+    NumericalError when C is regular but A's kernel is larger than the
+    constants, i.e. when sum(C^-1 1) vanishes.
+    """
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    N = op.config.N
+    band = op.band
+    sub = -band[:, 0]  # C[i, i-1]; sub[0] is the corner C[0, N-1]
+    diag = sub + np.roll(sub, -1) - band[:, 1]
+    corner = float(sub[0])
+    # C = T + x v^T: T is the open chain, x = gamma e_0 + corner e_{N-1} and
+    # v = e_0 + (corner / gamma) e_{N-1}; |gamma| >= |C[0,0]| keeps T's
+    # first pivot away from cancellation
+    gamma = -math.copysign(max(abs(diag[0]), abs(corner)) or 1.0, diag[0])
+    diag[0] -= gamma
+    diag[-1] -= corner * corner / gamma
+    off = sub[1:]
+    dl, d, du, du2, ipiv, info = dgttrf(off, diag, off)
+    pivots = np.abs(d)
+    if info != 0 or pivots.min() < math.sqrt(np.finfo(float).eps) * pivots.max():
+        return None
+
+    def open_solve(b):
+        return dgttrs(dl, d, du, du2, ipiv, b)[0]
+
+    x = np.zeros(N)
+    x[0], x[-1] = gamma, corner
+    zg = open_solve(np.column_stack((x, np.ones(N))))
+    z = zg[:, 0]
+    ratio = corner / gamma
+    vz = z[0] + ratio * z[-1]
+    denom = 1.0 + vz
+    if abs(denom) < math.sqrt(np.finfo(float).eps) * max(1.0, abs(vz)):
+        return None
+
+    def corrected(y):  # C^-1 b from y = T^-1 b
+        return y - ((y[0] + ratio * y[-1]) / denom) * z
+
+    g = corrected(zg[:, 1])  # C^-1 1
+    g_sum = float(g.sum())
+    if abs(g_sum) <= math.sqrt(np.finfo(float).eps) * float(np.abs(g).sum()):
+        raise NumericalError(
+            "operator is singular: its kernel is larger than the constants "
+            f"(sum of C^-1 1 is {g_sum:.1e})"
+        )
+    eps2 = op.config.epsilon**2
+    ramp = np.arange(1, N + 1) / N
+
+    def solve(r):
+        # D^T sigma = eps^2 r for the mean-free part of r (w = 1)
+        sigma = np.empty(N)
+        sigma[0] = 0.0
+        np.cumsum(r[:-1] - r.mean(), out=sigma[1:])
+        t = corrected(open_solve(sigma * -eps2))
+        t -= (t.sum() / g_sum) * g
+        u = np.cumsum(t)
+        # u[-1] is the rounding the running sum gathered (sum(t) = 0); left
+        # in place it is a jump between atoms N and 1, and A would see it
+        # there with weight 1/eps^2, so spread it evenly over the ring
+        u -= u[-1] * ramp
+        return u
+
+    return solve, np.ones(N)
+
+
 def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
     """Unique mean-zero u with (linear part of op) u = P f, where P removes
     the left-null component of f (the mean, for symmetric operators).
 
-    One banded LU factorization of the grounded, ring-folded operator serves
-    the left-null vector, the solve and the refinement steps. The residual
-    contract is 1e-10 ||f||_inf, widened to the float64 representation floor
-    eps_mach * || |A| |u| ||_inf where the latter is larger (rounding u alone
-    perturbs A u by that much on the finest chains); it is checked on the
-    returned mean-zero u. Raises ValueError for an operator with nonzero row
-    sums and NumericalError when the kernel is larger than the constants.
+    An exactly symmetric band of half-width 2 (two O(N) comparisons) is
+    solved in stress form through its tridiagonal C (`_stress_lu`); any other
+    band, and a stress form whose C is singular, through one banded LU of the
+    grounded, ring-folded operator (`_grounded_lu`). Either factorization
+    serves the left-null vector, the solve and the refinement steps. The
+    residual contract is 1e-10 ||f||_inf, widened to the float64
+    representation floor eps_mach * || |A| |u| ||_inf where the latter is
+    larger (rounding u alone perturbs A u by that much on the finest chains);
+    it is checked on the returned mean-zero u. Raises ValueError for an
+    operator with nonzero row sums and NumericalError when the kernel is
+    larger than the constants.
     """
     fv = f.values if isinstance(f, PeriodicField) else np.asarray(f, dtype=float)
     N = op.config.N
@@ -153,7 +251,14 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
             "in eps^2 stencil units); equilibria are defined up to a constant only "
             "for shift-invariant operators"
         )
-    solve, w = _grounded_lu(op)
+    band = op.band
+    symmetric_pentadiagonal = (
+        band.shape[1] == 5
+        and np.array_equal(band[:, 3], np.roll(band[:, 1], -1))  # A[i,i+1] = A[i+1,i]
+        and np.array_equal(band[:, 4], np.roll(band[:, 0], -2))  # A[i,i+2] = A[i+2,i]
+    )
+    factor = _stress_lu(op) if symmetric_pentadiagonal else None
+    solve, w = factor or _grounded_lu(op)
     fproj = fv - (w @ fv) / (w @ w) * w
     u = solve(fproj)
     scale = float(np.abs(fv).max())

@@ -23,9 +23,10 @@ from qclab import (
     sample_field,
     solve_equilibrium,
 )
-from qclab.convergence import RESIDUAL_RTOL
+from qclab import convergence
+from qclab.convergence import RESIDUAL_RTOL, _grounded_lu, _stress_lu
 from qclab.models import LinearChainOperator
-from qclab.potentials import evaluate
+from qclab.potentials import evaluate, lennard_jones
 
 HALF_PART = RegionPartition([(0.0, 0.5)], interface_width_m=4, reach=2)
 POT1 = harmonic(1.0, 1.0)
@@ -60,6 +61,46 @@ def bordered_reference(op, f):
     for _ in range(3):
         u = u + lu.solve(np.append(fproj - apply_linear(op, u), 0.0))[:N]
     return u - u.mean(), fproj
+
+
+def grounded_reference(op, f):
+    """The grounded banded LU with three refinement steps, kept as the oracle
+    for the stress-form path. Returns (mean-zero u, projected right-hand side)."""
+    solve, w = _grounded_lu(op)
+    fproj = f - (w @ f) / (w @ w) * w
+    u = solve(fproj)
+    for _ in range(3):
+        u = u + solve(fproj - apply_linear(op, u))
+    return u - u.mean(), fproj
+
+
+def stress_matrix(band):
+    """Dense cyclic tridiagonal C with band = D^T C D, read off the two lower
+    diagonals: C[i, i-1] = -band[i, 0], C[i, i] = C[i, i-1] + C[i+1, i] - band[i, 1]."""
+    N = band.shape[0]
+    sub = -band[:, 0]
+    idx = np.arange(N)
+    C = np.zeros((N, N))
+    C[idx, idx] = sub + np.roll(sub, -1) - band[:, 1]
+    C[idx, idx - 1] = sub
+    C[idx - 1, idx] = sub
+    return C
+
+
+def band_from_stress(C):
+    """Half-width-2 band (eps^2 units) of D^T C D for a cyclic tridiagonal C."""
+    N = C.shape[0]
+    D = np.eye(N) - np.roll(np.eye(N), -1, axis=1)  # (D u)_i = u_i - u_{i-1}
+    A = D.T @ C @ D
+    idx = np.arange(N)
+    return np.stack([A[idx, (idx + k) % N] for k in range(-2, 3)], axis=1)
+
+
+def forbid(name):
+    def refuse(op):
+        raise AssertionError(f"{name} must not run on this band")
+
+    return refuse
 
 
 def residual_contract(op, u, f):
@@ -204,6 +245,185 @@ def test_solve_matches_bordered_reference(N, potential, n_intervals, random_geom
         assert abs(u.mean()) <= 1e-12 * np.abs(u).max()
         resid = np.abs(apply_linear(op, u) - fproj).max()
         assert resid <= residual_contract(op, u, f)
+
+
+ENERGY_KINDS = (ModelKind.ATOMISTIC, ModelKind.CONTINUUM, ModelKind.QCE, ModelKind.QNL)
+
+
+@pytest.mark.parametrize(
+    "N, potential, n_intervals",
+    list(itertools.product([64, 1024, 2**14], ["harmonic", "lennard_jones"], [1, 2, 3])),
+)
+def test_stress_path_matches_grounded_oracle(
+    N, potential, n_intervals, random_geometry, monkeypatch
+):
+    rng = np.random.default_rng([N, n_intervals, len(potential), 6])
+    config, pot, partition = random_geometry(rng, N, potential, n_intervals)
+    c = sum(r * r * evaluate(pot, r * config.F, 2) for r in (1, 2))  # as above
+    for kind in ENERGY_KINDS:
+        op = assemble_operator(kind, config, pot, partition=partition)
+        f = rng.standard_normal(N)
+        want, fproj = grounded_reference(op, f)
+        # one stress solve keeps the contract by itself, so no refinement runs
+        solve, w = _stress_lu(op)
+        assert np.array_equal(w, np.ones(N))
+        u = solve(f - f.mean())
+        u -= u.mean()
+        assert np.abs(apply_linear(op, u) - (f - f.mean())).max() <= residual_contract(op, u, f)
+        with monkeypatch.context() as patch:
+            patch.setattr(convergence, "_grounded_lu", forbid("the grounded LU"))
+            u = solve_equilibrium(op, f).values
+        tol = 4.0 * residual_contract(op, want, f) / c
+        assert lp_norm(difference(PeriodicField(config, u - want), 1, 1), math.inf) <= tol
+        assert abs(u.mean()) <= 1e-12 * np.abs(u).max()
+        assert np.abs(apply_linear(op, u) - fproj).max() <= residual_contract(op, u, f)
+
+
+@pytest.mark.parametrize("potential", ["harmonic", "lennard_jones"])
+def test_stress_matrix_rebuilds_the_band(potential, random_geometry):
+    rng = np.random.default_rng(60 + len(potential))
+    for N, n_intervals in ((64, 1), (128, 2), (256, 3)):
+        config, pot, partition = random_geometry(rng, N, potential, n_intervals)
+        for kind in ENERGY_KINDS:
+            band = assemble_operator(kind, config, pot, partition=partition).band
+            rebuilt = band_from_stress(stress_matrix(band))
+            if potential == "harmonic":
+                assert rebuilt.tobytes() == np.ascontiguousarray(band).tobytes()
+            else:
+                assert np.abs(rebuilt - band).max() <= 1e-15 * np.abs(band).max()
+
+
+def test_stress_path_pivots_through_indefinite_stress_matrices():
+    # random symmetric C with entries of both signs: a positive-definite
+    # factorization would refuse these, the pivoted tridiagonal LU must not
+    rng = np.random.default_rng(66)
+    for N in (16, 64, 512):
+        config = ChainConfig(N=N, F=1.2, R=2)
+        sub = rng.uniform(-1.0, 1.0, N)
+        C = np.diag(rng.uniform(-3.0, 3.0, N))
+        idx = np.arange(N)
+        C[idx, idx - 1] = sub
+        C[idx - 1, idx] = sub
+        assert np.linalg.eigvalsh(C).min() < 0.0 < np.linalg.eigvalsh(C).max()
+        op = LinearChainOperator(config, ModelKind.ATOMISTIC, band_from_stress(C), np.zeros(N))
+        assert _stress_lu(op) is not None
+        v = rng.standard_normal(N)
+        v -= v.mean()
+        u = solve_equilibrium(op, apply_linear(op, v)).values
+        assert np.abs(u - v).max() <= 1e-8 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("F", [1.2, 1.3, 1.5])
+@pytest.mark.parametrize("kind", [ModelKind.ATOMISTIC, ModelKind.QNL])
+def test_stress_path_solves_negative_moduli(F, kind, monkeypatch):
+    # Lennard-Jones chains stretched past the inflection point: every modulus
+    # is negative, so C is negative definite
+    config = ChainConfig(N=1024, F=F, R=2)
+    pot = lennard_jones()
+    assert evaluate(pot, F, 2) < 0.0
+    op = assemble_operator(kind, config, pot, partition=HALF_PART)
+    f = np.random.default_rng(int(10 * F)).standard_normal(config.N)
+    want, fproj = grounded_reference(op, f)
+    monkeypatch.setattr(convergence, "_grounded_lu", forbid("the grounded LU"))
+    u = solve_equilibrium(op, f).values
+    assert np.abs(apply_linear(op, u) - fproj).max() <= residual_contract(op, u, f)
+    c = abs(sum(r * r * evaluate(pot, r * F, 2) for r in (1, 2)))
+    tol = 4.0 * residual_contract(op, want, f) / c
+    assert lp_norm(difference(PeriodicField(config, u - want), 1, 1), math.inf) <= tol
+
+
+def test_nonsymmetric_pentadiagonal_band_takes_grounded_route(monkeypatch):
+    # an ATOMISTIC label does not select the stress path; the band does
+    rng = np.random.default_rng(67)
+    N = 256
+    config = ChainConfig(N=N, F=1.2, R=2)
+    band = np.array(assemble_operator(ModelKind.ATOMISTIC, config, POT1).band)
+    skew = 0.1 * rng.random(N)
+    band[:, 1] -= skew  # row sums stay zero, A[i, i+1] != A[i+1, i]
+    band[:, 3] += skew
+    op = LinearChainOperator(config, ModelKind.ATOMISTIC, band, np.zeros(N))
+    monkeypatch.setattr(convergence, "_stress_lu", forbid("the stress path"))
+    v = rng.standard_normal(N)
+    v -= v.mean()
+    u = solve_equilibrium(op, apply_linear(op, v)).values
+    assert np.abs(u - v).max() <= 1e-10 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("N", [16, 17, 1024])
+def test_singular_stress_matrix_defers_to_grounded_lu(N):
+    # the bilaplacian [1, -4, 6, -4, 1] is D^T C D with C = D D^T, singular on
+    # the constants, while the band's own kernel is the constants
+    config = ChainConfig(N=N, F=1.2, R=2)
+    band = np.tile([1.0, -4.0, 6.0, -4.0, 1.0], (N, 1))
+    op = LinearChainOperator(config, ModelKind.ATOMISTIC, band, np.zeros(N))
+    assert _stress_lu(op) is None
+    v = np.random.default_rng(N).standard_normal(N)
+    v -= v.mean()
+    f = apply_linear(op, v)
+    u = solve_equilibrium(op, f).values
+    assert np.abs(apply_linear(op, u) - f).max() <= residual_contract(op, u, f)
+
+
+@pytest.mark.parametrize("row", [[0.0] * 5, [-1.0, 0.0, 2.0, 0.0, -1.0]])
+def test_singular_stress_matrix_keeps_the_kernel_error(row):
+    # C = 0 fails the tridiagonal pivot test and C = cyclic [1, 2, 1] (even N)
+    # the corner correction; the grounded LU then names the kernel
+    config = ChainConfig(N=64, F=1.2, R=2)
+    op = LinearChainOperator(config, ModelKind.ATOMISTIC, np.tile(row, (64, 1)), np.zeros(64))
+    assert _stress_lu(op) is None
+    with pytest.raises(NumericalError, match="kernel is larger than the constants"):
+        solve_equilibrium(op, np.random.default_rng(1).standard_normal(64))
+
+
+def test_stress_solve_spreads_the_mean_of_its_right_hand_side():
+    # like the grounded LU, one stress solve returns u with A u = r - mu w for
+    # any r (w = 1): the mean of r is removed, not left on one atom
+    rng = np.random.default_rng(68)
+    config = ChainConfig(N=4096, F=1.1, R=2)
+    op = assemble_operator(ModelKind.QNL, config, lennard_jones(), partition=HALF_PART)
+    r = rng.standard_normal(config.N) + 5.0
+    solve, w = _stress_lu(op)
+    u = solve(r)
+    assert np.abs(apply_linear(op, u) - (r - r.mean())).max() <= residual_contract(op, u, r)
+
+
+def test_stress_path_rejects_kernel_beyond_constants():
+    # C regular with C g = 1 for the alternating, mean-zero g: then
+    # u = cumsum(g) is a non-constant kernel vector of D^T C D
+    N = 64
+    config = ChainConfig(N=N, F=1.2, R=2)
+    C = np.diag(2.0 + (-1.0) ** np.arange(N))
+    idx = np.arange(N)
+    C[idx, idx - 1] = C[idx - 1, idx] = 1.0
+    assert np.abs(np.linalg.eigvalsh(C)).min() > 0.01
+    op = LinearChainOperator(config, ModelKind.ATOMISTIC, band_from_stress(C), np.zeros(N))
+    with pytest.raises(NumericalError, match="kernel is larger than the constants"):
+        _stress_lu(op)
+    with pytest.raises(NumericalError, match="kernel is larger than the constants"):
+        solve_equilibrium(op, np.random.default_rng(0).standard_normal(N))
+
+
+@pytest.mark.parametrize(
+    "kind, potential",
+    [(ModelKind.QNL, "lennard_jones"), (ModelKind.QCE, "lennard_jones"),
+     (ModelKind.ATOMISTIC, "harmonic")],
+)
+def test_stress_path_residual_contract_at_large_n(kind, potential, monkeypatch):
+    pot, F = {"harmonic": (POT1, 1.2), "lennard_jones": (lennard_jones(), 1.1)}[potential]
+    config = ChainConfig(N=2**16, F=F, R=2)
+    op = assemble_operator(kind, config, pot, partition=HALF_PART)
+    op_a = assemble_operator(ModelKind.ATOMISTIC, config, pot)
+    f = apply_linear(op_a, sample_field(default_witness, config).values) - op.ghost
+    fproj = f - f.mean()
+    # one stress solve already keeps the contract: no refinement step is needed
+    solve, w = _stress_lu(op)
+    u = solve(fproj)
+    u -= u.mean()
+    assert np.abs(apply_linear(op, u) - fproj).max() <= residual_contract(op, u, f)
+    monkeypatch.setattr(convergence, "_grounded_lu", forbid("the grounded LU"))
+    u = solve_equilibrium(op, f).values
+    assert abs(u.mean()) <= 1e-12 * np.abs(u).max()
+    assert np.abs(apply_linear(op, u) - fproj).max() <= residual_contract(op, u, f)
 
 
 def test_solve_rejects_wrong_length():

@@ -191,6 +191,31 @@ def test_row_sums_vanish_for_shift_invariant_models():
     assert np.abs(op_lj.row_sums()).max() <= 1e-13
 
 
+@pytest.mark.parametrize("potential", ["harmonic", "lennard_jones"])
+def test_row_sums_match_axis_reduction(potential, random_geometry):
+    # column-by-column adds group the terms as numpy's short-row reduction
+    # does up to width 7; wider custom rows (m >= 3) may differ in the last bit
+    rng = np.random.default_rng(71 + len(potential))
+    for N, n_intervals in ((64, 1), (256, 2), (1024, 3)):
+        config, pot, partition = random_geometry(rng, N, potential, n_intervals)
+        m = partition.interface_width_m
+        ops = [
+            assemble_operator(kind, config, pot, partition=partition)
+            for kind in (ModelKind.ATOMISTIC, ModelKind.CONTINUUM, ModelKind.QCE,
+                         ModelKind.QNL, ModelKind.QCF)
+        ]
+        ops.append(assemble_operator(
+            ModelKind.CUSTOM, config, pot, partition=partition,
+            stencil=zero_sum_custom_stencil(rng, m),
+        ))
+        for op in ops:
+            want = op.band.sum(axis=1)  # the reduction row_sums replaced
+            if op.band.shape[1] <= 7:
+                assert op.row_sums().tobytes() == want.tobytes()
+            else:
+                assert np.abs(op.row_sums() - want).max() <= 4e-16 * np.abs(op.band).max()
+
+
 def test_coupled_assembly_requires_partition_and_r2():
     config = ChainConfig(N=64, F=1.2, R=2)
     with pytest.raises(ValueError):
