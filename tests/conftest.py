@@ -1,4 +1,8 @@
-"""Shared fixtures: seeded random multi-interval geometries."""
+"""Shared fixtures: seeded random multi-interval geometries, and the
+environment of a subprocess that imports qclab from this checkout."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,3 +39,12 @@ def draw_geometry(rng, N: int, potential: str, n_intervals: int):
 @pytest.fixture
 def random_geometry():
     return draw_geometry
+
+
+@pytest.fixture
+def src_env():
+    """os.environ with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env

@@ -198,22 +198,22 @@ def test_selftest_passes(tmp_path, capsys):
     assert outtext.count("PASS criterion") == 7
 
 
-def test_console_script_entry_point(tmp_path):
+def test_console_script_entry_point(tmp_path, src_env):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("m_min=1\nm_max=2\n")
     proc = subprocess.run(
         [sys.executable, "-m", "qclab.cli", "certify", "--config", str(cfg), "--report"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=src_env,
     )
     assert proc.returncode == 0
     assert "weighted sum -2" in proc.stdout
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(src_env):
     # scipy is imported by the solver on first use; commands that never solve
     # (certify, stencil, moments, ...) do not pay for it
     code = "import sys, qclab, qclab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

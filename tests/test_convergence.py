@@ -8,6 +8,7 @@ import pytest
 
 from qclab import (
     ChainConfig,
+    InterfaceStencil,
     ModelKind,
     NumericalError,
     PeriodicField,
@@ -22,9 +23,10 @@ from qclab import (
     lp_norm,
     sample_field,
     solve_equilibrium,
+    to_strain_form,
 )
 from qclab import convergence
-from qclab.convergence import RESIDUAL_RTOL, _grounded_lu, _stress_lu
+from qclab.convergence import RESIDUAL_RTOL, _folded_storage, _grounded_lu, _stress_lu
 from qclab.models import LinearChainOperator
 from qclab.potentials import evaluate, lennard_jones
 
@@ -433,6 +435,66 @@ def test_solve_rejects_wrong_length():
         solve_equilibrium(op, np.ones(16))
 
 
+def folded_scatter_reference(op):
+    """The folded band storage as qclab first built it, kept as the exact
+    reference: one fancy-indexed scatter per offset through the position
+    permutation, with the grounded atom's column sent to the diagonal as 0."""
+    N = op.config.N
+    K = op.half_width
+    n = N - 1
+    kb = 2 * K
+    order = np.empty(n, dtype=np.intp)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n + 1) // 2 - 1, -1)
+    pos = np.zeros(N, dtype=np.intp)
+    pos[order] = np.arange(n)
+    p = pos[:n]
+    ab = np.zeros((3 * kb + 1, n))
+    flat = ab.reshape(-1)
+    last_row = np.zeros(N)
+    scale = 1.0 / op.config.epsilon**2
+    for k in range(-K, K + 1):
+        vals = op.band[:n, K + k] * scale
+        q = np.roll(pos, -k)[:n]
+        i0 = (n - k) % N
+        if i0 < n:
+            q[i0], vals[i0] = p[i0], 0.0
+        flat[(2 * kb + p - q) * n + q] += vals
+        last_row[(n + k) % N] += op.band[n, K + k] * scale
+    return ab, order, last_row
+
+
+def test_folded_storage_matches_scatter_reference(random_geometry):
+    rng = np.random.default_rng(61)
+    ops = []
+    for N in (12, 13, 64, 65, 1024, 1025):  # even and odd chains
+        config, pot, partition = random_geometry(rng, N, "lennard_jones", 1)
+        m = partition.interface_width_m
+        block = rng.standard_normal((m, m))
+        ops.append(assemble_operator(ModelKind.QCF, config, pot, partition=partition))
+        ops.append(assemble_operator(
+            ModelKind.CUSTOM, config, pot, partition=partition,
+            stencil=InterfaceStencil(m, block + block.T),
+        ))
+        # F = 1.3 stretches both Lennard-Jones moduli negative: -0.0 band entries
+        ops.append(assemble_operator(
+            ModelKind.QCF, ChainConfig(N=N, F=1.3, R=2), pot, partition=partition,
+        ))
+        for kind in (ModelKind.ATOMISTIC, ModelKind.CONTINUUM):
+            ops.append(assemble_operator(kind, ChainConfig(N=N, F=1.1, R=3), pot))
+    # bands as wide as the ring or wider, which the fold wraps more than once
+    for N in (3, 4, 5, 8):
+        for K in (1, 3, N, N + 2):
+            band = rng.standard_normal((N, 2 * K + 1))
+            band[rng.random(band.shape) < 0.2] = -0.0
+            ops.append(LinearChainOperator(ChainConfig(N=N, R=1), ModelKind.CUSTOM, band, np.zeros(N)))
+    assert any((np.signbit(op.band) & (op.band == 0)).any() for op in ops[:-16])  # assembled -0.0
+    for op in ops:
+        got, want = _folded_storage(op), folded_scatter_reference(op)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # convergence studies
 
@@ -491,3 +553,28 @@ def test_table_layout():
     assert set(table.fits) == {1, math.inf}
     for fit in table.fits.values():
         assert all(map(math.isfinite, fit))
+
+
+@pytest.mark.parametrize("potential", ["harmonic", "lennard_jones"])
+def test_study_rows_and_checks_match_per_rung_reference(potential):
+    # each rung rebuilt as the study first did it: a full strain form of the
+    # ghost-free operator for bound_C, and every norm computed where it is used
+    pot, F = (POT1, 1.2) if potential == "harmonic" else (lennard_jones(), 1.1)
+    N_list, p_list = [64, 128, 256], [1.0, 2.0, math.inf]
+    for kind in (ModelKind.QNL, ModelKind.QCF, ModelKind.QCE):
+        table = convergence_study(
+            kind, default_witness, N_list, p_list, pot, partition=HALF_PART, F=F,
+        )
+        rows = iter(table.rows)
+        for N, checks in zip(N_list, table.checks):
+            config = ChainConfig(N=N, F=F, R=2)
+            u = sample_field(default_witness, config)
+            op_k = assemble_operator(kind, config, pot, partition=HALF_PART)
+            op_a = assemble_operator(ModelKind.ATOMISTIC, config, pot)
+            u_qc = solve_equilibrium(op_k, apply_linear(op_a, u.values) - op_k.ghost)
+            de = difference(PeriodicField(config, u.values - u_qc.values), 1, 1)
+            for p in p_list:
+                assert next(rows).error_norm == lp_norm(de, p)
+            ghost_free = LinearChainOperator(config, kind, op_k.band, np.zeros(N))
+            assert checks.bound_C == to_strain_form(ghost_free).bound_C
+            assert checks.de_inf == lp_norm(de, math.inf)

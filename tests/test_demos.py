@@ -1,6 +1,5 @@
 """Smoke test: every demo script runs to completion and prints something."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,14 +15,10 @@ def test_all_demos_found():
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(script, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
+def test_demo_runs(script, tmp_path, src_env):
     proc = subprocess.run(
         [sys.executable, str(script)],
-        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
+        capture_output=True, text=True, cwd=tmp_path, env=src_env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -692,6 +692,153 @@ def test_broadcast_band_consumers_match_contiguous_copy():
     assert same(solve_equilibrium(op, f).values, solve_equilibrium(op_copy, f).values)
 
 
+# ---------------------------------------------------------------------------
+# band layout and the padded-window kernel
+
+
+def roll_band_apply(band, first_offset, v):
+    """One np.roll per offset: the band kernel qclab used before its padded
+    window, kept as the bit-exact reference."""
+    out = np.zeros(band.shape[0])
+    for c in range(band.shape[1]):
+        out += band[:, c] * np.roll(v, -(first_offset + c))
+    return out
+
+
+def smallest_admitted(kind, R, partition, stencil=None):
+    """The operator of a kind on the shortest chain that assembles it."""
+    for N in range(2 * R + 1, 256):
+        try:
+            return assemble_operator(
+                kind, ChainConfig(N=N, F=1.1, R=R), lennard_jones(),
+                partition=partition if kind in COUPLED else None, stencil=stencil,
+            )
+        except ValueError:
+            continue
+    raise AssertionError(f"no admissible chain for {kind.value}")
+
+
+def test_band_kernel_matches_roll_reference_on_every_layout():
+    rng = np.random.default_rng(29)
+    for N in (3, 4, 5, 8, 17, 64):
+        v = rng.standard_normal(N)
+        for K in range(1, N + 1):  # up to a band that wraps the ring exactly once
+            for width, first in ((2 * K + 1, -K), (2 * K, 1 - K)):  # operator, strain
+                band = rng.standard_normal((N, width))
+                band[rng.random((N, width)) < 0.2] = -0.0
+                row = rng.standard_normal(width)
+                layouts = (
+                    np.ascontiguousarray(band),
+                    np.asfortranarray(band),
+                    np.broadcast_to(row, (N, width)),
+                )
+                for b in layouts:
+                    want = roll_band_apply(b, first, v)
+                    assert _band_apply(b, first, v).tobytes() == want.tobytes()
+
+
+def test_band_kernel_matches_roll_reference_on_assembled_operators(random_geometry):
+    rng = np.random.default_rng(37)
+    ops = []
+    for m in range(2, 7):  # CUSTOM widens the band to K = m + 1
+        part = RegionPartition([(0.0, 0.5)], interface_width_m=m, reach=2)
+        for kind in ModelKind:
+            stencil = zero_sum_custom_stencil(rng, m) if kind is ModelKind.CUSTOM else None
+            ops.append(smallest_admitted(kind, 2, part, stencil))
+    for R in (1, 3):
+        ops += [smallest_admitted(k, R, None) for k in (ModelKind.ATOMISTIC, ModelKind.CONTINUUM)]
+    for N, n_intervals in ((64, 1), (257, 3)):
+        config, pot, partition = random_geometry(rng, N, "lennard_jones", n_intervals)
+        for kind in ModelKind:
+            stencil = (zero_sum_custom_stencil(rng, partition.interface_width_m)
+                       if kind is ModelKind.CUSTOM else None)
+            ops.append(assemble_operator(
+                kind, config, pot, partition=partition if kind in COUPLED else None,
+                stencil=stencil,
+            ))
+    assert {op.half_width for op in ops} >= {1, 2, 3, 4, 5, 6, 7}
+    for op in ops:
+        N, K = op.config.N, op.half_width
+        v = rng.standard_normal(N)
+        want = roll_band_apply(op.band, -K, v) / op.config.epsilon**2
+        assert apply_linear(op, v).tobytes() == want.tobytes()
+        if op.kind is not ModelKind.QCE:  # every other kind has a strain form
+            sband = to_strain_form(op).band
+            assert _band_apply(sband, 1 - K, v).tobytes() == roll_band_apply(sband, 1 - K, v).tobytes()
+
+
+def test_band_kernel_refuses_a_band_that_wraps_twice():
+    with pytest.raises(ValueError, match=r"width 11 \(offsets -5\.\.5\) wraps the ring of N=4"):
+        _band_apply(np.zeros((4, 11)), -5, np.zeros(4))
+    with pytest.raises(ValueError, match=r"width 12 \(offsets -5\.\.6\) wraps the ring of N=5"):
+        _band_apply(np.zeros((5, 12)), -5, np.zeros(5))
+    # a custom block wider than a chain without interfaces
+    config = ChainConfig(N=5, F=1.2, R=2)
+    op = assemble_operator(
+        ModelKind.CUSTOM, config, POT1,
+        partition=RegionPartition([(0.0, 1.0)], interface_width_m=6, reach=2),
+        stencil=InterfaceStencil(6, np.zeros((6, 6))),
+    )
+    with pytest.raises(ValueError, match="width 15 .* N=5 atoms"):
+        apply_linear(op, np.zeros(5))
+
+
+def test_operator_bands_are_column_major_or_broadcast(random_geometry):
+    rng = np.random.default_rng(43)
+    config, pot, partition = random_geometry(rng, 256, "lennard_jones", 2)
+    m = partition.interface_width_m
+    ops = []
+    for kind in ModelKind:
+        part = partition if kind in COUPLED else None
+        stencil = zero_sum_custom_stencil(rng, m) if kind is ModelKind.CUSTOM else None
+        ops.append(assemble_operator(kind, config, pot, partition=part, stencil=stencil))
+        ops.append(assemble_from_moduli(
+            kind, config, rng.normal(size=2), rng.normal(size=2), partition=part, stencil=stencil,
+        ))
+    config3 = ChainConfig(N=64, F=1.1, R=3)
+    for kind in (ModelKind.ATOMISTIC, ModelKind.CONTINUUM):
+        ops.append(assemble_operator(kind, config3, pot))
+        ops.append(assemble_from_moduli(kind, config3, rng.normal(size=3), rng.normal(size=3)))
+    for op in ops:
+        if op.kind in COUPLED:
+            assert op.band.flags.f_contiguous, op.kind
+        else:
+            assert op.band.strides[0] == 0, op.kind
+        assert not op.band.flags.writeable and not op.ghost.flags.writeable
+        if op.kind is not ModelKind.QCE:
+            assert to_strain_form(op).band.flags.f_contiguous
+
+
+def test_hand_built_band_is_stored_column_major():
+    config = ChainConfig(N=16, F=1.2, R=2)
+    band = np.random.default_rng(47).standard_normal((16, 5))
+    op = LinearChainOperator(config, ModelKind.CUSTOM, band, np.zeros(16))
+    assert op.band.flags.f_contiguous and not op.band.flags.writeable
+    assert op.band.tobytes() == band.tobytes()
+    # a column-major or broadcast band is kept as it is
+    for kept in (np.asfortranarray(band), np.broadcast_to(band[0], (16, 5))):
+        assert LinearChainOperator(config, ModelKind.CUSTOM, kept, np.zeros(16)).band is kept
+
+
+def test_symmetry_defect_matches_gather_reference(random_geometry):
+    rng = np.random.default_rng(53)
+    config, pot, partition = random_geometry(rng, 128, "lennard_jones", 2)
+    N = config.N
+    idx = np.arange(N)
+    ops = [
+        LinearChainOperator(config, ModelKind.CUSTOM, rng.standard_normal((N, 2 * K + 1)), np.zeros(N))
+        for K in (1, 2, 5)
+    ]
+    ops += [assemble_operator(k, config, pot, partition=partition) for k in (ModelKind.QCF, ModelKind.QNL)]
+    for op in ops:
+        K = op.half_width
+        want = max(
+            float(np.abs(op.band[idx, K + k] - op.band[(idx + k) % N, K - k]).max())
+            for k in range(-K, K + 1)
+        )
+        assert symmetry_defect(op) == want / config.epsilon**2
+
+
 @pytest.mark.parametrize("kind", [ModelKind.ATOMISTIC, ModelKind.QNL])
 def test_singular_lennard_jones_bond_is_named(kind):
     config = ChainConfig(N=32, F=1.1, R=2)
