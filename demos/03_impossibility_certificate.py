@@ -27,7 +27,7 @@ for row in range(6):
 print("\nexact certificate (weights i^2 on p=j, -i on p=j^2):")
 print(f"{'m':>3} {'weighted sum':>13} {'min residual':>13} {'2/||w||':>12} {'tight':>7}")
 for m in range(1, 13):
-    cert = certificate(m)          # exact rational arithmetic, unknowns cancel
+    cert = certificate(m)          # exact int64 sums, checked bound; unknowns cancel
     res = min_residual(m)          # least-squares over symmetric blocks
     bound = cert.residual_lower_bound
     tight = abs(res.residual - bound) < 1e-10

@@ -14,13 +14,16 @@ The weighted sum with multipliers i^2 on the p=j equation and -i on the
 p=j^2 equation of row i cancels every block unknown exactly and evaluates to
 -2, an exact witness that no symmetric block satisfies the consistency
 equations. Weights, stencils and moments are all integers, so the witness is
-computed in exact integer arithmetic (Python ints, no rationals). The
+computed exactly in int64: before summing, the certificate checks that 3m
+terms times the largest weight times the largest entry stays below 2^63, so
+no partial sum can wrap, and refuses an m past that bound. The
 least-squares defect over those same equations quantifies the infeasibility
 and attains the Cauchy-Schwarz lower bound 2/||w||_2.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +81,11 @@ class ConstraintSystem:
 
     def consistency_rows(self) -> np.ndarray:
         """Row indices of the p in {j, j^2} equations (Eq. cons2)."""
-        return np.array([r for r in range(3 * self.m) if r % 3 != 0])
+        return _consistency_rows(self.m)
+
+
+def _consistency_rows(m: int) -> np.ndarray:
+    return np.flatnonzero(np.arange(3 * m) % 3)
 
 
 def _equations(m: int, n_unknowns: int, column):
@@ -106,14 +113,22 @@ def _equations(m: int, n_unknowns: int, column):
     return matrix, rhs
 
 
+@functools.lru_cache(maxsize=1)
 def build_constraint_system(m: int) -> ConstraintSystem:
-    """Assemble the consistency equations for an m-atom symmetric block."""
+    """Assemble the consistency equations for an m-atom symmetric block.
+
+    The most recent system is kept, so certificate(m) followed by
+    min_residual(m) builds it once; its arrays are read-only because every
+    caller shares them.
+    """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     k, l = np.triu_indices(m)
     column = np.empty((m, m), dtype=np.int64)  # position of (k, l) in pair_index(m)
     column[k, l] = column[l, k] = np.arange(len(k))
     matrix, rhs = _equations(m, len(k), lambda i, j: column[i - 1, j - 1])
+    matrix.flags.writeable = False
+    rhs.flags.writeable = False
     return ConstraintSystem(m=m, matrix=matrix, rhs=rhs)
 
 
@@ -132,8 +147,10 @@ class Certificate:
     """Exact weighted-sum infeasibility witness.
 
     weights . matrix = 0 (all block unknowns cancel) while weights . rhs =
-    value != 0, so no symmetric block solves the system. weight_norm_sq =
-    sum_i (i^4 + i^2) gives the residual lower bound |value|/sqrt(...).
+    value != 0, so no symmetric block solves the system. Both products are
+    summed in int64 under a checked overflow bound, so they are exact; value
+    and weights are Python ints. weight_norm_sq = sum_i (i^4 + i^2) gives the
+    residual lower bound |value|/sqrt(...).
     """
 
     m: int
@@ -146,19 +163,39 @@ class Certificate:
         return float(abs(self.value)) / float(self.weight_norm_sq) ** 0.5
 
 
+def _weighted_sums(system: ConstraintSystem, weights) -> tuple:
+    """(weights . matrix, weights . rhs) in int64, exact: each sum has 3m
+    terms of at most max|w| * max|entry|, and that bound is checked against
+    2^63 before summing, so no partial sum can wrap."""
+    w = np.array(weights, dtype=np.int64)
+    entry = max(_max_abs(system.matrix), _max_abs(system.rhs))
+    bound = len(weights) * max(abs(x) for x in weights) * entry
+    if bound >= 2**63:
+        raise CertificateError(
+            f"m={system.m}: int64 sums of the certificate could overflow "
+            f"(bound {bound} >= 2^63)"
+        )
+    return w @ system.matrix, int(w @ system.rhs)
+
+
+def _max_abs(a: np.ndarray) -> int:
+    # as Python ints, since np.abs wraps at the int64 minimum
+    return max(int(a.max()), -int(a.min()))
+
+
 def certificate(m: int) -> Certificate:
     """Compute the weighted combination of the consistency equations in exact
     integer arithmetic and verify that every unknown cancels."""
     system = build_constraint_system(m)
     w = certificate_weights(m)
-    # object dtype keeps Python ints, so the sums cannot overflow
-    wo = np.array(w, dtype=object)
-    for pair, s in zip(system.unknown_pairs, wo @ system.matrix.astype(object)):
-        if s != 0:
-            raise CertificateError(
-                f"unknown {pair} does not cancel (coefficient {s}); assembly bug"
-            )
-    value = int(wo @ system.rhs.astype(object))
+    sums, value = _weighted_sums(system, w)
+    failed = np.flatnonzero(sums)
+    if failed.size:
+        c = failed[0]
+        raise CertificateError(
+            f"unknown {pair_index(m)[c]} does not cancel (coefficient {int(sums[c])}); "
+            "assembly bug"
+        )
     norm_sq = sum(i**4 + i**2 for i in range(1, m + 1))
     return Certificate(m=m, weights=tuple(w), value=value, weight_norm_sq=norm_sq)
 
@@ -179,11 +216,13 @@ def min_residual(m: int, symmetric: bool = True) -> MinResidualResult:
     the certificate bound; dropping it (diagnostic mode) admits exact
     solutions such as the force-based (QCF) interface rows.
     """
-    system = build_constraint_system(m)
-    rows = system.consistency_rows()
+    rows = _consistency_rows(m)
     if symmetric:
+        system = build_constraint_system(m)
         matrix, rhs = system.matrix, system.rhs
     else:  # free m x m block, row-major unknowns
+        if m < 1:
+            raise ValueError(f"m must be positive, got {m}")
         matrix, rhs = _equations(m, m * m, lambda i, j: (i - 1) * m + (j - 1))
     M = matrix[rows].astype(float)
     b = rhs[rows].astype(float)

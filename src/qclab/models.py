@@ -391,6 +391,12 @@ def assemble_from_moduli(
                 f"stencil block is {stencil.m}x{stencil.m} but partition has m={m}"
             )
         K = max(2, m + 1)
+        if K > N:
+            # only without interfaces: classify fits every block in the ring
+            raise ValueError(
+                f"custom block of width m={m} needs a band of half-width {K}, "
+                f"which wraps the ring of N={N} atoms more than once"
+            )
     # built as (2K+1, N) rows, so that its transpose is column-major
     l2 = np.where(mask, _stencil_row(ATOM_L2, K)[:, None], _stencil_row(CONT_L2, K)[:, None]).T
     if kind is ModelKind.CUSTOM:

@@ -2,6 +2,7 @@
 
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from qclab import (
     moment_residuals,
     qcf_witness_block,
 )
+from qclab.cli import main
 from qclab.models import InterfaceStencil
 
 ATOM_L2 = {-2: -1, -1: 0, 0: 2, 1: 0, 2: -1}
@@ -111,7 +113,7 @@ def test_defect_matches_exact_oracle():
 
 
 def test_certificate_value_minus_two():
-    for m in range(1, 65):
+    for m in range(1, 101):
         cert = certificate(m)
         assert cert.value == -2 and type(cert.value) is int
         assert all(type(w) is int for w in cert.weights)
@@ -130,6 +132,61 @@ def test_weighted_sum_cancels_every_unknown_symbolically():
 
     assert sympy.expand(coefficient(k, l) + coefficient(l, k)) == 0
     assert sympy.expand(coefficient(k, k)) == 0  # diagonal unknown x_kk, one entry
+
+
+def test_weighted_rhs_is_minus_two_for_every_m():
+    """weights . rhs in closed form. Row i of the rhs is sum_j weight_ij j^p
+    over j = i-2..i+2, where the weight is L^c - L^a at a column pinned to
+    the continuum (j < 1), -L^a at a block column and 0 at a column pinned
+    atomistic (j > m). Rows 3..m-2 see only block columns, so their weighted
+    rhs is a polynomial in i; rows 1, 2 and m-1, m are given explicitly.
+    With weights i^2 on p=j and -i on p=j^2 the sum is -2 for symbolic
+    m >= 4; m = 1..3 are checked one by one."""
+    sympy = pytest.importorskip("sympy")
+    i, m = sympy.symbols("i m", integer=True, positive=True)
+
+    def weighted_row(row, pinned):
+        """i^2 rhs(p=j) - i rhs(p=j^2) of one row; pinned maps an offset to
+        "C" (continuum column j < 1) or "A" (atomistic column j > m)."""
+        rhs = []
+        for p in (1, 2):
+            total = 0
+            for off in range(-2, 3):
+                region = pinned.get(off, "B")
+                la = ATOM_L2[off]
+                weight = {"C": CONT_L2[off] - la, "B": -la, "A": 0}[region]
+                total += weight * (row + off) ** p
+            rhs.append(total)
+        return row**2 * rhs[0] - row * rhs[1]
+
+    boundary = {                      # row -> offsets of its pinned columns
+        1: {-2: "C", -1: "C"},        # j = -1, 0
+        2: {-2: "C"},                 # j = 0
+        m - 1: {2: "A"},              # j = m + 1
+        m: {1: "A", 2: "A"},          # j = m + 1, m + 2
+    }
+    interior = sympy.summation(weighted_row(i, {}), (i, 3, m - 2))
+    total = interior + sum(weighted_row(row, pinned) for row, pinned in boundary.items())
+    assert sympy.expand(total) == -2
+
+    # the row cases agree with the assembled system row by row
+    for mv in (4, 5, 9):
+        system = build_constraint_system(mv)
+        w = certificate_weights(mv)
+        pins = {int(sympy.sympify(row).subs(m, mv)): pin for row, pin in boundary.items()}
+        for row in range(1, mv + 1):
+            want = sum(w[r] * int(system.rhs[r]) for r in (3 * row - 2, 3 * row - 1))
+            assert sympy.sympify(weighted_row(row, pins.get(row, {}))).subs(m, mv) == want
+
+    for mv in (1, 2, 3):
+        rows = [
+            weighted_row(row, {
+                off: "C" if row + off < 1 else "A"
+                for off in range(-2, 3) if not 1 <= row + off <= mv
+            })
+            for row in range(1, mv + 1)
+        ]
+        assert sum(rows) == -2
 
 
 def test_certificate_runtime_under_one_second():
@@ -159,6 +216,69 @@ def test_certificate_detects_corrupted_assembly(monkeypatch):
     monkeypatch.setattr(imp, "build_constraint_system", lambda m: bad)
     with pytest.raises(imp.CertificateError):
         imp.certificate(3)
+
+
+def test_weighted_sums_match_python_int_oracle():
+    """The int64 products equal object-dtype (Python int) products, for the
+    assembled systems and for corrupted ones whose columns do not cancel."""
+    rng = np.random.default_rng(8)
+    corrupted_columns = 0
+    for m in range(1, 41):
+        s = build_constraint_system(m)
+        w = certificate_weights(m)
+        wo = np.array(w, dtype=object)
+        noise = rng.integers(-m * m, m * m + 1, size=s.matrix.shape)
+        noise *= rng.random(s.matrix.shape) < 0.05
+        for system in (s, imp.ConstraintSystem(m=m, matrix=s.matrix + noise, rhs=s.rhs)):
+            sums, value = imp._weighted_sums(system, w)
+            assert sums.dtype == np.int64 and type(value) is int
+            assert sums.tolist() == (wo @ system.matrix.astype(object)).tolist()
+            assert value == wo @ system.rhs.astype(object) == -2
+        corrupted_columns += np.count_nonzero(sums)
+    assert corrupted_columns > 1000
+
+
+def test_certificate_refuses_sums_past_the_int64_bound(monkeypatch):
+    # 2^62 on the p=j row of i=2 (weight 4) adds 2^64 to the column sum of
+    # x_11, which int64 wraps to exactly 0: without the bound the corrupted
+    # system would pass as cancelling
+    good = imp.build_constraint_system(3)
+    bad_matrix = good.matrix.copy()
+    bad_matrix[4, 0] += 2**62
+    w = np.array(certificate_weights(3), dtype=np.int64)
+    with np.errstate(over="ignore"):
+        assert (w @ bad_matrix)[0] == 0
+    bad = imp.ConstraintSystem(m=3, matrix=bad_matrix, rhs=good.rhs)
+    monkeypatch.setattr(imp, "build_constraint_system", lambda m: bad)
+    with pytest.raises(imp.CertificateError, match=r"m=3: int64 .* overflow"):
+        imp.certificate(3)
+
+
+def test_cached_system_is_shared_and_read_only():
+    s = build_constraint_system(6)
+    assert build_constraint_system(6) is s
+    with pytest.raises(ValueError, match="read-only"):
+        s.matrix[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        s.rhs[0] = 1
+
+
+def test_certify_builds_each_symmetric_system_once(tmp_path, monkeypatch):
+    builds = Counter()
+    equations = imp._equations
+
+    def counted(m, n_unknowns, column):
+        builds[m, "symmetric" if n_unknowns == m * (m + 1) // 2 else "free"] += 1
+        return equations(m, n_unknowns, column)
+
+    monkeypatch.setattr(imp, "_equations", counted)
+    imp.build_constraint_system.cache_clear()
+    cfg = tmp_path / "certify.cfg"
+    cfg.write_text("m_min=1\nm_max=8\n")
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
+    want = Counter({(m, "symmetric"): 1 for m in range(1, 9)})
+    want[4, "free"] = 1      # the unsymmetric min residual at m = 4
+    assert builds == want
 
 
 def test_min_residual_attains_certificate_bound():

@@ -772,15 +772,15 @@ def test_band_kernel_refuses_a_band_that_wraps_twice():
         _band_apply(np.zeros((4, 11)), -5, np.zeros(4))
     with pytest.raises(ValueError, match=r"width 12 \(offsets -5\.\.6\) wraps the ring of N=5"):
         _band_apply(np.zeros((5, 12)), -5, np.zeros(5))
-    # a custom block wider than a chain without interfaces
+    # a custom block wider than a chain without interfaces is refused when
+    # it is assembled, before any band exists to apply
     config = ChainConfig(N=5, F=1.2, R=2)
-    op = assemble_operator(
-        ModelKind.CUSTOM, config, POT1,
-        partition=RegionPartition([(0.0, 1.0)], interface_width_m=6, reach=2),
-        stencil=InterfaceStencil(6, np.zeros((6, 6))),
-    )
-    with pytest.raises(ValueError, match="width 15 .* N=5 atoms"):
-        apply_linear(op, np.zeros(5))
+    with pytest.raises(ValueError, match=r"m=6 .* half-width 7, .* N=5 atoms"):
+        assemble_operator(
+            ModelKind.CUSTOM, config, POT1,
+            partition=RegionPartition([(0.0, 1.0)], interface_width_m=6, reach=2),
+            stencil=InterfaceStencil(6, np.zeros((6, 6))),
+        )
 
 
 def test_operator_bands_are_column_major_or_broadcast(random_geometry):
