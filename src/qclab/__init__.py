@@ -13,6 +13,7 @@ from .consistency import (
     SweepResult,
     consistency_sweep,
     default_witness,
+    fit_slope,
     ghost_force,
     moment_residuals,
 )
@@ -22,7 +23,6 @@ from .convergence import (
     ConvergenceTable,
     NumericalError,
     convergence_study,
-    fit_slope,
     solve_equilibrium,
 )
 from .impossibility import (

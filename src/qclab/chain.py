@@ -33,6 +33,8 @@ class ChainConfig:
             raise ValueError(f"N must be positive, got {self.N}")
         if self.R < 1:
             raise ValueError(f"R must be positive, got {self.R}")
+        if not math.isfinite(self.F):
+            raise ValueError(f"F must be finite, got {self.F}")
         # Widest stencil is 2R+1 atoms; it must not wrap onto itself.
         if self.N < 2 * self.R + 1:
             raise ValueError(f"N={self.N} too small for cutoff R={self.R}")
@@ -83,10 +85,6 @@ class PeriodicField:
     def __repr__(self) -> str:
         return f"PeriodicField(N={self.config.N}, values={self.values!r})"
 
-    def shifted(self, s: int) -> "PeriodicField":
-        """Field with entries u_{i+s} (periodic)."""
-        return PeriodicField(self.config, np.roll(self.values, -s))
-
     def mean(self) -> float:
         return float(self.values.mean())
 
@@ -124,7 +122,7 @@ def difference(u: PeriodicField, r: int, order: int) -> PeriodicField:
 
 def lp_norm(u: PeriodicField, p: float) -> float:
     """Discrete l^p_eps norm: (eps sum |u_j|^p)^(1/p); max |u_j| for p = inf."""
-    if p != math.inf and p < 1:
+    if not p >= 1:  # NaN fails too
         raise ValueError(f"p must lie in [1, inf], got {p}")
     a = np.abs(u.values)
     if p == math.inf:

@@ -1,7 +1,9 @@
 """Batch experiment runner: flat key=value configs in, CSV/gnuplot data out.
 
 Commands: energy, stencil, moments, ghost, sweep, certify, converge,
-selftest. Exit codes: 0 success, 2 config error, 3 numerical failure.
+selftest. Exit codes: 0 success, 1 standard output closed early (as when
+piped into `head`; the run ends quietly), 2 config error (including an
+unreadable --config or unwritable --out), 3 numerical failure.
 Data files are deterministic: a single version header line, no timestamps.
 """
 
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .chain import ChainConfig, PeriodicField, sample_field
-from .consistency import consistency_sweep, ghost_force, moment_residuals
+from .consistency import _moment_sums, consistency_sweep, ghost_force, moment_residuals
 from .convergence import NumericalError, convergence_study, fit_slope
 from .impossibility import CertificateError, certificate, min_residual
 from .models import COUPLED, ModelKind, assemble_operator, total_energy
@@ -98,7 +101,10 @@ def parse_config(text: str) -> RunConfig:
             continue
         try:
             if key in ("k", "s0", "F", "phase", "amplitude"):
-                setattr(cfg, key, float(value))
+                number = float(value)
+                if not math.isfinite(number):
+                    raise ValueError(f"must be finite, got {value!r}")
+                setattr(cfg, key, number)
             elif key in ("N", "R", "m", "reach", "m_min", "m_max"):
                 setattr(cfg, key, int(value))
             elif key == "N_list":
@@ -164,7 +170,7 @@ def _assemble(cfg: RunConfig, N: int | None = None):
 
 def _fmt(cell) -> str:
     if isinstance(cell, float):
-        return repr(cell)
+        return repr(float(cell))  # a numpy scalar's repr is np.float64(x)
     return str(cell)
 
 
@@ -180,8 +186,6 @@ def _emit(path: str, header, rows, blocks=None):
     if not path:
         sys.stdout.write(csv_text)
         return
-    target = Path(path)
-    target.write_text(csv_text)
     dat = ["# qclab " + __version__, "# " + " ".join(header)]
     groups = blocks if blocks is not None else [rows]
     for i, group in enumerate(groups):
@@ -189,7 +193,12 @@ def _emit(path: str, header, rows, blocks=None):
             dat.append("")
             dat.append("")
         dat += [" ".join(_fmt(c) for c in row) for row in group]
-    target.with_suffix(".dat").write_text("\n".join(dat) + "\n")
+    target = Path(path)
+    try:
+        target.write_text(csv_text)
+        target.with_suffix(".dat").write_text("\n".join(dat) + "\n")
+    except OSError as exc:
+        raise ConfigError(exc) from exc
 
 
 def _report(args, text: str):
@@ -226,7 +235,7 @@ def cmd_stencil(cfg: RunConfig, args) -> int:
                 rows.append((i, int(off), c, op.ghost[i - 1]))
     _emit(cfg.out, ("atom", "offset", "coeff", "ghost"), rows)
     _report(args, f"{cfg.model}: {len(rows)} nonzero stencil entries, "
-                  f"ghost sup {np.abs(op.ghost).max()!r}")
+                  f"ghost sup {float(np.abs(op.ghost).max())!r}")
     return 0
 
 
@@ -242,12 +251,8 @@ def cmd_moments(cfg: RunConfig, args) -> int:
     ]
     _emit(cfg.out, ("atom", "p", "residual"), rows)
     if cfg.exact:
-        exact = _exact_moments(op, ref)
-        worst = max(
-            abs(float(exact[i][p]) - report.residuals[i, p])
-            for i in range(config.N)
-            for p in (0, 1, 2)
-        )
+        exact = _moment_sums(op, ref, exact=True)
+        worst = np.abs(exact.astype(float) - report.residuals).max()
         agree = worst <= 1e-9
         _report(args, f"exact rational recomputation agrees: {agree} "
                       f"(worst deviation {worst:.2e})")
@@ -257,31 +262,6 @@ def cmd_moments(cfg: RunConfig, args) -> int:
             )
     _report(args, f"nonzero-moment rows: {[int(i) for i in report.nonzero_rows()]}")
     return 0
-
-
-def _exact_moments(op, ref):
-    """Moment residuals in exact rational arithmetic. Fraction(float) is
-    lossless on the band entries, so this reproduces the float path up to the
-    float path's own summation rounding (exact for integer stencils)."""
-    N = op.config.N
-    K = max(op.half_width, ref.half_width)
-
-    def row(o, i):
-        k = o.half_width
-        return {off: Fraction(o.band[i, k + off]) for off in range(-k, k + 1)}
-
-    out = []
-    for i in range(N):
-        a, b = row(op, i), row(ref, i)
-        vals = []
-        for p in (0, 1, 2):
-            s = Fraction(0)
-            for off in range(-K, K + 1):
-                d = a.get(off, Fraction(0)) - b.get(off, Fraction(0))
-                s += d * (i + 1 + off) ** p
-            vals.append(s)
-        out.append(vals)
-    return out
 
 
 def cmd_ghost(cfg: RunConfig, args) -> int:
@@ -420,17 +400,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = Path(args.config).read_text() if args.config else ""
+        try:
+            text = Path(args.config).read_text() if args.config else ""
+        except OSError as exc:
+            raise ConfigError(exc) from exc
         cfg = parse_config(text)
         if args.out is not None:
             cfg.out = args.out
         if args.exact:
             cfg.exact = True
-        return COMMANDS[args.command](cfg, args)
+        code = COMMANDS[args.command](cfg, args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so
+        # that the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (NumericalError, CertificateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

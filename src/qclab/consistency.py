@@ -10,11 +10,12 @@ log-log exponent of residual versus eps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .chain import ChainConfig, PeriodicField, sample_field
-from .models import LinearChainOperator, ModelKind, apply, assemble_operator
+from .models import LinearChainOperator, ModelKind, apply, apply_linear, assemble_operator
 from .potentials import PairPotential
 from .regions import RegionPartition
 
@@ -44,8 +45,12 @@ class MomentReport:
         return np.nonzero(np.abs(self.residuals).max(axis=1) > tol)[0] + 1
 
 
-def moment_residuals(op: LinearChainOperator, reference: LinearChainOperator) -> MomentReport:
-    """Moment test of op against a reference operator on the same chain."""
+def _moment_sums(op: LinearChainOperator, reference: LinearChainOperator, exact: bool):
+    """sum_k delta_ik (i+k)^p for p = 0, 1, 2 as an (N, 3) array, delta being
+    op's band minus the reference's, both widened to the larger half-width.
+    With exact, each entry becomes the Fraction it holds (lossless for a
+    float) and so does every product and sum: the float sums up to their own
+    rounding, exactly for integer stencils."""
     if op.config.N != reference.config.N:
         raise ValueError("operators live on different chain sizes")
     N = op.config.N
@@ -55,19 +60,22 @@ def moment_residuals(op: LinearChainOperator, reference: LinearChainOperator) ->
 
     def widen(o: LinearChainOperator) -> np.ndarray:
         pad = K - o.half_width
-        if pad == 0:
-            return o.band
-        return np.pad(o.band, ((0, 0), (pad, pad)))
+        band = o.band if pad == 0 else np.pad(o.band, ((0, 0), (pad, pad)))
+        return np.vectorize(Fraction, otypes=[object])(band) if exact else band
 
     delta = widen(op) - widen(reference)
     atoms = np.arange(1, N + 1)[:, None]
     offsets = np.arange(-K, K + 1)[None, :]
     j_abs = atoms + offsets
-    res = np.stack(
+    return np.stack(
         [np.sum(delta * j_abs**p, axis=1) for p in (0, 1, 2)],
         axis=1,
     )
-    return MomentReport(op.config, res)
+
+
+def moment_residuals(op: LinearChainOperator, reference: LinearChainOperator) -> MomentReport:
+    """Moment test of op against a reference operator on the same chain."""
+    return MomentReport(op.config, _moment_sums(op, reference, exact=False))
 
 
 def ghost_force(
@@ -93,6 +101,42 @@ class SweepResult:
     r_squared: float
 
 
+def fit_slope(points) -> tuple:
+    """Least-squares line through (log x, log y): (slope, intercept, r_squared).
+
+    Requires at least two strictly positive points. A constant y gives slope 0
+    with r_squared reported as 1 (the fit is exact).
+    """
+    pts = list(points)
+    if len(pts) < 2:
+        raise ValueError("need at least two points to fit a slope")
+    if any(x <= 0 or y <= 0 for x, y in pts):
+        raise ValueError("slope fit needs strictly positive coordinates")
+    lx = np.log([x for x, _ in pts])
+    ly = np.log([y for _, y in pts])
+    slope, intercept = np.polyfit(lx, ly, 1)
+    fitted = slope * lx + intercept
+    ss_res = float(np.sum((ly - fitted) ** 2))
+    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return float(slope), float(intercept), r2
+
+
+def _rungs(kind: ModelKind, f, N_list, potential, partition, F):
+    """The rungs of a sweep or a study: (config, u = f sampled, L^kind, L^a u)
+    per chain size, L^a u being linear (the atomistic ghost is +0.0). Raises
+    ValueError, on the first step, for an N_list not strictly increasing."""
+    N_list = [int(N) for N in N_list]
+    if any(b <= a for a, b in zip(N_list, N_list[1:])):
+        raise ValueError(f"N_list must be strictly increasing, got {N_list}")
+    for N in N_list:
+        config = ChainConfig(N=N, F=F, R=2)
+        u = sample_field(f, config)
+        op_kind = assemble_operator(kind, config, potential, partition=partition)
+        op_atom = assemble_operator(ModelKind.ATOMISTIC, config, potential)
+        yield config, u, op_kind, apply_linear(op_atom, u.values)
+
+
 def consistency_sweep(
     kind: ModelKind,
     f,
@@ -103,19 +147,10 @@ def consistency_sweep(
 ) -> SweepResult:
     """Sample u = f on each chain, measure ||L^kind u - L^a u||_inf (ghost
     terms included) and fit the exponent of residual vs eps."""
-    from .convergence import fit_slope
-
     kind = ModelKind(kind)
-    N_list = [int(N) for N in N_list]
-    if any(b <= a for a, b in zip(N_list, N_list[1:])):
-        raise ValueError("N_list must be strictly increasing")
     pts = []
-    for N in N_list:
-        config = ChainConfig(N=int(N), F=F, R=2)
-        u = sample_field(f, config)
-        op_kind = assemble_operator(kind, config, potential, partition=partition)
-        op_atom = assemble_operator(ModelKind.ATOMISTIC, config, potential)
-        resid = apply(op_kind, u).values - apply(op_atom, u).values
-        pts.append((int(N), float(np.abs(resid).max())))
+    for config, u, op_kind, La_u in _rungs(kind, f, N_list, potential, partition, F):
+        resid = apply(op_kind, u).values - La_u
+        pts.append((config.N, float(np.abs(resid).max())))
     slope, _, r2 = fit_slope([(1.0 / N, r) for N, r in pts])
     return SweepResult(kind=kind, points=tuple(pts), exponent=slope, r_squared=r2)

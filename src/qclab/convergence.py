@@ -34,14 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainConfig, PeriodicField, difference, lp_norm, sample_field
+from .chain import PeriodicField, difference, lp_norm
+from .consistency import _rungs, fit_slope
 from .models import (
     LinearChainOperator,
     ModelKind,
     _band_apply,
+    _constants_defect,
     _telescope,
+    _transpose_gaps,
     apply_linear,
-    assemble_operator,
 )
 from .potentials import PairPotential
 from .regions import RegionPartition
@@ -52,27 +54,6 @@ RESIDUAL_RTOL = 1e-10
 class NumericalError(RuntimeError):
     """Solver-level failure: rank deficiency beyond the constant kernel or a
     residual that refuses to meet the contract."""
-
-
-def fit_slope(points) -> tuple:
-    """Least-squares line through (log x, log y): (slope, intercept, r_squared).
-
-    Requires at least two strictly positive points. A constant y gives slope 0
-    with r_squared reported as 1 (the fit is exact).
-    """
-    pts = list(points)
-    if len(pts) < 2:
-        raise ValueError("need at least two points to fit a slope")
-    if any(x <= 0 or y <= 0 for x, y in pts):
-        raise ValueError("slope fit needs strictly positive coordinates")
-    lx = np.log([x for x, _ in pts])
-    ly = np.log([y for _, y in pts])
-    slope, intercept = np.polyfit(lx, ly, 1)
-    fitted = slope * lx + intercept
-    ss_res = float(np.sum((ly - fitted) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
 
 
 def _folded_storage(op: LinearChainOperator):
@@ -264,7 +245,7 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
     """Unique mean-zero u with (linear part of op) u = P f, where P removes
     the left-null component of f (the mean, for symmetric operators).
 
-    An exactly symmetric band of half-width 2 (two O(N) comparisons) is
+    An exactly symmetric band of half-width 2 (`_transpose_gaps` all zero) is
     solved in stress form through its tridiagonal C (`_stress_lu`); any other
     band, and a stress form whose C is singular, through one banded LU of the
     grounded, ring-folded operator (`_grounded_lu`). Either factorization
@@ -280,18 +261,15 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
     N = op.config.N
     if len(fv) != N:
         raise ValueError("right-hand side length does not match operator size")
-    defect = float(np.abs(op.row_sums()).max())
-    if defect > 1e-12 * float(np.abs(op.band).max()):
+    defect, annihilates = _constants_defect(op)
+    if not annihilates:
         raise ValueError(
             f"operator does not annihilate constants (max |row sum| {defect:.1e} "
             "in eps^2 stencil units); equilibria are defined up to a constant only "
             "for shift-invariant operators"
         )
-    band = op.band
-    symmetric_pentadiagonal = (
-        band.shape[1] == 5
-        and np.array_equal(band[:, 3], np.roll(band[:, 1], -1))  # A[i,i+1] = A[i+1,i]
-        and np.array_equal(band[:, 4], np.roll(band[:, 0], -2))  # A[i,i+2] = A[i+2,i]
+    symmetric_pentadiagonal = op.half_width == 2 and not any(
+        gap.any() for gap in _transpose_gaps(op.band)
     )
     factor = _stress_lu(op) if symmetric_pentadiagonal else None
     solve, w = factor or _grounded_lu(op)
@@ -345,7 +323,6 @@ class ConvergenceTable:
     """Error norms ||D e||_p per chain size with log-log fits per p."""
 
     kind: ModelKind
-    witness: str
     rows: tuple              # ConvergenceRow entries, grouped by N then p
     fits: dict               # p -> (slope, intercept, r_squared)
     checks: tuple            # ConvergenceChecks per N
@@ -362,29 +339,24 @@ def convergence_study(
     potential: PairPotential,
     partition: RegionPartition | None = None,
     F: float = 1.2,
-    witness_name: str = "sin(2*pi*x + 0.3)",
 ) -> ConvergenceTable:
     """Solve L^kind u_qc = L^a u (ghost of L^kind on the left) across chain
-    sizes and record ||D e||_p for e = u - u_qc."""
+    sizes and record ||D e||_p for e = u - u_qc. Raises ValueError for an
+    N_list that is not strictly increasing."""
     kind = ModelKind(kind)
     p_list = list(p_list)
     rows = []
     checks = []
     per_p = {p: [] for p in p_list}
-    for N in N_list:
-        config = ChainConfig(N=int(N), F=F, R=2)
-        eps = config.epsilon
-        u = sample_field(f_witness, config)
-        op_a = assemble_operator(ModelKind.ATOMISTIC, config, potential)
-        op_k = assemble_operator(kind, config, potential, partition=partition)
-        rhs = apply_linear(op_a, u.values) - op_k.ghost
-        u_qc = solve_equilibrium(op_k, rhs)
+    for config, u, op_k, La_u in _rungs(kind, f_witness, N_list, potential, partition, F):
+        N, eps = config.N, config.epsilon
+        u_qc = solve_equilibrium(op_k, La_u - op_k.ghost)
         e = PeriodicField(config, u.values - u_qc.values)
         de = difference(e, 1, 1)
         norms = {p: lp_norm(de, p) for p in dict.fromkeys([*p_list, math.inf])}
         de_inf = norms[math.inf]
         for p in p_list:
-            rows.append(ConvergenceRow(N=int(N), epsilon=eps, p=p, error_norm=norms[p]))
+            rows.append(ConvergenceRow(N=N, epsilon=eps, p=p, error_norm=norms[p]))
             per_p[p].append((eps, norms[p]))
         # the solve has checked the row sums; the strain band itself is not needed
         bound_C = _telescope(op_k.band)[1]
@@ -396,7 +368,7 @@ def convergence_study(
         )
         checks.append(
             ConvergenceChecks(
-                N=int(N),
+                N=N,
                 de_inf=de_inf,
                 le_inf=le_inf,
                 bound_C=bound_C,
@@ -410,6 +382,4 @@ def convergence_study(
             fits[p] = fit_slope(pts)
         else:
             fits[p] = (float("nan"), float("nan"), float("nan"))
-    return ConvergenceTable(
-        kind=kind, witness=witness_name, rows=tuple(rows), fits=fits, checks=tuple(checks)
-    )
+    return ConvergenceTable(kind=kind, rows=tuple(rows), fits=fits, checks=tuple(checks))

@@ -58,10 +58,6 @@ class ConstraintSystem:
     matrix: np.ndarray   # (3m, m(m+1)/2) integers
     rhs: np.ndarray      # (3m,) integers
 
-    @property
-    def unknown_pairs(self):
-        return pair_index(self.m)
-
     def row_label(self, row: int):
         return row // 3 + 1, POWERS[row % 3]
 

@@ -57,9 +57,10 @@ L1_ROW = {-1: -1, 0: 2, 1: -1}
 ATOM_L2 = {-2: -1, 0: 2, 2: -1}
 CONT_L2 = {-1: -4, 0: 8, 1: -4}
 
-# Largest |row sum| and |ghost| (eps^2 stencil units, force units) for which
-# an operator still has a strain form.
+# Largest |ghost| (force units) for which an operator still has a strain form,
+# and largest max |row sum| / max |entry| of a band that annihilates constants.
 STRAIN_FORM_TOL = 1e-12
+ROW_SUM_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -492,13 +493,21 @@ def _telescope(band: np.ndarray):
     return columns, float(row_l1.max())
 
 
+def _constants_defect(op: LinearChainOperator):
+    """(max |row sum|, whether the band annihilates constants), the row sums
+    in eps^2 stencil units. It does when max |row sum| <= ROW_SUM_RTOL *
+    max |band entry|; a NaN or infinite entry never does."""
+    defect = float(np.abs(op.row_sums()).max())
+    return defect, defect <= ROW_SUM_RTOL * float(np.abs(op.band).max()) < math.inf
+
+
 def to_strain_form(op: LinearChainOperator) -> StrainFormOperator:
     """Rewrite L in terms of backward differences via telescoping.
 
-    Requires zero row sums (shift invariance) and a zero ghost field. The
-    strain band is column-major, like the operator's.
+    Requires zero row sums (shift invariance, the solver's test) and a zero
+    ghost field. The strain band is column-major, like the operator's.
     """
-    if np.abs(op.row_sums()).max() > STRAIN_FORM_TOL:
+    if not _constants_defect(op)[1]:
         raise ValueError("operator has nonzero row sums; no strain form exists")
     if np.abs(op.ghost).max() > STRAIN_FORM_TOL:
         raise ValueError("operator has a ghost field; no strain form exists")
@@ -506,15 +515,20 @@ def to_strain_form(op: LinearChainOperator) -> StrainFormOperator:
     return StrainFormOperator(op.config, np.stack(columns).T, bound_C)
 
 
+def _transpose_gaps(band: np.ndarray):
+    """A[i, i+k] - A[i+k, i] in eps^2 units for k = 0..K, one length-N array
+    per k, computed as each is asked for: row i+k holds A[i+k, i] at offset
+    -k. Every pair is visited once; k = 0 pairs the diagonal with itself, so
+    a NaN anywhere in the band shows as a NaN gap."""
+    K = (band.shape[1] - 1) // 2
+    return (band[:, K + k] - np.roll(band[:, K - k], -k) for k in range(K + 1))
+
+
 def symmetry_defect(op: LinearChainOperator) -> float:
-    """max |L_ij - L_ji| over the dense realization (computed bandwise)."""
-    K = op.half_width
-    worst = 0.0
-    for k in range(-K, K + 1):
-        # L_{i,i+k} against L_{i+k,i}, which row i+k holds at offset -k
-        d = np.abs(op.band[:, K + k] - np.roll(op.band[:, K - k], -k)).max()
-        worst = max(worst, float(d))
-    return worst / op.config.epsilon**2
+    """max |L_ij - L_ji| over the dense realization (computed bandwise); NaN
+    when the band holds a NaN."""
+    worst = np.max([np.abs(gap).max() for gap in _transpose_gaps(op.band)])
+    return float(worst) / op.config.epsilon**2
 
 
 def hessian_consistency_check(

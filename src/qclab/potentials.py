@@ -7,6 +7,7 @@ the linearized operators; phi'(rF) drives the affine ghost terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,11 @@ class PairPotential:
     kind: str
     k: float = 1.0
     s0: float = 1.0
+
+    def __post_init__(self):
+        for name in ("k", "s0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def harmonic(k: float = 1.0, s0: float = 1.0) -> PairPotential:

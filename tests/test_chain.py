@@ -175,3 +175,16 @@ def test_norm_equivalence_chain_random_fields():
             val = lp_norm(u, p)
             assert val >= c.epsilon ** (1.0 / p) * sup * (1 - 1e-12)
             assert val <= sup * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("F", [math.nan, math.inf, -math.inf])
+def test_config_rejects_nonfinite_stretch(F):
+    with pytest.raises(ValueError, match="F must be finite"):
+        ChainConfig(N=64, F=F, R=2)
+
+
+def test_lp_norm_rejects_nan_p_and_keeps_inf():
+    u = PeriodicField(cfg(4), [1.0, -3.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="p must lie in"):
+        lp_norm(u, math.nan)
+    assert lp_norm(u, math.inf) == 3.0

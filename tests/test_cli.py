@@ -251,3 +251,73 @@ def test_sweep_and_converge_reject_other_cutoffs(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert "R=2 only, got R=3" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("key", ["k", "s0", "F", "phase", "amplitude"])
+def test_nonfinite_numbers_are_named_with_their_line(key):
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match=rf"line 2: bad value for '{key}': must be finite"):
+            parse_config(f"model=qnl\n{key}={value}\n")
+
+
+@pytest.mark.parametrize("command", ["sweep", "stencil", "converge"])
+def test_nonfinite_input_is_a_config_error(tmp_path, capsys, command):
+    for key in ("F", "k", "phase"):
+        code = run([command], tmp_path, config_text=f"model=qnl\nN_list=64,128\n{key}=nan\n")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"bad value for '{key}'" in captured.err
+        assert captured.out == ""
+
+
+def test_converge_names_an_N_list_that_does_not_increase(tmp_path, capsys):
+    # a repeated size used to reach the slope fit (a RankWarning, slope 0.61)
+    code = run(["converge"], tmp_path, config_text="model=qnl\nN_list=64,64\n")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "N_list must be strictly increasing, got [64, 64]" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["stencil", "moments"])
+def test_stencil_and_moments_files_hold_plain_numbers(tmp_path, capsys, command):
+    out = tmp_path / f"{command}.csv"
+    code = run([command, "--report"], tmp_path, config_text="model=qce\nN=32\n", out=out)
+    assert code == 0
+    csv_rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    dat_rows = [line.split() for line in out.with_suffix(".dat").read_text().splitlines()[2:]]
+    assert csv_rows and csv_rows == dat_rows
+    for row in csv_rows:
+        # the moments' p column names its test vector: 1, j or j2
+        for cell in row[:1] + row[2:] if command == "moments" else row:
+            float(cell)
+    assert "np." not in capsys.readouterr().out
+
+
+def test_only_config_and_out_errors_map_to_exit_2(tmp_path, capsys, monkeypatch):
+    import qclab.cli as cli
+
+    assert run(["energy"], tmp_path, config_text="N=16\n", out=tmp_path / "no" / "e.csv") == 2
+    assert "config error" in capsys.readouterr().err
+
+    def boom(*a, **k):
+        raise PermissionError("not a config problem")
+
+    monkeypatch.setattr(cli, "total_energy", boom)
+    with pytest.raises(PermissionError):
+        run(["energy"], tmp_path, config_text="N=16\n")
+
+
+def test_closed_stdout_ends_the_run_quietly(tmp_path, src_env):
+    # as in `qclab certify --report | head -1`: the reader leaves before the
+    # command writes
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("m_min=1\nm_max=12\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qclab.cli", "certify", "--config", str(cfg), "--report"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate()
+    assert proc.returncode == 1
+    assert err == b""

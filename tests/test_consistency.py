@@ -1,5 +1,7 @@
 """Moment tests, ghost-force experiments, smooth-field consistency sweeps."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,10 @@ from qclab import (
     default_witness,
     ghost_force,
     harmonic,
+    lennard_jones,
     moment_residuals,
 )
+from qclab.consistency import _moment_sums
 
 HALF_PART = RegionPartition([(0.0, 0.5)], interface_width_m=4, reach=2)
 POT1 = harmonic(1.0, 1.0)
@@ -153,3 +157,50 @@ def test_sweep_points_monotone_n():
     Ns = [N for N, _ in res.points]
     assert Ns == sorted(Ns)
     assert all(r >= 0 for _, r in res.points)
+
+
+def test_sweep_names_an_N_list_that_does_not_increase():
+    for N_list in ([64, 64], [128, 64]):
+        with pytest.raises(ValueError, match=rf"strictly increasing, got \[{N_list[0]}, {N_list[1]}\]"):
+            consistency_sweep(ModelKind.CONTINUUM, default_witness, N_list, POT1)
+
+
+def exact_moments_by_row(op, ref):
+    """Per-row, per-offset Fraction sums: the moment check the CLI used to
+    carry, kept as an oracle for the exact path of the shared moment sums."""
+    K = max(op.half_width, ref.half_width)
+
+    def entry(o, i, off):
+        k = o.half_width
+        return Fraction(o.band[i, k + off]) if abs(off) <= k else Fraction(0)
+
+    return [
+        [
+            sum(((entry(op, i, off) - entry(ref, i, off)) * (i + 1 + off) ** p
+                 for off in range(-K, K + 1)), Fraction(0))
+            for p in (0, 1, 2)
+        ]
+        for i in range(op.config.N)
+    ]
+
+
+@pytest.mark.parametrize("potential, F", [(POT1, 1.2), (lennard_jones(), 1.1)])
+def test_exact_moment_sums_are_fractions_matching_the_float_sums(potential, F):
+    config = ChainConfig(N=64, F=F, R=2)
+    ref = assemble_operator(ModelKind.ATOMISTIC, config, potential)
+    m = 4
+    stencil = InterfaceStencil(m, np.eye(m))  # half-width m + 1 > 2: widens the reference
+    for kind in (ModelKind.QNL, ModelKind.QCE, ModelKind.QCF, ModelKind.CUSTOM):
+        op = assemble_operator(
+            kind, config, potential, partition=HALF_PART,
+            stencil=stencil if kind is ModelKind.CUSTOM else None,
+        )
+        exact = _moment_sums(op, ref, exact=True)
+        assert exact.shape == (64, 3)
+        assert all(type(x) is Fraction for x in exact.ravel())
+        assert exact.tolist() == exact_moments_by_row(op, ref)
+        floats = moment_residuals(op, ref).residuals
+        scale = np.abs(op.band).max() * 64**2
+        assert np.abs(exact.astype(float) - floats).max() <= 1e-13 * scale
+        if potential is POT1:  # integer stencils: the float sums are exact
+            assert (exact.astype(float) == floats).all()

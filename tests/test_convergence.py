@@ -21,13 +21,14 @@ from qclab import (
     fit_slope,
     harmonic,
     lp_norm,
+    min_residual,
     sample_field,
     solve_equilibrium,
     to_strain_form,
 )
 from qclab import convergence
 from qclab.convergence import RESIDUAL_RTOL, _folded_storage, _grounded_lu, _stress_lu
-from qclab.models import LinearChainOperator
+from qclab.models import COUPLED, LinearChainOperator
 from qclab.potentials import evaluate, lennard_jones
 
 HALF_PART = RegionPartition([(0.0, 0.5)], interface_width_m=4, reach=2)
@@ -131,6 +132,11 @@ def test_fit_slope_rejects_degenerate_input():
         fit_slope([(0.5, 1.0), (0.25, -1.0)])
     with pytest.raises(ValueError):
         fit_slope([(0.0, 1.0), (0.25, 1.0)])
+
+
+def test_fit_slope_has_one_definition():
+    # defined beside the study rungs, imported by the convergence module
+    assert convergence.fit_slope is fit_slope
 
 
 def test_fit_slope_constant_series():
@@ -578,3 +584,48 @@ def test_study_rows_and_checks_match_per_rung_reference(potential):
             ghost_free = LinearChainOperator(config, kind, op_k.band, np.zeros(N))
             assert checks.bound_C == to_strain_form(ghost_free).bound_C
             assert checks.de_inf == lp_norm(de, math.inf)
+
+
+def test_study_names_an_N_list_that_does_not_increase():
+    for N_list in ([64, 64], [128, 64]):
+        with pytest.raises(ValueError, match=rf"strictly increasing, got \[{N_list[0]}, {N_list[1]}\]"):
+            convergence_study(
+                ModelKind.QNL, default_witness, N_list, [1.0], POT1, partition=HALF_PART
+            )
+
+
+def accepts_row_sums(action, op) -> bool:
+    """False when action(op) refuses the operator for its row sums."""
+    try:
+        action(op)
+    except NumericalError:
+        pass  # the row sums passed; the kernel or the residual did not
+    except ValueError as exc:
+        assert "row sum" in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("potential", ["harmonic", "lennard_jones"])
+def test_solver_and_strain_form_share_the_row_sum_test(potential, random_geometry):
+    rng = np.random.default_rng([11, len(potential)])
+    for n_intervals in (1, 2, 3):
+        config, pot, partition = random_geometry(rng, 256, potential, n_intervals)
+        N, m = config.N, partition.interface_width_m
+        for kind in ModelKind:
+            op = assemble_operator(
+                kind, config, pot,
+                partition=partition if kind in COUPLED else None,
+                stencil=min_residual(m).stencil if kind is ModelKind.CUSTOM else None,
+            )
+            scale = float(np.abs(op.band).max())
+            # a row sum nudged to half and twice the shared relative tolerance
+            for nudge, zero_sums in ((0.0, True), (0.5e-12, True), (2e-12, False), (math.nan, False)):
+                band = np.array(op.band)
+                band[int(rng.integers(N)), 2] += nudge * scale
+                trial = LinearChainOperator(config, kind, band, np.zeros(N))
+                solver = accepts_row_sums(lambda o: solve_equilibrium(o, np.zeros(N)), trial)
+                strain = accepts_row_sums(to_strain_form, trial)
+                assert solver == strain, (kind, nudge)
+                # min_residual's stencil is not consistent: its row sums are O(1)
+                assert solver == (zero_sums and kind is not ModelKind.CUSTOM), (kind, nudge)

@@ -1,5 +1,7 @@
 """Pair potentials and their analytic derivatives."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,13 @@ def test_derivative_check_lennard_jones():
 
 def test_derivative_check_empty_samples():
     assert derivative_check(lennard_jones(), []) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_potentials_reject_nonfinite_parameters(bad):
+    with pytest.raises(ValueError, match="k must be finite"):
+        harmonic(bad, 1.0)
+    with pytest.raises(ValueError, match="s0 must be finite"):
+        harmonic(1.0, bad)
+    with pytest.raises(ValueError, match="s0 must be finite"):
+        PairPotential("lennard_jones", s0=bad)
