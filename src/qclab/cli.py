@@ -73,9 +73,10 @@ def _parse_intervals(text: str):
 
 
 def _parse_p(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
+    p = math.inf if text.strip().lower() in ("inf", "infinity") else float(text)
+    if not p >= 1.0:  # NaN fails too
+        raise ValueError(f"p must lie in [1, inf], got {text.strip()!r}")
+    return p
 
 
 def parse_config(text: str) -> RunConfig:

@@ -1,30 +1,36 @@
 """Equilibrium solves on the mean-zero subspace and convergence-rate studies.
 
 The linearized operators annihilate constants, so an equilibrium is fixed
-only up to a constant. Two factorizations solve it, and `solve_equilibrium`
+only up to a constant. Three factorizations solve it, and `solve_equilibrium`
 picks one from the band alone:
 
 - Stress form, for an exactly symmetric band of half-width 2 (every
   energy-based kind at R = 2): the band is D^T C D / eps^2 with D the backward
   difference and C a cyclic symmetric tridiagonal matrix of condition O(1).
-  One pivoted tridiagonal LU of C (LAPACK gttrf) with a rank-1 correction
-  for the ring's corner gives the strains, and a running sum the
-  displacements.
-- Grounded LU, for every other band (QCF, custom stencils, R > 2) and for a
-  stress form whose C is singular: atom N is grounded (its row and column
-  dropped), which leaves a nonsingular system whenever the kernel is
-  exactly the constants. Numbering the remaining atoms 1, N-1, 2, N-2, ...
-  folds the ring so that the periodic band of half-width K becomes a plain
-  band of half-width 2K, which one banded LU factorization (LAPACK gbtrf)
-  handles. Its column-major band storage is filled from the operator's
-  contiguous band columns: two strided slices per offset (the rows whose
-  neighbour lies in the same half of the fold) and O(K^2) single entries
-  where the fold turns or the ring wraps.
+  C is solved for the strains, and a running sum gives the displacements.
+- Patch form, for any other band of half-width 2 that passes the linear
+  patch test, zero first moments per row (QCF): the band is T Delta / eps^2
+  with Delta the centred second difference and T cyclic tridiagonal. T is
+  solved, and two running sums give the strains and the displacements.
+- Grounded LU, for every other band (custom stencils, R > 2, a band that
+  fails the patch test) and for a C or T that is singular: atom N is grounded
+  (its row and column dropped), which leaves a nonsingular system whenever
+  the kernel is exactly the constants. Numbering the remaining atoms 1, N-1,
+  2, N-2, ... folds the ring so that the periodic band of half-width K
+  becomes a plain band of half-width 2K, which one banded LU factorization
+  (LAPACK gbtrf) handles. Its column-major band storage is filled from the
+  operator's contiguous band columns: two strided slices per offset (the rows
+  whose neighbour lies in the same half of the fold) and O(K^2) single
+  entries where the fold turns or the ring wraps.
+
+The stress and patch forms share one cyclic tridiagonal kernel: a pivoted
+tridiagonal LU of the open chain (LAPACK gttrf) with a rank-1 correction for
+the ring's corners, which also solves with the transpose. Both are O(N).
 
 The right-hand side is first projected off the left-null direction (the
-mean, for symmetric operators; from the transposed factors otherwise), and
-iterative refinement keeps the residual at the 1e-10 ||f|| contract even on
-the largest chains.
+mean, for symmetric operators; T^-T 1 in patch form; from the transposed
+factors otherwise), and iterative refinement keeps the residual at the
+1e-10 ||f|| contract even on the largest chains.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .models import (
     ModelKind,
     _band_apply,
     _constants_defect,
+    _moment_defect,
     _telescope,
     _transpose_gaps,
     apply_linear,
@@ -159,6 +166,73 @@ def _grounded_lu(op: LinearChainOperator):
     return solve, w
 
 
+def _cyclic_tridiagonal(lower, diag, upper):
+    """Factor the cyclic tridiagonal T with T[i, i-1] = lower[i], T[i, i] =
+    diag[i] and T[i, i+1] = upper[i], indices mod N: lower[0] is the corner
+    T[0, N-1] and upper[-1] the corner T[N-1, 0].
+
+    T is its open chain T0 (pivoted tridiagonal LU, LAPACK gttrf) plus the
+    rank-1 corner term x v^T, x = gamma e_0 + bottom e_{N-1} and v = e_0 +
+    (top / gamma) e_{N-1} with top = lower[0] and bottom = upper[-1], which
+    a Sherman-Morrison correction undoes; |gamma| >= |T[0, 0]| keeps T0's
+    first pivot away from cancellation. Folding the ring instead would fill a
+    banded factor with subnormal numbers, and gttrf pivots where a
+    positive-definite factor would refuse an indefinite T.
+
+    The factorization overwrites diag. Returns solve(b, transpose=False),
+    which gives T^-1 b, or T^-T b for a vector b, and may overwrite b.
+    Returns None when T is (numerically) singular: a roundoff-level pivot of
+    T0 or a vanishing Sherman-Morrison denominator.
+    """
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    N = len(diag)
+    top, bottom = float(lower[0]), float(upper[-1])
+    gamma = -math.copysign(max(abs(diag[0]), abs(top), abs(bottom)) or 1.0, diag[0])
+    diag[0] -= gamma
+    diag[-1] -= top * bottom / gamma
+    dl, d, du, du2, ipiv, info = dgttrf(lower[1:], diag, upper[:-1], overwrite_d=1)
+    pivots = np.abs(d)
+    if info != 0 or pivots.min() < math.sqrt(np.finfo(float).eps) * pivots.max():
+        return None
+
+    def open_solve(rhs, trans=b"N"):
+        return dgttrs(dl, d, du, du2, ipiv, rhs, trans=trans, overwrite_b=1)[0]
+
+    x = np.zeros(N)
+    x[0], x[-1] = gamma, bottom
+    z = open_solve(x)
+    ratio = top / gamma
+    vz = z[0] + ratio * z[-1]
+    denom = 1.0 + vz
+    if abs(denom) < math.sqrt(np.finfo(float).eps) * max(1.0, abs(vz)):
+        return None
+
+    def solve(rhs, transpose=False):
+        if not transpose:
+            y = open_solve(rhs)
+            y -= ((y[0] + ratio * y[-1]) / denom) * z
+            return y
+        # T^T = T0^T + v x^T, and x.(T^-T b) = b.(T^-1 x) = b.z / denom, so
+        # T^-T b = T0^-T (b - (b.z / denom) v) needs no second correction vector
+        c = (rhs @ z) / denom
+        rhs[0] -= c
+        rhs[-1] -= c * ratio
+        return open_solve(rhs, b"T")
+
+    return solve
+
+
+def _close_ring(s, ramp):
+    """u = cumsum(s), in place, for strains s with sum(s) = 0 and ramp =
+    (1..N) / N. u[-1] is then the rounding the running sum gathered; left in
+    place it is a jump between atoms N and 1, and A would see it there with
+    weight 1/eps^2, so it is spread evenly over the ring."""
+    u = np.cumsum(s, out=s)
+    u -= u[-1] * ramp
+    return u
+
+
 def _stress_lu(op: LinearChainOperator):
     """Factor a symmetric, zero-row-sum band of half-width 2 in stress form.
 
@@ -167,11 +241,9 @@ def _stress_lu(op: LinearChainOperator):
     C[i, i-1] = -band[i, 0] and C[i, i] = C[i, i-1] + C[i+1, i] - band[i, 1].
     A u = r becomes C t = sigma + c 1 with sum(t) = 0, where the stress
     sigma is a prefix sum of eps^2 r and c is fixed by the constraint; then
-    u = cumsum(t). C is factored as its open chain (pivoted tridiagonal LU,
-    LAPACK gttrf) plus a Sherman-Morrison correction for the two corner
-    entries. Folding the ring instead would fill a banded factor with
-    subnormal numbers, and gttrf pivots where a positive-definite factor
-    would refuse the negative moduli of stretched Lennard-Jones chains.
+    u = cumsum(t). C goes through `_cyclic_tridiagonal`, which pivots where
+    a positive-definite factor would refuse the negative moduli of stretched
+    Lennard-Jones chains.
 
     Returns (solve, w) as `_grounded_lu` does, with w = 1. Returns None when
     C itself is (numerically) singular: A may still be well posed then (the
@@ -179,42 +251,12 @@ def _stress_lu(op: LinearChainOperator):
     NumericalError when C is regular but A's kernel is larger than the
     constants, i.e. when sum(C^-1 1) vanishes.
     """
-    from scipy.linalg.lapack import dgttrf, dgttrs
-
     N = op.config.N
-    band = op.band
-    sub = -band[:, 0]  # C[i, i-1]; sub[0] is the corner C[0, N-1]
-    diag = sub + np.roll(sub, -1) - band[:, 1]
-    corner = float(sub[0])
-    # C = T + x v^T: T is the open chain, x = gamma e_0 + corner e_{N-1} and
-    # v = e_0 + (corner / gamma) e_{N-1}; |gamma| >= |C[0,0]| keeps T's
-    # first pivot away from cancellation
-    gamma = -math.copysign(max(abs(diag[0]), abs(corner)) or 1.0, diag[0])
-    diag[0] -= gamma
-    diag[-1] -= corner * corner / gamma
-    off = sub[1:]
-    dl, d, du, du2, ipiv, info = dgttrf(off, diag, off)
-    pivots = np.abs(d)
-    if info != 0 or pivots.min() < math.sqrt(np.finfo(float).eps) * pivots.max():
+    sub = -op.band[:, 0]  # C[i, i-1]; sub[0] is the corner C[0, N-1]
+    C = _cyclic_tridiagonal(sub, sub + np.roll(sub, -1) - op.band[:, 1], np.roll(sub, -1))
+    if C is None:
         return None
-
-    def open_solve(b):
-        return dgttrs(dl, d, du, du2, ipiv, b)[0]
-
-    x = np.zeros(N)
-    x[0], x[-1] = gamma, corner
-    zg = open_solve(np.column_stack((x, np.ones(N))))
-    z = zg[:, 0]
-    ratio = corner / gamma
-    vz = z[0] + ratio * z[-1]
-    denom = 1.0 + vz
-    if abs(denom) < math.sqrt(np.finfo(float).eps) * max(1.0, abs(vz)):
-        return None
-
-    def corrected(y):  # C^-1 b from y = T^-1 b
-        return y - ((y[0] + ratio * y[-1]) / denom) * z
-
-    g = corrected(zg[:, 1])  # C^-1 1
+    g = C(np.ones(N))  # C^-1 1
     g_sum = float(g.sum())
     if abs(g_sum) <= math.sqrt(np.finfo(float).eps) * float(np.abs(g).sum()):
         raise NumericalError(
@@ -229,28 +271,72 @@ def _stress_lu(op: LinearChainOperator):
         sigma = np.empty(N)
         sigma[0] = 0.0
         np.cumsum(r[:-1] - r.mean(), out=sigma[1:])
-        t = corrected(open_solve(sigma * -eps2))
+        t = C(sigma * -eps2)
         t -= (t.sum() / g_sum) * g
-        u = np.cumsum(t)
-        # u[-1] is the rounding the running sum gathered (sum(t) = 0); left
-        # in place it is a jump between atoms N and 1, and A would see it
-        # there with weight 1/eps^2, so spread it evenly over the ring
-        u -= u[-1] * ramp
-        return u
+        return _close_ring(t, ramp)
 
     return solve, np.ones(N)
+
+
+def _patch_lu(op: LinearChainOperator):
+    """Factor a zero-row-sum band of half-width 2 that passes the linear
+    patch test: every row's first moment -2 b_-2 - b_-1 + b_1 + 2 b_2
+    vanishes, relative to the largest entry (`_moment_defect`).
+
+    Such a band is A = T Delta / eps^2, with (Delta u)_i = u_{i-1} - 2 u_i +
+    u_{i+1} and T the cyclic tridiagonal matrix whose row i is
+    (b_-2, b_1 + 2 b_2, b_2) of band row i. Delta annihilates constants on
+    both sides, so w = T^-T 1 is A's left-null vector. A u = r - mu w becomes
+    Delta u = y with y = T^-1 eps^2 (r - mu w) and mu = w.r / w.w, which
+    makes sum(y) = eps^2 w.(r - mu w) vanish; then s = D u is a running sum
+    of y made mean-free, and u = cumsum(s).
+
+    Returns (solve, w) as `_grounded_lu` does, or None when the band fails
+    the patch test or T is (numerically) singular; the grounded LU then
+    decides. A regular T leaves A the kernel of Delta, the constants.
+    """
+    band = op.band
+    if not _moment_defect(band[:, 3] - band[:, 1] + 2.0 * (band[:, 4] - band[:, 0]), band)[1]:
+        return None
+    T = _cyclic_tridiagonal(band[:, 0], band[:, 3] + 2.0 * band[:, 4], band[:, 4])
+    if T is None:
+        return None
+    N = op.config.N
+    w = T(np.ones(N), transpose=True)
+    ww = float(w @ w)
+    eps2 = op.config.epsilon**2
+    ramp = np.arange(1, N + 1) / N
+
+    def solve(r):
+        rhs = w * -((w @ r) / ww)
+        rhs += r
+        rhs *= eps2
+        y = T(rhs)
+        # s_{i+1} - s_i = y_i; y[-1] closes the ring, as sum(y) = 0 up to rounding
+        s = np.empty(N)
+        s[0] = 0.0
+        np.cumsum(y[:-1], out=s[1:])
+        # mean-free strains leave u[-1] at rounding level, so that spreading
+        # it adds no rounding of its own (one solve lands 3x further inside
+        # the contract than without)
+        s -= s.mean()
+        return _close_ring(s, ramp)
+
+    return solve, w
 
 
 def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
     """Unique mean-zero u with (linear part of op) u = P f, where P removes
     the left-null component of f (the mean, for symmetric operators).
 
-    An exactly symmetric band of half-width 2 (`_transpose_gaps` all zero) is
-    solved in stress form through its tridiagonal C (`_stress_lu`); any other
-    band, and a stress form whose C is singular, through one banded LU of the
-    grounded, ring-folded operator (`_grounded_lu`). Either factorization
-    serves the left-null vector, the solve and the refinement steps. The
-    residual contract is 1e-10 ||f||_inf, widened to the float64
+    The band picks the factorization: an exactly symmetric band of half-width
+    2 (`_transpose_gaps` all zero) is solved in stress form through its
+    tridiagonal C (`_stress_lu`); any other band of half-width 2 whose rows
+    have zero first moments in patch form through its tridiagonal T
+    (`_patch_lu`); every other band, and a C or T that is singular, through
+    one banded LU of the grounded, ring-folded operator (`_grounded_lu`). Each
+    factorization serves the left-null vector, the solve and the refinement
+    steps. The residual contract is 1e-10 ||f||_inf, widened to the float64
     representation floor eps_mach * || |A| |u| ||_inf where the latter is
     larger (rounding u alone perturbs A u by that much on the finest chains);
     it is checked on the returned mean-zero u. Raises ValueError for an
@@ -268,10 +354,10 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
             "in eps^2 stencil units); equilibria are defined up to a constant only "
             "for shift-invariant operators"
         )
-    symmetric_pentadiagonal = op.half_width == 2 and not any(
-        gap.any() for gap in _transpose_gaps(op.band)
-    )
-    factor = _stress_lu(op) if symmetric_pentadiagonal else None
+    factor = None
+    if op.half_width == 2:
+        symmetric = not any(gap.any() for gap in _transpose_gaps(op.band))
+        factor = _stress_lu(op) if symmetric else _patch_lu(op)
     solve, w = factor or _grounded_lu(op)
     fproj = fv - (w @ fv) / (w @ w) * w
     u = solve(fproj)

@@ -493,12 +493,19 @@ def _telescope(band: np.ndarray):
     return columns, float(row_l1.max())
 
 
+def _moment_defect(moments: np.ndarray, band: np.ndarray):
+    """(max |moment|, whether it vanishes) for per-row moments of the band,
+    sum_k k^p b_k, in eps^2 stencil units. They vanish when max |moment| <=
+    ROW_SUM_RTOL * max |band entry|; a NaN or infinite entry never does."""
+    defect = float(np.abs(moments).max())
+    scale = max(float(band.max()), -float(band.min()))  # max |entry|, no temporary
+    return defect, defect <= ROW_SUM_RTOL * scale < math.inf
+
+
 def _constants_defect(op: LinearChainOperator):
-    """(max |row sum|, whether the band annihilates constants), the row sums
-    in eps^2 stencil units. It does when max |row sum| <= ROW_SUM_RTOL *
-    max |band entry|; a NaN or infinite entry never does."""
-    defect = float(np.abs(op.row_sums()).max())
-    return defect, defect <= ROW_SUM_RTOL * float(np.abs(op.band).max()) < math.inf
+    """(max |row sum|, whether the band annihilates constants), by
+    `_moment_defect` of the row sums."""
+    return _moment_defect(op.row_sums(), op.band)
 
 
 def to_strain_form(op: LinearChainOperator) -> StrainFormOperator:

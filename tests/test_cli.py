@@ -1,6 +1,7 @@
 """CLI: config parsing, command dispatch, deterministic outputs, exit codes."""
 
 import math
+import re
 import subprocess
 import sys
 
@@ -258,6 +259,19 @@ def test_nonfinite_numbers_are_named_with_their_line(key):
     for value in ("nan", "inf", "-inf"):
         with pytest.raises(ConfigError, match=rf"line 2: bad value for '{key}': must be finite"):
             parse_config(f"model=qnl\n{key}={value}\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "0.5", "-inf"])
+def test_p_below_one_is_named_with_its_line(tmp_path, capsys, value):
+    message = rf"line 2: bad value for 'p_list': p must lie in \[1, inf\], got '{value}'"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(f"model=qnl\np_list=1,{value}\n")
+    # the command names the key and the line too, and prints no rows
+    code = run(["converge"], tmp_path, config_text=f"model=qnl\np_list=1,{value}\nN_list=64,128\n")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert re.search(message, captured.err)
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["sweep", "stencil", "converge"])

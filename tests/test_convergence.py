@@ -27,8 +27,14 @@ from qclab import (
     to_strain_form,
 )
 from qclab import convergence
-from qclab.convergence import RESIDUAL_RTOL, _folded_storage, _grounded_lu, _stress_lu
-from qclab.models import COUPLED, LinearChainOperator
+from qclab.convergence import (
+    RESIDUAL_RTOL,
+    _folded_storage,
+    _grounded_lu,
+    _patch_lu,
+    _stress_lu,
+)
+from qclab.models import ATOM_L2, CONT_L2, COUPLED, LinearChainOperator
 from qclab.potentials import evaluate, lennard_jones
 
 HALF_PART = RegionPartition([(0.0, 0.5)], interface_width_m=4, reach=2)
@@ -68,7 +74,8 @@ def bordered_reference(op, f):
 
 def grounded_reference(op, f):
     """The grounded banded LU with three refinement steps, kept as the oracle
-    for the stress-form path. Returns (mean-zero u, projected right-hand side)."""
+    for the stress-form and patch-test paths. Returns (mean-zero u, projected
+    right-hand side)."""
     solve, w = _grounded_lu(op)
     fproj = f - (w @ f) / (w @ w) * w
     u = solve(fproj)
@@ -97,6 +104,27 @@ def band_from_stress(C):
     A = D.T @ C @ D
     idx = np.arange(N)
     return np.stack([A[idx, (idx + k) % N] for k in range(-2, 3)], axis=1)
+
+
+def patch_matrix(band):
+    """Dense cyclic tridiagonal T with band = T Delta for a band that passes the
+    linear patch test: row i of T is (b_-2, b_1 + 2 b_2, b_2) of band row i."""
+    N = band.shape[0]
+    idx = np.arange(N)
+    T = np.zeros((N, N))
+    T[idx, idx - 1] = band[:, 0]
+    T[idx, idx] = band[:, 3] + 2.0 * band[:, 4]
+    T[idx, (idx + 1) % N] = band[:, 4]
+    return T
+
+
+def band_from_patch(t_lo, t_diag, t_up):
+    """Half-width-2 band (eps^2 units) of T Delta for the cyclic tridiagonal T
+    with rows (t_lo, t_diag, t_up), (Delta u)_i = u_{i-1} - 2 u_i + u_{i+1}."""
+    return np.stack(
+        [t_lo, t_diag - 2.0 * t_lo, t_lo - 2.0 * t_diag + t_up, t_diag - 2.0 * t_up, t_up],
+        axis=1,
+    )
 
 
 def forbid(name):
@@ -432,6 +460,203 @@ def test_stress_path_residual_contract_at_large_n(kind, potential, monkeypatch):
     u = solve_equilibrium(op, f).values
     assert abs(u.mean()) <= 1e-12 * np.abs(u).max()
     assert np.abs(apply_linear(op, u) - fproj).max() <= residual_contract(op, u, f)
+
+
+@pytest.mark.parametrize("potential", ["harmonic", "lennard_jones"])
+def test_patch_matrix_rebuilds_the_band(potential, random_geometry):
+    rng = np.random.default_rng(70 + len(potential))
+    for N, n_intervals in ((64, 1), (128, 2), (256, 3)):
+        config, pot, partition = random_geometry(rng, N, potential, n_intervals)
+        op = assemble_operator(ModelKind.QCF, config, pot, partition=partition)
+        eye = np.eye(N)
+        second_difference = np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1) - 2.0 * eye
+        rebuilt = patch_matrix(op.band) @ second_difference / config.epsilon**2
+        ulp = np.finfo(float).eps * np.abs(op.band).max() / config.epsilon**2
+        assert np.abs(rebuilt - op.dense()).max() <= 4.0 * ulp
+        # QCE is symmetric but fails the patch test: its first moments are O(1)
+        qce = assemble_operator(ModelKind.QCE, config, pot, partition=partition)
+        assert _patch_lu(qce) is None
+
+
+@pytest.mark.parametrize(
+    "N, potential, n_intervals",
+    list(itertools.product([64, 1024, 2**14], ["harmonic", "lennard_jones"], [1, 2, 3])),
+)
+def test_patch_path_matches_grounded_oracle(
+    N, potential, n_intervals, random_geometry, monkeypatch
+):
+    rng = np.random.default_rng([N, n_intervals, len(potential), 10])
+    config, pot, partition = random_geometry(rng, N, potential, n_intervals)
+    c = sum(r * r * evaluate(pot, r * config.F, 2) for r in (1, 2))  # as above
+    op = assemble_operator(ModelKind.QCF, config, pot, partition=partition)
+    f = rng.standard_normal(N)
+    want, fproj = grounded_reference(op, f)
+    solve, w = _patch_lu(op)
+    # w^T A = 0 to rounding: (A^T w)_j = sum_k band[j-k, k] w_{j-k}, eps^2 units
+    left = sum(np.roll(op.band[:, 2 + k] * w, k) for k in range(-2, 3))
+    left_abs = sum(np.roll(np.abs(op.band[:, 2 + k] * w), k) for k in range(-2, 3))
+    assert np.abs(left).max() <= 16 * np.finfo(float).eps * left_abs.max()
+    # one patch solve keeps the contract by itself, so no refinement runs
+    u = solve(fproj)
+    u -= u.mean()
+    assert np.abs(apply_linear(op, u) - fproj).max() <= residual_contract(op, u, f)
+    with monkeypatch.context() as patch:
+        patch.setattr(convergence, "_grounded_lu", forbid("the grounded LU"))
+        u = solve_equilibrium(op, f).values
+    tol = 4.0 * residual_contract(op, want, f) / c
+    assert lp_norm(difference(PeriodicField(config, u - want), 1, 1), math.inf) <= tol
+    assert abs(u.mean()) <= 1e-12 * np.abs(u).max()
+    assert np.abs(apply_linear(op, u) - fproj).max() <= residual_contract(op, u, f)
+
+
+def test_patch_path_pivots_through_indefinite_patch_matrices(monkeypatch):
+    # random nonsymmetric T with entries of both signs, down to a ring of 5
+    rng = np.random.default_rng(71)
+    monkeypatch.setattr(convergence, "_grounded_lu", forbid("the grounded LU"))
+    for N in (5, 16, 64, 512):
+        config = ChainConfig(N=N, F=1.2, R=2)
+        t_diag = rng.uniform(-3.0, 3.0, N)
+        band = band_from_patch(rng.uniform(-1.0, 1.0, N), t_diag, rng.uniform(-1.0, 1.0, N))
+        assert (t_diag < 0).any() and (t_diag > 0).any()
+        op = LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N))
+        v = rng.standard_normal(N)
+        v -= v.mean()
+        u = solve_equilibrium(op, apply_linear(op, v)).values
+        assert np.abs(u - v).max() <= 1e-8 * np.abs(v).max()
+
+
+def test_patch_solve_spreads_the_left_null_component():
+    # like the grounded LU, one patch solve returns u with A u = r - mu w for
+    # any r: the left-null component of r is removed, not left on one atom
+    rng = np.random.default_rng(72)
+    config = ChainConfig(N=4096, F=1.1, R=2)
+    op = assemble_operator(ModelKind.QCF, config, lennard_jones(), partition=HALF_PART)
+    solve, w = _patch_lu(op)
+    r = rng.standard_normal(config.N) + 5.0 * w / np.abs(w).max()
+    u = solve(r)
+    rproj = r - (w @ r) / (w @ w) * w
+    assert np.abs(apply_linear(op, u) - rproj).max() <= residual_contract(op, u, r)
+
+
+@pytest.mark.parametrize("N", [16, 17, 64])
+def test_singular_patch_matrix_defers_to_grounded_lu(N):
+    # T with rows (1, -3, 2) has T 1 = 0, but 1 is not a second difference, so
+    # the band T Delta = [1, -5, 9, -7, 2] still has only the constants as kernel
+    config = ChainConfig(N=N, F=1.2, R=2)
+    band = np.tile([1.0, -5.0, 9.0, -7.0, 2.0], (N, 1))
+    op = LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N))
+    assert _patch_lu(op) is None
+    v = np.random.default_rng(N).standard_normal(N)
+    v -= v.mean()
+    f = apply_linear(op, v)
+    u = solve_equilibrium(op, f).values
+    assert np.abs(apply_linear(op, u) - f).max() <= residual_contract(op, u, f)
+
+
+def test_roundoff_pivot_of_patch_matrix_defers_to_grounded_lu():
+    # row and column j of T decoupled with T[j, j] = 1e-17: the tridiagonal LU
+    # meets that pivot as it is, the band's row j is numerically zero, and the
+    # grounded LU names the extra kernel
+    N, j = 64, 32
+    config = ChainConfig(N=N, F=1.2, R=2)
+    t_lo, t_diag, t_up = np.ones(N), np.full(N, 4.0), np.full(N, 2.0)
+    t_lo[j:j + 2], t_diag[j], t_up[j - 1:j + 1] = 0.0, 1e-17, 0.0
+    band = band_from_patch(t_lo, t_diag, t_up)
+    op = LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N))
+    assert _patch_lu(op) is None
+    with pytest.raises(NumericalError, match="kernel is larger than the constants"):
+        solve_equilibrium(op, np.random.default_rng(4).standard_normal(N))
+
+
+def test_singular_patch_matrix_keeps_the_kernel_error():
+    # T with rows (1, 3, 2) annihilates the alternating vector on an even ring,
+    # which is a second difference: A = [1, 1, -3, -1, 2] has it in its kernel
+    N = 64
+    config = ChainConfig(N=N, F=1.2, R=2)
+    band = np.tile([1.0, 1.0, -3.0, -1.0, 2.0], (N, 1))
+    op = LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N))
+    assert _patch_lu(op) is None
+    with pytest.raises(NumericalError, match="kernel is larger than the constants"):
+        solve_equilibrium(op, np.random.default_rng(2).standard_normal(N))
+
+
+@pytest.mark.parametrize("N", [2**14, 2**16])
+@pytest.mark.parametrize("potential", ["harmonic", "lennard_jones"])
+def test_qcf_solve_keeps_the_contract_without_refinement(N, potential, monkeypatch):
+    # the grounded LU needed a refinement step for Lennard-Jones QCF from 2^14 up
+    pot, F = {"harmonic": (POT1, 1.2), "lennard_jones": (lennard_jones(), 1.1)}[potential]
+    config = ChainConfig(N=N, F=F, R=2)
+    op = assemble_operator(ModelKind.QCF, config, pot, partition=HALF_PART)
+    op_a = assemble_operator(ModelKind.ATOMISTIC, config, pot)
+    f = apply_linear(op_a, sample_field(default_witness, config).values) - op.ghost
+    checks = []
+
+    def counted(op_, v):
+        checks.append(len(v))
+        return apply_linear(op_, v)
+
+    monkeypatch.setattr(convergence, "apply_linear", counted)
+    u = solve_equilibrium(op, f).values
+    assert checks == [N]  # one residual check: no refinement step ran
+    w = _patch_lu(op)[1]
+    fproj = f - (w @ f) / (w @ w) * w
+    # with a wide margin: one solve lands at 0.06-0.08 of the contract
+    assert np.abs(apply_linear(op, u) - fproj).max() <= residual_contract(op, u, f) / 8
+
+
+def consistent_custom_stencil(m):
+    """A diagonal (so symmetric) block that gives every block row a zero row
+    sum: it cancels the continuum and atomistic entries the row reads."""
+    outer = [
+        sum(CONT_L2.get(j - i, 0) for j in (-1, 0))
+        + sum(ATOM_L2.get(j - i, 0) for j in (m + 1, m + 2))
+        for i in range(1, m + 1)
+    ]
+    return InterfaceStencil(m, -np.diag(np.asarray(outer, dtype=float)))
+
+
+def test_route_table(monkeypatch):
+    # which factorization serves each assembled operator; a change that drops
+    # a kind onto the grounded LU (or off it) must show here
+    reached = []
+
+    def recording(name, factory):
+        def run(op):
+            out = factory(op)
+            if out is not None:
+                reached.append(name)
+            return out
+
+        return run
+
+    for name in ("_stress_lu", "_patch_lu", "_grounded_lu"):
+        monkeypatch.setattr(convergence, name, recording(name, getattr(convergence, name)))
+    config = ChainConfig(N=256, F=1.1, R=2)
+    pot = lennard_jones()
+    ops = {
+        kind: assemble_operator(kind, config, pot, partition=HALF_PART if kind in COUPLED else None)
+        for kind in (
+            ModelKind.QNL, ModelKind.QCE, ModelKind.ATOMISTIC, ModelKind.CONTINUUM, ModelKind.QCF
+        )
+    }
+    ops[ModelKind.CUSTOM] = assemble_operator(
+        ModelKind.CUSTOM, config, pot, partition=HALF_PART, stencil=consistent_custom_stencil(4)
+    )
+    ops["R=3"] = assemble_operator(ModelKind.ATOMISTIC, ChainConfig(N=256, F=1.1, R=3), pot)
+    routes = {}
+    for label, op in ops.items():
+        reached.clear()
+        solve_equilibrium(op, np.random.default_rng(3).standard_normal(op.config.N))
+        routes[label] = list(reached)
+    assert routes == {
+        ModelKind.QNL: ["_stress_lu"],
+        ModelKind.QCE: ["_stress_lu"],
+        ModelKind.ATOMISTIC: ["_stress_lu"],
+        ModelKind.CONTINUUM: ["_stress_lu"],
+        ModelKind.QCF: ["_patch_lu"],
+        ModelKind.CUSTOM: ["_grounded_lu"],
+        "R=3": ["_grounded_lu"],
+    }
 
 
 def test_solve_rejects_wrong_length():
