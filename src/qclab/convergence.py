@@ -47,6 +47,7 @@ from .models import (
     ModelKind,
     _band_apply,
     _constants_defect,
+    _distinct_rows,
     _moment_defect,
     _telescope,
     _transpose_gaps,
@@ -166,7 +167,7 @@ def _grounded_lu(op: LinearChainOperator):
     return solve, w
 
 
-def _cyclic_tridiagonal(lower, diag, upper):
+def _cyclic_tridiagonal(lower, diag, upper, transpose=False):
     """Factor the cyclic tridiagonal T with T[i, i-1] = lower[i], T[i, i] =
     diag[i] and T[i, i+1] = upper[i], indices mod N: lower[0] is the corner
     T[0, N-1] and upper[-1] the corner T[N-1, 0].
@@ -179,14 +180,17 @@ def _cyclic_tridiagonal(lower, diag, upper):
     banded factor with subnormal numbers, and gttrf pivots where a
     positive-definite factor would refuse an indefinite T.
 
-    The factorization overwrites diag. Returns solve(b, transpose=False),
-    which gives T^-1 b, or T^-T b for a vector b, and may overwrite b.
-    Returns None when T is (numerically) singular: a roundoff-level pivot of
-    T0 or a vanishing Sherman-Morrison denominator.
+    The factorization overwrites diag. Returns (solve, g): solve(b,
+    transpose=False) gives T^-1 b, or T^-T b, and may overwrite b; g is
+    solve(1, transpose). Both are None when T is (numerically) singular: a
+    roundoff-level pivot of T0, a vanishing Sherman-Morrison denominator, or
+    max |g| max |T| > 1/sqrt(eps_mach) (0.6-1.7 for the model kinds), as
+    for a roundoff-level row that pivoting swaps away.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs
 
     N = len(diag)
+    scale = max(float(np.abs(t).max()) for t in (lower, diag, upper))
     top, bottom = float(lower[0]), float(upper[-1])
     gamma = -math.copysign(max(abs(diag[0]), abs(top), abs(bottom)) or 1.0, diag[0])
     diag[0] -= gamma
@@ -194,7 +198,7 @@ def _cyclic_tridiagonal(lower, diag, upper):
     dl, d, du, du2, ipiv, info = dgttrf(lower[1:], diag, upper[:-1], overwrite_d=1)
     pivots = np.abs(d)
     if info != 0 or pivots.min() < math.sqrt(np.finfo(float).eps) * pivots.max():
-        return None
+        return None, None
 
     def open_solve(rhs, trans=b"N"):
         return dgttrs(dl, d, du, du2, ipiv, rhs, trans=trans, overwrite_b=1)[0]
@@ -206,7 +210,7 @@ def _cyclic_tridiagonal(lower, diag, upper):
     vz = z[0] + ratio * z[-1]
     denom = 1.0 + vz
     if abs(denom) < math.sqrt(np.finfo(float).eps) * max(1.0, abs(vz)):
-        return None
+        return None, None
 
     def solve(rhs, transpose=False):
         if not transpose:
@@ -220,7 +224,10 @@ def _cyclic_tridiagonal(lower, diag, upper):
         rhs[-1] -= c * ratio
         return open_solve(rhs, b"T")
 
-    return solve
+    g = solve(np.ones(N), transpose)
+    if float(np.abs(g).max()) * scale > 1.0 / math.sqrt(np.finfo(float).eps):
+        return None, None
+    return solve, g
 
 
 def _close_ring(s, ramp):
@@ -253,10 +260,9 @@ def _stress_lu(op: LinearChainOperator):
     """
     N = op.config.N
     sub = -op.band[:, 0]  # C[i, i-1]; sub[0] is the corner C[0, N-1]
-    C = _cyclic_tridiagonal(sub, sub + np.roll(sub, -1) - op.band[:, 1], np.roll(sub, -1))
-    if C is None:
+    C, g = _cyclic_tridiagonal(sub, sub + np.roll(sub, -1) - op.band[:, 1], np.roll(sub, -1))
+    if C is None:  # g = C^-1 1 otherwise
         return None
-    g = C(np.ones(N))  # C^-1 1
     g_sum = float(g.sum())
     if abs(g_sum) <= math.sqrt(np.finfo(float).eps) * float(np.abs(g).sum()):
         raise NumericalError(
@@ -298,11 +304,10 @@ def _patch_lu(op: LinearChainOperator):
     band = op.band
     if not _moment_defect(band[:, 3] - band[:, 1] + 2.0 * (band[:, 4] - band[:, 0]), band)[1]:
         return None
-    T = _cyclic_tridiagonal(band[:, 0], band[:, 3] + 2.0 * band[:, 4], band[:, 4])
-    if T is None:
+    T, w = _cyclic_tridiagonal(band[:, 0], band[:, 3] + 2.0 * band[:, 4], band[:, 4], True)
+    if T is None:  # w = T^-T 1 otherwise
         return None
     N = op.config.N
-    w = T(np.ones(N), transpose=True)
     ww = float(w @ w)
     eps2 = op.config.epsilon**2
     ramp = np.arange(1, N + 1) / N
@@ -365,11 +370,12 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
     macheps = np.finfo(float).eps
     converged = False
     resid_inf = math.inf
+    abs_band = np.broadcast_to(np.abs(_distinct_rows(op.band)), op.band.shape)
     for attempt in range(4):  # iterative refinement: LU error grows with cond(A)
         u = u - u.mean()
         resid = fproj - apply_linear(op, u)
         resid_inf = float(np.abs(resid).max())
-        abs_au = _band_apply(np.abs(op.band), -op.half_width, np.abs(u))  # eps^2 |A| |u|
+        abs_au = _band_apply(abs_band, -op.half_width, np.abs(u))  # eps^2 |A| |u|
         floor = macheps * float(abs_au.max()) / op.config.epsilon**2
         if resid_inf <= max(RESIDUAL_RTOL * scale, 8.0 * floor):
             converged = True

@@ -16,17 +16,22 @@ small-rational entries for unit moduli); application divides by eps^2. The
 force-based QCF and the parametric interface-stencil model are assembled
 directly from closed-form rows and carry no energy.
 
-Translation-invariant kinds (atomistic, continuum) have one stencil row for
-every atom. Their band stores that row once, as a read-only broadcast view:
-still an (N, 2K+1) array, with row stride 0, so assembling it costs the same
-at every N. Coupled kinds build whole band columns from region masks.
+Every band is a table of the kind's distinct rows, gathered column by column
+by a per-atom code. A coupled row differs from a pure row only near an
+interface, so the table is small. An energy kind's code has one bit per
+anchored bond-term group that can reach the row; QCF codes each atom's
+region, and CUSTOM adds a code per block row. Translation-invariant kinds
+(atomistic, continuum) have one row, broadcast with row stride 0, so their
+assembly costs the same at every N.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,12 +121,7 @@ class LinearChainOperator:
         return np.arange(-K, K + 1), self.band[(i - 1) % self.config.N]
 
     def row_sums(self) -> np.ndarray:
-        # column by column, in less than half the time of band.sum(axis=1);
-        # the bits agree up to width 7 (numpy regroups wider rows pairwise)
-        out = self.band[:, 0].copy()
-        for c in range(1, self.band.shape[1]):
-            out += self.band[:, c]
-        return out
+        return _row_sums(self.band)
 
     def dense(self) -> np.ndarray:
         """Dense realization including the 1/eps^2 scale (small N only)."""
@@ -147,6 +147,19 @@ def apply(op: LinearChainOperator, u):
 def apply_linear(op: LinearChainOperator, v: np.ndarray) -> np.ndarray:
     """Linear part only, on a raw value array."""
     return _band_apply(op.band, -op.half_width, v) / op.config.epsilon**2
+
+
+def _row_sums(band: np.ndarray) -> np.ndarray:
+    # column by column, in less than half the time of band.sum(axis=1);
+    # the bits agree up to width 7 (numpy regroups wider rows pairwise)
+    out = band[:, 0].copy()
+    for c in range(1, band.shape[1]):
+        out += band[:, c]
+    return out
+
+
+def _distinct_rows(band: np.ndarray) -> np.ndarray:
+    return band[:1] if band.strides[0] == 0 else band  # a broadcast band's one row
 
 
 def _band_apply(band: np.ndarray, first_offset: int, v) -> np.ndarray:
@@ -181,11 +194,10 @@ def _band_apply(band: np.ndarray, first_offset: int, v) -> np.ndarray:
 # bond-term tables for the energy-based kinds
 
 
-@dataclass(frozen=True)
-class _TermGroup:
+class _TermGroup(NamedTuple):
     shell: int            # neighbor distance r; bond argument is r F + g.u/eps
-    anchors: np.ndarray   # distinct 0-based anchor atoms (so indexed += never
-                          # collides, and N anchors are every atom)
+    anchors: object       # distinct 0-based anchor atoms (so indexed += never
+                          # collides); in `_term_spec`, the anchor set's name
     pattern: tuple        # ((offset, coeff), ...) defining g relative to anchor
     weight: float
 
@@ -199,45 +211,48 @@ def _coupled_partition(kind: ModelKind, config: ChainConfig, partition):
     return partition
 
 
-def _term_groups(kind: ModelKind, config: ChainConfig, mask) -> list:
-    """Bond-term groups of an energy-based kind; mask is the membership mask
-    of a coupled kind's partition (unused by the pure kinds)."""
-    N, R = config.N, config.R
-    everyone = np.arange(N)
-    groups = []
+@functools.lru_cache(maxsize=None)
+def _term_spec(kind: ModelKind, R: int) -> tuple:
+    """Bond-term groups of an energy-based kind, anchored on every atom (None)
+    or on a set of `_anchor_sets`, named."""
+    G = _TermGroup
     if kind is ModelKind.ATOMISTIC:
-        for r in range(1, R + 1):
-            groups.append(_TermGroup(r, everyone, ((0, 1.0), (-r, -1.0)), 1.0))
-        return groups
+        return tuple(G(r, None, ((0, 1.0), (-r, -1.0)), 1.0) for r in range(1, R + 1))
     if kind is ModelKind.CONTINUUM:
-        for r in range(1, R + 1):
-            groups.append(_TermGroup(r, everyone, ((0, float(r)), (-1, -float(r))), 1.0))
-        return groups
-    in_a = everyone[mask]
-    in_c = everyone[~mask]
+        return tuple(G(r, None, ((0, float(r)), (-1, -float(r))), 1.0) for r in range(1, R + 1))
     if kind is ModelKind.QCE:
         # Per-atom energies, half of each incident bond; continuum atoms use
         # nearest-neighbor strains (Cauchy-Born) for both shells.
-        for r in (1, 2):
-            fr = float(r)
-            groups.append(_TermGroup(r, in_a, ((0, 1.0), (-r, -1.0)), 0.5))
-            groups.append(_TermGroup(r, in_a, ((r, 1.0), (0, -1.0)), 0.5))
-            groups.append(_TermGroup(r, in_c, ((0, fr), (-1, -fr)), 0.5))
-            groups.append(_TermGroup(r, in_c, ((1, fr), (0, -fr)), 0.5))
-        return groups
+        return tuple(g for r, fr in ((1, 1.0), (2, 2.0)) for g in (
+            G(r, "A", ((0, 1.0), (-r, -1.0)), 0.5), G(r, "A", ((r, 1.0), (0, -1.0)), 0.5),
+            G(r, "C", ((0, fr), (-1, -fr)), 0.5), G(r, "C", ((1, fr), (0, -fr)), 0.5),
+        ))
     if kind is ModelKind.QNL:
         # First neighbors atomistic everywhere; the second-neighbor pair
         # (i-2, i) is an atomistic bond when either endpoint is in A, else it
         # is split into the two overlapping nearest-neighbor halves.
-        groups.append(_TermGroup(1, everyone, ((0, 1.0), (-1, -1.0)), 1.0))
-        pair_atomistic = mask | np.roll(mask, 2)  # rolled: membership of atom i-2
-        nonlocal_pairs = everyone[pair_atomistic]
-        local_pairs = everyone[~pair_atomistic]
-        groups.append(_TermGroup(2, nonlocal_pairs, ((0, 1.0), (-2, -1.0)), 1.0))
-        groups.append(_TermGroup(2, local_pairs, ((-1, 2.0), (-2, -2.0)), 0.5))
-        groups.append(_TermGroup(2, local_pairs, ((0, 2.0), (-1, -2.0)), 0.5))
-        return groups
+        return (G(1, None, ((0, 1.0), (-1, -1.0)), 1.0), G(2, "P", ((0, 1.0), (-2, -1.0)), 1.0),
+                G(2, "L", ((-1, 2.0), (-2, -2.0)), 0.5), G(2, "L", ((0, 2.0), (-1, -2.0)), 0.5))
     raise ValueError(f"{kind.value} does not derive from an energy")
+
+
+def _anchor_sets(kind: ModelKind, mask) -> dict:
+    """Anchor indicators of QCE (regions A and C) or QNL (atoms i whose pair
+    (i-2, i) is atomistic, P, an end in A, or local, L)."""
+    if kind is ModelKind.QCE:
+        return {"A": mask, "C": ~mask}
+    pair = mask | np.roll(mask, 2)  # rolled: membership of atom i-2
+    return {"P": pair, "L": ~pair}
+
+
+def _term_groups(kind: ModelKind, config: ChainConfig, mask) -> list:
+    """Bond-term groups of an energy-based kind; mask is the membership mask
+    of a coupled kind's partition (unused by the pure kinds)."""
+    everyone = np.arange(config.N)
+    anchors = {None: everyone}
+    if kind in COUPLED:
+        anchors.update((name, everyone[ind]) for name, ind in _anchor_sets(kind, mask).items())
+    return [_TermGroup(r, anchors[s], pattern, w) for r, s, pattern, w in _term_spec(kind, config.R)]
 
 
 def _bond_arguments(kind, config: ChainConfig, potential, u: PeriodicField, partition):
@@ -304,34 +319,38 @@ def energy_gradient(
 # operator assembly
 
 
-def _shell_bands(groups, N: int, R: int, K: int):
-    """Per-shell integer bands and gradient weights, accumulated group by group.
+@functools.lru_cache(maxsize=None)
+def _energy_tables(kind: ModelKind, R: int):
+    """Code bits and per-shell row tables of an energy kind, shared read-only.
+    Bit j of row i's code, (name, o1) = bits[j], is set when atom i - o1 lies
+    in that anchor set. bands[r-1, code] and gweights[r-1, code] are shell r's
+    band row and gradient weight: sums of products of small integers and
+    halves, exact in any order, so each row has the bits of a scatter."""
+    spec = _term_spec(kind, R)
+    bits = sorted({(g.anchors, o1) for g in spec if g.anchors for o1, _ in g.pattern})
+    codes = np.arange(2 ** len(bits))
+    bands, gweights = np.zeros((R, len(codes), 2 * R + 1)), np.zeros((R, len(codes)))
+    for g in spec:
+        for o1, c1 in g.pattern:
+            at = 1 if g.anchors is None else (codes >> bits.index((g.anchors, o1))) & 1
+            gweights[g.shell - 1] += at * (g.weight * c1)
+            for o2, c2 in g.pattern:
+                bands[g.shell - 1, :, R + o2 - o1] += at * (g.weight * c1 * c2)
+    bands.flags.writeable = gweights.flags.writeable = False
+    return bits, bands, gweights
 
-    A shell whose groups all anchor every atom is translation invariant: each
-    row receives the same terms in the same order, so its band is one stencil
-    row of 2K+1 floats and its gradient weight a 0-d array. Other shells add
-    whole columns through a rolled 0/1 anchor indicator; a row outside the
-    anchors gains 0.0 * x, which leaves a +0.0 or nonzero entry unchanged, so
-    the bits equal those of an indexed scatter.
-    """
-    bands, gweights = [], []
-    for r in range(1, R + 1):
-        shell = [g for g in groups if g.shell == r]
-        invariant = all(len(g.anchors) == N for g in shell)
-        band = np.zeros(2 * K + 1 if invariant else (N, 2 * K + 1), order="F")
-        gw = np.zeros(() if invariant else N)
-        for g in shell:
-            if not invariant:
-                anchored = np.zeros(N)
-                anchored[g.anchors] = 1.0
-            for o1, c1 in g.pattern:
-                at = 1.0 if invariant else np.roll(anchored, o1)  # rows anchors + o1
-                gw += at * (g.weight * c1)
-                for o2, c2 in g.pattern:
-                    band[..., K + (o2 - o1)] += at * (g.weight * c1 * c2)
-        bands.append(band)
-        gweights.append(gw)
-    return bands, gweights
+
+def _row_codes(kind: ModelKind, bits, mask) -> np.ndarray:
+    """Each row's `_energy_tables` code (at most 8 bits), read through one
+    window per offset of each anchor indicator, padded with its wrapped ends."""
+    N = len(mask)
+    lo, hi = max(0, *(o for _, o in bits)), max(0, *(-o for _, o in bits))
+    padded = {name: np.concatenate((ind[N - lo:], ind, ind[:hi])).view(np.uint8)
+              for name, ind in _anchor_sets(kind, mask).items()}
+    code = np.zeros(N, np.uint8)
+    for j, (name, o1) in enumerate(bits):
+        code |= padded[name][lo - o1:lo - o1 + N] << j
+    return code
 
 
 def _stencil_row(row_map: dict, K: int) -> np.ndarray:
@@ -353,6 +372,7 @@ def assemble_from_moduli(
     """Assemble with explicit per-shell moduli phi''(rF) (and phi'(rF) for the
     ghost term). The resulting band is linear in the moduli, realizing the
     first/second-neighbor decomposition of the coupled operators exactly.
+    The moduli are combined on the kind's row table, then gathered by code.
     """
     kind = ModelKind(kind)
     N, R = config.N, config.R
@@ -361,63 +381,54 @@ def assemble_from_moduli(
     if len(second) != R or len(first) != R:
         raise ValueError(f"need one modulus per shell r=1..{R}")
 
-    mask = None
+    code = None
     if kind in COUPLED:
         regions = classify(_coupled_partition(kind, config, partition), config)
-        mask = regions.in_atomistic
+        code = regions.in_atomistic.view(np.uint8)
     if kind in ENERGY_BASED:
-        groups = _term_groups(kind, config, mask)
-        K = R
-        bands, gweights = _shell_bands(groups, N, R, K)
-        # one row (and a 0-d ghost weight) while every shell is invariant
-        band = np.zeros(np.broadcast_shapes(*(b.shape for b in bands)), order="F")
-        ghost = np.zeros(np.broadcast_shapes(*(w.shape for w in gweights)))
+        bits, bands, gweights = _energy_tables(kind, R)
+        code = _row_codes(kind, bits, regions.in_atomistic) if bits else None
+        table, gtable = np.zeros(bands.shape[1:]), np.zeros(gweights.shape[1:])
         for r in range(R):
-            band += second[r] * bands[r]
-            ghost += first[r] * gweights[r]
-        return LinearChainOperator(
-            config, kind, np.broadcast_to(band, (N, 2 * K + 1)),
-            np.broadcast_to(ghost, (N,)) / config.epsilon,
-        )
-
-    # QCF and CUSTOM: L1 everywhere plus the native L2 row of each atom's
-    # region; CUSTOM widens the band to its block and overwrites the block rows.
-    K = 2
-    if kind is ModelKind.CUSTOM:
-        if stencil is None:
-            raise ValueError("custom model requires an InterfaceStencil")
-        m = partition.interface_width_m
-        if stencil.m != m:
-            raise ValueError(
-                f"stencil block is {stencil.m}x{stencil.m} but partition has m={m}"
-            )
-        K = max(2, m + 1)
-        if K > N:
-            # only without interfaces: classify fits every block in the ring
-            raise ValueError(
-                f"custom block of width m={m} needs a band of half-width {K}, "
-                f"which wraps the ring of N={N} atoms more than once"
-            )
-    # built as (2K+1, N) rows, so that its transpose is column-major
-    l2 = np.where(mask, _stencil_row(ATOM_L2, K)[:, None], _stencil_row(CONT_L2, K)[:, None]).T
-    if kind is ModelKind.CUSTOM:
-        # row i of the block reads continuum values at j < 1, the block at
-        # 1 <= j <= m and atomistic values at j > m (j = -1 .. m+2)
-        js = np.arange(-1, m + 3)
-        for boundary in regions.boundaries:
-            atoms = block_atoms(boundary, m, N)         # block index 1..m -> atom
-            direction = 1 if boundary[1] == "CA" else -1
-            for i in range(1, m + 1):
-                row = atoms[i - 1] - 1
-                coeffs = np.concatenate((
-                    [CONT_L2.get(j - i, 0) for j in (-1, 0)],
-                    stencil.block[i - 1],
-                    [ATOM_L2.get(j - i, 0) for j in (m + 1, m + 2)],
-                ))
-                l2[row, :] = 0.0
-                l2[row, K + direction * (js - i)] += coeffs
-    band = second[0] * _stencil_row(L1_ROW, K) + second[1] * l2
-    return LinearChainOperator(config, kind, band, np.zeros(N))
+            table += second[r] * bands[r]
+            gtable += first[r] * gweights[r]
+        gtable /= config.epsilon
+    else:
+        # QCF and CUSTOM: L1 everywhere plus the native L2 row of each atom's
+        # region (code 0 continuum, 1 atomistic); CUSTOM widens the band and
+        # codes each block row beside a CA cut, then beside an AC cut.
+        K = 2
+        if kind is ModelKind.CUSTOM:
+            if stencil is None:
+                raise ValueError("custom model requires an InterfaceStencil")
+            m = partition.interface_width_m
+            if stencil.m != m:
+                raise ValueError(f"stencil block is {stencil.m}x{stencil.m} but partition has m={m}")
+            K = max(2, m + 1)
+            if K > N:  # only without interfaces: classify fits every block in the ring
+                raise ValueError(f"custom block of width m={m} needs a band of half-width {K}, "
+                                 f"which wraps the ring of N={N} atoms more than once")
+        l2 = [_stencil_row(CONT_L2, K), _stencil_row(ATOM_L2, K)]
+        if kind is ModelKind.CUSTOM:
+            # block row i reads continuum values at j < 1, the block at
+            # 1 <= j <= m and atomistic values at j > m (j = -1 .. m+2)
+            i, js = np.arange(1, m + 1)[:, None], np.arange(-1, m + 3)
+            coeffs = np.where(js < 1, l2[0][K + js - i], l2[1][K + js - i])
+            coeffs[:, 2:m + 2] = stencil.block
+            rows = np.zeros((2, m, 2 * K + 1))
+            for side, direction in enumerate((1, -1)):
+                rows[side, i - 1, K + direction * (js - i)] += coeffs
+            l2 += list(rows.reshape(2 * m, 2 * K + 1))
+            code = code.astype(np.min_scalar_type(2 * m + 1))
+            for b, cut in regions.boundaries:
+                code[block_atoms((b, cut), m, N) - 1] = np.arange(2, m + 2) + m * (cut == "AC")
+        table = second[0] * _stencil_row(L1_ROW, K) + second[1] * np.array(l2)
+        gtable = np.zeros(len(table))
+    if code is None:
+        band, ghost = np.broadcast_to(table[0], (N, table.shape[1])), np.full(N, gtable[0])
+    else:
+        band, ghost = np.take(np.ascontiguousarray(table.T), code, axis=1).T, gtable[code]
+    return LinearChainOperator(config, kind, band, ghost)
 
 
 def assemble_operator(
@@ -504,8 +515,9 @@ def _moment_defect(moments: np.ndarray, band: np.ndarray):
 
 def _constants_defect(op: LinearChainOperator):
     """(max |row sum|, whether the band annihilates constants), by
-    `_moment_defect` of the row sums."""
-    return _moment_defect(op.row_sums(), op.band)
+    `_moment_defect` of the row sums of the band's distinct rows."""
+    band = _distinct_rows(op.band)
+    return _moment_defect(_row_sums(band), band)
 
 
 def to_strain_form(op: LinearChainOperator) -> StrainFormOperator:

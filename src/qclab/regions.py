@@ -8,6 +8,7 @@ region within `reach` neighbors; everything else is interface.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -132,6 +133,7 @@ def block_atoms(boundary, m: int, N: int) -> np.ndarray:
     return (raw - 1) % N + 1
 
 
+@functools.lru_cache(maxsize=1)
 def classify(partition: RegionPartition, config: ChainConfig) -> AtomLabels:
     """Label atoms interior-atomistic / interior-continuum / interface.
 
@@ -139,8 +141,8 @@ def classify(partition: RegionPartition, config: ChainConfig) -> AtomLabels:
     of `reach` atoms on either side of the cut. Atom i is interface iff it
     lies in a collar, i.e. iff an atom within `reach` of it lies in the other
     region. Rejects invalid partitions (see `membership_mask`), chains too
-    short for their interface segments and windows that overlap.
-    """
+    short for their interface segments and windows that overlap. The latest
+    result is kept, read-only, for the next kind assembled on the geometry."""
     N, reach, m = config.N, partition.reach, partition.interface_width_m
     mask = membership_mask(partition, config)
     boundaries = region_boundaries(mask)
@@ -169,4 +171,5 @@ def classify(partition: RegionPartition, config: ChainConfig) -> AtomLabels:
                 f"{boundaries[j][0]} overlap"
             )
         labels[(cuts[:, None] + np.arange(1 - reach, reach + 1)) % N] = INTERFACE
+    labels.flags.writeable = mask.flags.writeable = False
     return AtomLabels(config=config, labels=labels, in_atomistic=mask, boundaries=boundaries)

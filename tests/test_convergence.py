@@ -568,6 +568,21 @@ def test_roundoff_pivot_of_patch_matrix_defers_to_grounded_lu():
         solve_equilibrium(op, np.random.default_rng(4).standard_normal(N))
 
 
+def test_roundoff_row_of_patch_matrix_that_pivoting_swaps_away():
+    # only row j of T is at roundoff level, so the pivoted LU swaps it below
+    # row j+1 and keeps every pivot and the corner denominator; T^-T 1 then
+    # blows up, and the grounded LU names the extra kernel
+    N, j = 64, 32
+    config = ChainConfig(N=N, F=1.2, R=2)
+    t_lo, t_diag, t_up = np.ones(N), np.full(N, 4.0), np.full(N, 2.0)
+    t_lo[j], t_diag[j], t_up[j] = 0.0, 1e-17, 0.0
+    band = band_from_patch(t_lo, t_diag, t_up)
+    op = LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N))
+    assert _patch_lu(op) is None
+    with pytest.raises(NumericalError, match="kernel is larger than the constants"):
+        solve_equilibrium(op, np.random.default_rng(5).standard_normal(N))
+
+
 def test_singular_patch_matrix_keeps_the_kernel_error():
     # T with rows (1, 3, 2) annihilates the alternating vector on an even ring,
     # which is a second difference: A = [1, 1, -3, -1, 2] has it in its kernel

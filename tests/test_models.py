@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclab import (
     ChainConfig,
@@ -38,12 +40,14 @@ from qclab.models import (
     ATOM_L2,
     CONT_L2,
     COUPLED,
+    ENERGY_BASED,
+    L1_ROW,
     _band_apply,
-    _shell_bands,
+    _stencil_row,
     _term_groups,
 )
 from qclab.potentials import evaluate
-from qclab.regions import INTERIOR_ATOMISTIC, INTERIOR_CONTINUUM, membership_mask
+from qclab.regions import INTERIOR_ATOMISTIC, INTERIOR_CONTINUUM, block_atoms, membership_mask
 
 HALF_PART = RegionPartition([(0.0, 0.5)], interface_width_m=4, reach=2)
 POT1 = harmonic(1.0, 1.0)
@@ -79,6 +83,44 @@ def shell_bands_add_at(groups, N, R, K):
             for o2, c2 in g.pattern:
                 np.add.at(bands[g.shell - 1], (rows, K + (o2 - o1)), g.weight * c1 * c2)
     return bands, gweights
+
+
+def assembled_add_at(kind, config, second, first, partition):
+    """Band and ghost of an energy-based kind from `shell_bands_add_at`,
+    combined with the moduli in assembly's order: 0 + s1 B1 + s2 B2, and
+    (0 + f1 G1 + f2 G2) / eps."""
+    N, R = config.N, config.R
+    mask = membership_mask(partition, config) if kind in COUPLED else None
+    bands, gweights = shell_bands_add_at(_term_groups(kind, config, mask), N, R, R)
+    band, ghost = np.zeros((N, 2 * R + 1)), np.zeros(N)
+    for r in range(R):
+        band += second[r] * bands[r]
+        ghost += first[r] * gweights[r]
+    return band, ghost / config.epsilon
+
+
+def native_rows_reference(kind, config, second, partition, stencil=None):
+    """QCF and CUSTOM bands built row by row, as qclab did before its row
+    tables: the native L2 row of each atom's region, and for CUSTOM the block
+    rows overwritten boundary by boundary."""
+    regions = classify(partition, config)
+    m = partition.interface_width_m
+    K = 2 if kind is ModelKind.QCF else max(2, m + 1)
+    l2 = np.where(regions.in_atomistic[:, None], _stencil_row(ATOM_L2, K), _stencil_row(CONT_L2, K))
+    if kind is ModelKind.CUSTOM:
+        js = np.arange(-1, m + 3)
+        for boundary in regions.boundaries:
+            atoms = block_atoms(boundary, m, config.N)
+            direction = 1 if boundary[1] == "CA" else -1
+            for i in range(1, m + 1):
+                coeffs = np.concatenate((
+                    [CONT_L2.get(j - i, 0) for j in (-1, 0)],
+                    stencil.block[i - 1],
+                    [ATOM_L2.get(j - i, 0) for j in (m + 1, m + 2)],
+                ))
+                l2[atoms[i - 1] - 1, :] = 0.0
+                l2[atoms[i - 1] - 1, K + direction * (js - i)] += coeffs
+    return second[0] * _stencil_row(L1_ROW, K) + second[1] * l2
 
 
 def energy_gradient_add_at(kind, config, pot, u, partition):
@@ -627,17 +669,68 @@ def test_accumulation_matches_add_at_reference(potential, random_geometry):
     for N, n_intervals in ((64, 1), (256, 2), (1024, 3)):
         config, pot, partition = random_geometry(rng, N, potential, n_intervals)
         u = PeriodicField(config, rng.uniform(-0.01, 0.01, N) / N)
+        second = [evaluate(pot, r * config.F, 2) for r in (1, 2)]
+        first = [evaluate(pot, r * config.F, 1) for r in (1, 2)]
         for kind in (ModelKind.ATOMISTIC, ModelKind.CONTINUUM, ModelKind.QCE, ModelKind.QNL):
-            groups = _term_groups(kind, config, membership_mask(partition, config))
-            got_bands, got_weights = _shell_bands(groups, N, 2, 2)
-            want_bands, want_weights = shell_bands_add_at(groups, N, 2, 2)
-            for a, b in zip(got_bands + got_weights, want_bands + want_weights):
-                # an invariant shell comes back as one row and a 0-d weight
-                assert np.broadcast_to(a, b.shape).tobytes() == b.tobytes()
+            op = assemble_operator(kind, config, pot, partition=partition)
+            band, ghost = assembled_add_at(kind, config, second, first, partition)
+            # an invariant kind's band is one broadcast row
+            assert np.ascontiguousarray(op.band).tobytes() == band.tobytes()
+            assert op.ghost.tobytes() == ghost.tobytes()
             assert np.array_equal(
                 energy_gradient(kind, config, pot, u, partition),
                 energy_gradient_add_at(kind, config, pot, u, partition),
             )
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    N=st.integers(8, 4096),
+    R=st.sampled_from([2, 2, 2, 3]),
+    ends=st.sampled_from([1, 2, 3, 0]).flatmap(
+        lambda n: st.lists(st.integers(0, 2**16), min_size=2 * n, max_size=2 * n, unique=True)),
+    m=st.integers(1, 8),
+    F=st.floats(0.95, 1.5),
+    potential=st.sampled_from(["harmonic", "lennard_jones"]),
+    block_seed=st.integers(0, 2**32 - 1),
+)
+def test_assembly_matches_scatter_and_row_oracles(N, R, ends, m, F, potential, block_seed):
+    # every kind's band and ghost, bit for bit: energy kinds against the
+    # indexed scatter, QCF and CUSTOM against the row-by-row builder; a
+    # coupled kind raises what classify raises
+    ends = sorted(e / 2**16 for e in ends)
+    partition = RegionPartition(list(zip(ends[::2], ends[1::2])), interface_width_m=m, reach=2)
+    config = ChainConfig(N=N, F=F, R=R)
+    pot = harmonic(1.0, 1.0) if potential == "harmonic" else lennard_jones()
+    b = np.random.default_rng(block_seed).integers(-3, 4, (m, m)) * 0.5
+    stencil = InterfaceStencil(m, b + b.T)
+    second = [evaluate(pot, r * F, 2) for r in range(1, R + 1)]
+    first = [evaluate(pot, r * F, 1) for r in range(1, R + 1)]
+    try:
+        classify(partition, config)
+        problem = None
+    except ValueError as exc:
+        problem = str(exc)
+    for kind in ModelKind:
+        coupled = kind in COUPLED
+        if coupled and (R != 2 or problem):
+            with pytest.raises(ValueError, match="R=2 only" if R != 2 else re.escape(problem)):
+                assemble_operator(kind, config, pot, partition=partition, stencil=stencil)
+            continue
+        part = partition if coupled else None
+        if kind is ModelKind.CUSTOM and max(2, m + 1) > N:
+            with pytest.raises(ValueError, match="wraps the ring"):
+                assemble_operator(kind, config, pot, partition=part, stencil=stencil)
+            continue
+        op = assemble_operator(kind, config, pot, partition=part, stencil=stencil)
+        if kind in ENERGY_BASED:
+            band, ghost = assembled_add_at(kind, config, second, first, part)
+        else:
+            band = native_rows_reference(kind, config, second, part, stencil)
+            ghost = np.zeros(N)
+        assert np.ascontiguousarray(op.band).tobytes() == band.tobytes(), kind
+        assert op.ghost.tobytes() == ghost.tobytes(), kind
+        assert (op.band.strides[0] == 0) == (not coupled) and not op.band.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +757,27 @@ def test_invariant_assembly_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+def test_atomistic_solve_copies_no_band():
+    # |A| for the residual floor and the row-sum test read the one broadcast
+    # row: the solve peaks at least 4 band columns below that of the same
+    # band stored whole, which takes |A| as a (N, 5) array
+    config = ChainConfig(N=2**16, F=1.2, R=2)
+    op = assemble_operator(ModelKind.ATOMISTIC, config, POT1)
+    whole = LinearChainOperator(config, op.kind, np.asfortranarray(op.band), op.ghost)
+    f = np.sin(2.0 * np.pi * config.positions())
+    peaks, solutions = [], []
+    for o in (op, whole):
+        solve_equilibrium(o, f)  # warm: scipy's first import allocates
+        tracemalloc.start()
+        try:
+            solutions.append(solve_equilibrium(o, f).values.tobytes())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert solutions[0] == solutions[1]
+    assert peaks[0] < peaks[1] - 4 * 8 * config.N
 
 
 def test_broadcast_band_consumers_match_contiguous_copy():

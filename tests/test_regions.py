@@ -63,9 +63,14 @@ def test_labels_partition_all_atoms():
 
 
 def test_classify_deterministic():
+    # the latest result is kept for an equal geometry and shared, read-only
     part = RegionPartition([(0.0, 0.5)])
     c = ChainConfig(N=64, F=1.0)
     a = classify(part, c)
+    assert classify(RegionPartition([(0.0, 0.5)]), ChainConfig(N=64, F=1.0)) is a
+    assert not a.labels.flags.writeable and not a.in_atomistic.flags.writeable
+    other = classify(part, ChainConfig(N=128, F=1.0))
+    assert len(other.labels) == 128
     b = classify(part, c)
     np.testing.assert_array_equal(a.labels, b.labels)
 
