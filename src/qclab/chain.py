@@ -98,6 +98,12 @@ def sample_field(f: Callable[[np.ndarray], np.ndarray], config: ChainConfig) -> 
     return PeriodicField(config, np.asarray(f(config.positions()), dtype=float))
 
 
+def wrap_pad(v: np.ndarray, behind: int, ahead: int) -> np.ndarray:
+    """v between its last `behind` and first `ahead` values (each <= len(v)), so
+    that neighbour k of atoms 0..N-1 is the contiguous window from behind + k."""
+    return np.concatenate((v[len(v) - behind:], v, v[:ahead]))
+
+
 def difference(u: PeriodicField, r: int, order: int) -> PeriodicField:
     """Difference quotients of a periodic field.
 
@@ -110,11 +116,11 @@ def difference(u: PeriodicField, r: int, order: int) -> PeriodicField:
     if 2 * r > N:
         raise ValueError(f"r={r} exceeds N/2={N / 2}: stencil self-overlaps")
     eps = u.config.epsilon
-    v = u.values
+    v, vp = u.values, wrap_pad(u.values, r, r)
     if order == 1:
-        out = (v - np.roll(v, r)) / (r * eps)
+        out = (v - vp[:N]) / (r * eps)
     elif order == 2:
-        out = (np.roll(v, -r) - 2.0 * v + np.roll(v, r)) / (r * eps) ** 2
+        out = (vp[2 * r:] - 2.0 * v + vp[:N]) / (r * eps) ** 2
     else:
         raise ValueError(f"order must be 1 or 2, got {order}")
     return PeriodicField(u.config, out)

@@ -47,30 +47,26 @@ class MomentReport:
 
 def _moment_sums(op: LinearChainOperator, reference: LinearChainOperator, exact: bool):
     """sum_k delta_ik (i+k)^p for p = 0, 1, 2 as an (N, 3) array, delta being
-    op's band minus the reference's, both widened to the larger half-width.
-    With exact, each entry becomes the Fraction it holds (lossless for a
-    float) and so does every product and sum: the float sums up to their own
-    rounding, exactly for integer stencils."""
+    op's band minus the reference's (0 where the narrower has no column), added
+    column by column over k = -K..K as `_row_sums` adds. With exact, each entry
+    becomes the Fraction it holds (lossless for a float) and so does every
+    product and sum: the float sums up to their own rounding, exactly for integer stencils."""
     if op.config.N != reference.config.N:
         raise ValueError("operators live on different chain sizes")
-    N = op.config.N
-    K = max(op.half_width, reference.half_width)
+    N, K = op.config.N, max(op.half_width, reference.half_width)
     if N < 2 * (2 * K + 2):
         raise ValueError("chain too short for unwrapped moment tests")
 
-    def widen(o: LinearChainOperator) -> np.ndarray:
-        pad = K - o.half_width
-        band = o.band if pad == 0 else np.pad(o.band, ((0, 0), (pad, pad)))
-        return np.vectorize(Fraction, otypes=[object])(band) if exact else band
+    def column(o: LinearChainOperator, k: int):  # a broadcast column is read as it is
+        c = o.half_width + k
+        col = o.band[:, c] if 0 <= c < o.band.shape[1] else np.zeros(1)
+        return np.vectorize(Fraction, otypes=[object])(col) if exact else col
 
-    delta = widen(op) - widen(reference)
-    atoms = np.arange(1, N + 1)[:, None]
-    offsets = np.arange(-K, K + 1)[None, :]
-    j_abs = atoms + offsets
-    return np.stack(
-        [np.sum(delta * j_abs**p, axis=1) for p in (0, 1, 2)],
-        axis=1,
-    )
+    sums, atoms = np.zeros((3, N), object if exact else float), np.arange(1, N + 1)
+    for k in range(-K, K + 1):
+        d, j = column(op, k) - column(reference, k), atoms + k
+        sums += (d, d * j, d * (j * j))
+    return np.stack(sums, axis=1)
 
 
 def moment_residuals(op: LinearChainOperator, reference: LinearChainOperator) -> MomentReport:

@@ -22,7 +22,8 @@ interface, so the table is small. An energy kind's code has one bit per
 anchored bond-term group that can reach the row; QCF codes each atom's
 region, and CUSTOM adds a code per block row. Translation-invariant kinds
 (atomistic, continuum) have one row, broadcast with row stride 0, so their
-assembly costs the same at every N.
+assembly costs the same at every N. Every periodic neighbour read is a
+contiguous window of one array padded by `chain.wrap_pad`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import ChainConfig, PeriodicField
+from .chain import ChainConfig, PeriodicField, wrap_pad
 from .potentials import PairPotential, evaluate, singular
 from .regions import RegionPartition, block_atoms, classify, membership_mask
 
@@ -165,7 +166,7 @@ def _distinct_rows(band: np.ndarray) -> np.ndarray:
 def _band_apply(band: np.ndarray, first_offset: int, v) -> np.ndarray:
     """Periodic band product: out_i = sum_c band[i, c] v[(i + first_offset + c) mod N].
 
-    v is padded once with its wrapped ends, so offset first_offset + c reads
+    v is padded once by `chain.wrap_pad`, so offset first_offset + c reads
     the contiguous window vp[c : c+N] against the contiguous band column c.
     The sum starts from zeros and adds the columns in order, which gives the
     bits of one np.roll per offset. At N = 2^18, K = 2 (one Intel Xeon core,
@@ -183,7 +184,7 @@ def _band_apply(band: np.ndarray, first_offset: int, v) -> np.ndarray:
             f"band of width {width} (offsets {first_offset}..{hi}) "
             f"wraps the ring of N={N} atoms more than once"
         )
-    vp = np.concatenate((v[N - lo:], v, v[:hi]))
+    vp = wrap_pad(v, lo, hi)
     out = np.zeros(N)
     for c in range(width):
         out += band[:, c] * vp[c:c + N]
@@ -241,7 +242,7 @@ def _anchor_sets(kind: ModelKind, mask) -> dict:
     (i-2, i) is atomistic, P, an end in A, or local, L)."""
     if kind is ModelKind.QCE:
         return {"A": mask, "C": ~mask}
-    pair = mask | np.roll(mask, 2)  # rolled: membership of atom i-2
+    pair = mask | wrap_pad(mask, 2, 0)[:len(mask)]  # membership of atom i-2
     return {"P": pair, "L": ~pair}
 
 
@@ -256,22 +257,25 @@ def _term_groups(kind: ModelKind, config: ChainConfig, mask) -> list:
 
 
 def _bond_arguments(kind, config: ChainConfig, potential, u: PeriodicField, partition):
-    """Each bond-term group of an energy-based kind with its arguments rF + g.u/eps.
-
-    Raises ValueError naming the first bond whose argument is singular for
-    the potential.
-    """
+    """Each bond-term group of an energy-based kind with its arguments rF + g.u/eps,
+    read from u padded by R wrapped values: one window per pattern offset for
+    a group anchored at every atom, a gather for any other. Raises ValueError
+    for a field of another size, and naming the first singular bond argument."""
     kind = ModelKind(kind)
     if kind not in ENERGY_BASED:
         raise ValueError(f"{kind.value} does not derive from an energy")
+    N, R = config.N, config.R
+    if len(u.values) != N:
+        raise ValueError(f"field has {len(u.values)} values but the chain has N={N} atoms")
     mask = None
     if kind in COUPLED:
         mask = membership_mask(_coupled_partition(kind, config, partition), config)
-    v = u.values
+    vp = wrap_pad(u.values, R, R)
     for g in _term_groups(kind, config, mask):
+        every = len(g.anchors) == N
         s = np.zeros(len(g.anchors))
         for off, c in g.pattern:
-            s += c * v[(g.anchors + off) % config.N]
+            s += c * (vp[R + off:R + off + N] if every else vp[g.anchors + (R + off)])
         args = g.shell * config.F + s / config.epsilon
         bad = np.flatnonzero(singular(potential, args))
         if bad.size:
@@ -307,11 +311,17 @@ def energy_gradient(
     partition: RegionPartition | None = None,
 ) -> np.ndarray:
     """Scaled gradient (1/eps) dE/du as a raw array; at u = 0 this is the ghost field."""
-    grad = np.zeros(config.N)
+    N, R = config.N, config.R
+    grad, ring = np.zeros(N), wrap_pad(np.arange(N), R, R)  # ring[R + i] = i mod N
     for g, args in _bond_arguments(kind, config, potential, u, partition):
         dphi = np.asarray(evaluate(potential, args, 1))
         for off, c in g.pattern:
-            grad[(g.anchors + off) % config.N] += g.weight * c * dphi
+            term, w = g.weight * c * dphi, off % N
+            if len(g.anchors) == N:  # grad[(i + off) mod N] += term[i], split at the wrap
+                grad[w:] += term[:N - w]
+                grad[:w] += term[N - w:]
+            else:
+                grad[ring[g.anchors + (R + off)]] += term
     return grad / config.epsilon
 
 
@@ -345,7 +355,7 @@ def _row_codes(kind: ModelKind, bits, mask) -> np.ndarray:
     window per offset of each anchor indicator, padded with its wrapped ends."""
     N = len(mask)
     lo, hi = max(0, *(o for _, o in bits)), max(0, *(-o for _, o in bits))
-    padded = {name: np.concatenate((ind[N - lo:], ind, ind[:hi])).view(np.uint8)
+    padded = {name: wrap_pad(ind, lo, hi).view(np.uint8)
               for name, ind in _anchor_sets(kind, mask).items()}
     code = np.zeros(N, np.uint8)
     for j, (name, o1) in enumerate(bits):
@@ -535,12 +545,14 @@ def to_strain_form(op: LinearChainOperator) -> StrainFormOperator:
 
 
 def _transpose_gaps(band: np.ndarray):
-    """A[i, i+k] - A[i+k, i] in eps^2 units for k = 0..K, one length-N array
-    per k, computed as each is asked for: row i+k holds A[i+k, i] at offset
-    -k. Every pair is visited once; k = 0 pairs the diagonal with itself, so
-    a NaN anywhere in the band shows as a NaN gap."""
-    K = (band.shape[1] - 1) // 2
-    return (band[:, K + k] - np.roll(band[:, K - k], -k) for k in range(K + 1))
+    """A[i, i+k] - A[i+k, i] in eps^2 units for k = 0..K, one array per k,
+    computed as each is asked for: row i+k holds A[i+k, i] at offset -k, a
+    window of the wrapped column; a broadcast band gives its one row's gaps.
+    Every pair is visited once; k = 0 pairs the diagonal with itself, so a
+    NaN anywhere in the band shows as a NaN gap."""
+    band = _distinct_rows(band)
+    N, K = band.shape[0], (band.shape[1] - 1) // 2
+    return (band[:, K + k] - wrap_pad(band[:, K - k], 0, k % N)[k % N:] for k in range(K + 1))
 
 
 def symmetry_defect(op: LinearChainOperator) -> float:

@@ -1,13 +1,28 @@
 """Shared fixtures: seeded random multi-interval geometries, and the
-environment of a subprocess that imports qclab from this checkout."""
+environment of a subprocess that imports qclab from this checkout. Every
+property test runs under one hypothesis profile: derandomized, with no
+example database and no deadline, so each run draws the same examples. The
+caches hypothesis keeps besides go to a temporary directory that is removed
+at exit, so a run writes no .hypothesis/ directory."""
 
+import atexit
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from qclab import ChainConfig, RegionPartition, classify, harmonic, lennard_jones
+
+settings.register_profile("qclab", derandomize=True, database=None, deadline=None)
+settings.load_profile("qclab")
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="qclab-hypothesis-")
+atexit.register(shutil.rmtree, _HYPOTHESIS_HOME, ignore_errors=True)
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
 
 # potential name -> (potential, admissible uniform stretch F)
 POTENTIALS = {

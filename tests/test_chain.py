@@ -80,7 +80,7 @@ def test_differences_annihilate_constants():
 
 
 def dense_difference_oracle(values, N, r, order):
-    """Explicit circulant matrix product, independent of the roll-based path."""
+    """Explicit circulant matrix product, independent of the windowed path."""
     eps = 1.0 / N
     M = np.zeros((N, N))
     for i in range(N):
@@ -103,6 +103,21 @@ def test_difference_matches_dense_oracle(r, order):
     got = difference(u, r, order).values
     want = dense_difference_oracle(v, 16, r, order)
     np.testing.assert_allclose(got, want, atol=1e-13 * max(1.0, np.abs(want).max()))
+
+
+@pytest.mark.parametrize("N", [4, 6, 10])
+def test_difference_at_half_the_ring(N):
+    # 2r = N: u_{i+r} and u_{i-r} are one atom, read through both wrapped ends
+    r, eps = N // 2, 1.0 / N
+    v = np.random.default_rng(N).standard_normal(N)
+    u = PeriodicField(cfg(N), v)
+    first, second = difference(u, r, 1).values, difference(u, r, 2).values
+    behind, ahead = np.roll(v, r), np.roll(v, -r)  # one and the same atom
+    assert first.tobytes() == ((v - behind) / (r * eps)).tobytes()
+    assert second.tobytes() == ((ahead - 2.0 * v + behind) / (r * eps) ** 2).tobytes()
+    want = dense_difference_oracle(v, N, r, 1)
+    np.testing.assert_allclose(first, want, rtol=1e-13, atol=1e-13 * N)
+    np.testing.assert_allclose(second, 2.0 * (behind - v) / (r * eps) ** 2, rtol=1e-13)
 
 
 def test_difference_rejects_overlapping_stencil():

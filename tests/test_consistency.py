@@ -8,6 +8,7 @@ import pytest
 from qclab import (
     ChainConfig,
     InterfaceStencil,
+    LinearChainOperator,
     ModelKind,
     RegionPartition,
     assemble_operator,
@@ -182,6 +183,26 @@ def exact_moments_by_row(op, ref):
         ]
         for i in range(op.config.N)
     ]
+
+
+@pytest.mark.parametrize("R", [1, 2, 3])
+def test_moment_sums_on_the_smallest_admitted_chain(R):
+    # N = 2(2K + 2) is the shortest chain the unwrapped moment test admits;
+    # an operator one wider than the reference widens it
+    rng = np.random.default_rng(R)
+    for K in (R, R + 1):
+        N = 2 * (2 * K + 2)
+        config = ChainConfig(N=N, F=1.2, R=R)
+        ref = assemble_operator(ModelKind.ATOMISTIC, config, POT1)
+        band = rng.integers(-4, 5, (N, 2 * K + 1)).astype(float)
+        op = LinearChainOperator(config, ModelKind.CUSTOM, band, np.zeros(N))
+        exact = _moment_sums(op, ref, exact=True)
+        assert exact.tolist() == exact_moments_by_row(op, ref)
+        assert (moment_residuals(op, ref).residuals == exact.astype(float)).all()
+        short = ChainConfig(N=N - 1, F=1.2, R=R)
+        op_short = LinearChainOperator(short, ModelKind.CUSTOM, band[1:], np.zeros(N - 1))
+        with pytest.raises(ValueError, match="chain too short"):
+            moment_residuals(op_short, assemble_operator(ModelKind.ATOMISTIC, short, POT1))
 
 
 @pytest.mark.parametrize("potential, F", [(POT1, 1.2), (lennard_jones(), 1.1)])
