@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import PeriodicField, difference, lp_norm, wrap_pad
+from .chain import PeriodicField, difference, lp_norm
 from .consistency import _rungs, fit_slope
 from .models import (
     LinearChainOperator,
@@ -260,8 +260,7 @@ def _stress_lu(op: LinearChainOperator):
     """
     N = op.config.N
     sub = -op.band[:, 0]  # C[i, i-1]; sub[0] is the corner C[0, N-1]
-    sup = wrap_pad(sub, 0, 1)[1:]  # C[i, i+1]
-    C, g = _cyclic_tridiagonal(sub, sub + sup - op.band[:, 1], sup)
+    C, g = _cyclic_tridiagonal(sub, sub + np.roll(sub, -1) - op.band[:, 1], np.roll(sub, -1))
     if C is None:  # g = C^-1 1 otherwise
         return None
     g_sum = float(g.sum())

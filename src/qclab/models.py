@@ -22,8 +22,8 @@ interface, so the table is small. An energy kind's code has one bit per
 anchored bond-term group that can reach the row; QCF codes each atom's
 region, and CUSTOM adds a code per block row. Translation-invariant kinds
 (atomistic, continuum) have one row, broadcast with row stride 0, so their
-assembly costs the same at every N. Every periodic neighbour read is a
-contiguous window of one array padded by `chain.wrap_pad`.
+assembly costs the same at every N. The band product, the row codes and the
+bond arguments read neighbours as windows of one `chain.wrap_pad` padding.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ def _anchor_sets(kind: ModelKind, mask) -> dict:
     (i-2, i) is atomistic, P, an end in A, or local, L)."""
     if kind is ModelKind.QCE:
         return {"A": mask, "C": ~mask}
-    pair = mask | wrap_pad(mask, 2, 0)[:len(mask)]  # membership of atom i-2
+    pair = mask | np.roll(mask, 2)  # rolled: membership of atom i-2
     return {"P": pair, "L": ~pair}
 
 
@@ -311,8 +311,8 @@ def energy_gradient(
     partition: RegionPartition | None = None,
 ) -> np.ndarray:
     """Scaled gradient (1/eps) dE/du as a raw array; at u = 0 this is the ghost field."""
-    N, R = config.N, config.R
-    grad, ring = np.zeros(N), wrap_pad(np.arange(N), R, R)  # ring[R + i] = i mod N
+    N = config.N
+    grad = np.zeros(N)
     for g, args in _bond_arguments(kind, config, potential, u, partition):
         dphi = np.asarray(evaluate(potential, args, 1))
         for off, c in g.pattern:
@@ -321,7 +321,7 @@ def energy_gradient(
                 grad[w:] += term[:N - w]
                 grad[:w] += term[N - w:]
             else:
-                grad[ring[g.anchors + (R + off)]] += term
+                grad[(g.anchors + off) % N] += term
     return grad / config.epsilon
 
 

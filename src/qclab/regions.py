@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .chain import ChainConfig, wrap_pad
+from .chain import ChainConfig
 
 INTERIOR_ATOMISTIC = 0
 INTERIOR_CONTINUUM = 1
@@ -107,7 +107,7 @@ def region_boundaries(mask: np.ndarray) -> list:
     b is the 1-based atom directly left of the cut (between atoms b and b+1,
     periodically); orientation is "AC" when atom b is atomistic, else "CA".
     """
-    cuts = np.flatnonzero(mask != wrap_pad(mask, 0, 1)[1:])
+    cuts = np.flatnonzero(mask != np.roll(mask, -1))
     return [(int(b) + 1, "AC" if mask[b] else "CA") for b in cuts]
 
 

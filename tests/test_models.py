@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qclab import (
@@ -788,7 +788,7 @@ def test_accumulation_matches_add_at_reference(potential, random_geometry):
 
 @settings(max_examples=150)
 @given(
-    N=st.integers(9, 4096),
+    N=st.integers(8, 4096),
     R=st.sampled_from([2, 2, 2, 3, 4]),
     ends=st.sampled_from([1, 2, 3, 0]).flatmap(
         lambda n: st.lists(st.integers(0, 2**16), min_size=2 * n, max_size=2 * n, unique=True)),
@@ -804,6 +804,7 @@ def test_assembly_matches_scatter_and_row_oracles(N, R, ends, m, F, potential, b
     # their modulo, np.roll and power-table oracles: energies, gradients and
     # transpose gaps bit for bit, moment sums bit for bit up to width 7 and,
     # wider, both within (2K+1) eps_mach max_k |delta_k j^p| of the exact sums
+    assume(N >= 2 * R + 1)  # the smallest chain of reach R
     ends = sorted(e / 2**16 for e in ends)
     partition = RegionPartition(list(zip(ends[::2], ends[1::2])), interface_width_m=m, reach=2)
     config = ChainConfig(N=N, F=F, R=R)
