@@ -9,7 +9,7 @@ log-log exponent of residual versus eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +26,13 @@ def default_witness(x):
     return np.sin(2.0 * np.pi * np.asarray(x) + 0.3)
 
 
+def _column(o: LinearChainOperator, k: int):
+    """Band column of offset k as stored (a broadcast column is read as it is),
+    or a zero where the band is narrower."""
+    c = o.half_width + k
+    return o.band[:, c] if 0 <= c < o.band.shape[1] else np.zeros(1)
+
+
 @dataclass(frozen=True)
 class MomentReport:
     """Per-row residuals sum_j (L - L^a)_{ij} p(j) for p in {1, j, j^2}.
@@ -36,13 +43,27 @@ class MomentReport:
 
     config: ChainConfig
     residuals: np.ndarray
+    op: LinearChainOperator = field(repr=False)
+    reference: LinearChainOperator = field(repr=False)
 
     def max_abs(self, power: int) -> float:
         return float(np.abs(self.residuals[:, power]).max())
 
+    def scale(self) -> np.ndarray:
+        """(N, 3) sizes of the residuals' terms, max_k |delta_ik| (i + K)^p: the
+        power-p sum rounds to a small multiple of eps_mach times it, however
+        far along the chain row i lies."""
+        N, K = self.config.N, max(self.op.half_width, self.reference.half_width)
+        delta = np.zeros(N)
+        for k in range(-K, K + 1):
+            np.maximum(delta, np.abs(_column(self.op, k) - _column(self.reference, k)), out=delta)
+        reach = np.arange(1.0 + K, N + 1.0 + K)
+        return delta[:, None] * np.stack([np.ones(N), reach, reach * reach], axis=1)
+
     def nonzero_rows(self, tol: float = 1e-11) -> np.ndarray:
-        """1-based atoms where any of the three residuals exceeds tol."""
-        return np.nonzero(np.abs(self.residuals).max(axis=1) > tol)[0] + 1
+        """1-based atoms where any of the three residuals exceeds tol times its
+        `scale`."""
+        return np.nonzero((np.abs(self.residuals) > tol * self.scale()).any(axis=1))[0] + 1
 
 
 def _moment_sums(op: LinearChainOperator, reference: LinearChainOperator, exact: bool):
@@ -57,9 +78,8 @@ def _moment_sums(op: LinearChainOperator, reference: LinearChainOperator, exact:
     if N < 2 * (2 * K + 2):
         raise ValueError("chain too short for unwrapped moment tests")
 
-    def column(o: LinearChainOperator, k: int):  # a broadcast column is read as it is
-        c = o.half_width + k
-        col = o.band[:, c] if 0 <= c < o.band.shape[1] else np.zeros(1)
+    def column(o: LinearChainOperator, k: int):
+        col = _column(o, k)
         return np.vectorize(Fraction, otypes=[object])(col) if exact else col
 
     sums, atoms = np.zeros((3, N), object if exact else float), np.arange(1, N + 1)
@@ -71,7 +91,7 @@ def _moment_sums(op: LinearChainOperator, reference: LinearChainOperator, exact:
 
 def moment_residuals(op: LinearChainOperator, reference: LinearChainOperator) -> MomentReport:
     """Moment test of op against a reference operator on the same chain."""
-    return MomentReport(op.config, _moment_sums(op, reference, exact=False))
+    return MomentReport(op.config, _moment_sums(op, reference, exact=False), op, reference)
 
 
 def ghost_force(

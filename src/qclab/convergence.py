@@ -23,9 +23,14 @@ picks one from the band alone:
   whose neighbour lies in the same half of the fold) and O(K^2) single
   entries where the fold turns or the ring wraps.
 
-The stress and patch forms share one cyclic tridiagonal kernel: a pivoted
-tridiagonal LU of the open chain (LAPACK gttrf) with a rank-1 correction for
-the ring's corners, which also solves with the transpose. Both are O(N).
+The stress and patch forms share one cyclic tridiagonal kernel, cyclic
+reduction on the ring in numpy: each level eliminates the odd-indexed
+unknowns, and a ring of 1 or 2 is solved in closed form. It needs neither
+pivoting nor a corner correction, since every C and T that assembly produces
+is strictly diagonally dominant, and it solves with the transpose from the
+same levels. It refuses a pivot, or a final ring, below sqrt(eps_mach) max |T|
+and a T whose T^-T 1 (or T^-1 1) blows up, and the grounded LU then decides.
+Both forms are O(N), and only the grounded LU loads scipy.linalg.
 
 The right-hand side is first projected off the left-null direction (the
 mean, for symmetric operators; T^-T 1 in patch form; from the transposed
@@ -167,62 +172,106 @@ def _grounded_lu(op: LinearChainOperator):
     return solve, w
 
 
+def _reduce_forward(d, dn, nrb, left, right, wrap, t1, t2):
+    """One level of forward elimination into dn, the kept rows 0, 2, ...: with
+    t = nrb d_odd, kept j gains left[j] t[j] and kept j + 1 gains right[j]
+    t[j]; on an even ring kept 0 gains wrap t[-1] from across the wrap."""
+    o, k = len(nrb), len(dn) - 1
+    de, t = d[0::2], np.multiply(nrb, d[1::2], out=t1[:o])
+    dn[o:] = de[o:]
+    np.add(de[:o], np.multiply(left, t, out=t2[:o]), out=dn[:o])
+    dn[1:] += np.multiply(right, t[:k], out=t2[:k])
+    if k < o:
+        dn[0] += wrap * t[k]
+
+
+def _reduce_back(d, x, nrb, left, right, wrap, t1, t2):
+    """One level of back substitution, in place: the kept rows of d take x,
+    and odd row j takes nrb[j] (left[j] x[j] + right[j] x[j + 1] - d[j]); on
+    an even ring the last odd row takes wrap x[0] from across the wrap in
+    place of its right term."""
+    o, k = len(nrb), len(x) - 1
+    xo = d[1::2]
+    np.subtract(np.multiply(left, x[:o], out=t1[:o]), xo, out=xo)
+    xo[:k] += np.multiply(right, x[1:], out=t2[:k])
+    if k < o:
+        xo[k] += wrap * x[0]
+    xo *= nrb
+    d[0::2] = x
+
+
 def _cyclic_tridiagonal(lower, diag, upper, transpose=False):
     """Factor the cyclic tridiagonal T with T[i, i-1] = lower[i], T[i, i] =
     diag[i] and T[i, i+1] = upper[i], indices mod N: lower[0] is the corner
     T[0, N-1] and upper[-1] the corner T[N-1, 0].
 
-    T is its open chain T0 (pivoted tridiagonal LU, LAPACK gttrf) plus the
-    rank-1 corner term x v^T, x = gamma e_0 + bottom e_{N-1} and v = e_0 +
-    (top / gamma) e_{N-1} with top = lower[0] and bottom = upper[-1], which
-    a Sherman-Morrison correction undoes; |gamma| >= |T[0, 0]| keeps T0's
-    first pivot away from cancellation. Folding the ring instead would fill a
-    banded factor with subnormal numbers, and gttrf pivots where a
-    positive-definite factor would refuse an indefinite T.
+    Cyclic reduction on the ring (Buzbee, Golub & Nielson 1970): each level
+    eliminates the odd-indexed unknowns, whose rows couple only to kept
+    neighbours, and leaves the kept rows a cyclic tridiagonal Schur complement
+    of half the length. Kept row k takes alpha = a_k / b_{k-1} and gamma =
+    c_k / b_{k+1} (a, b, c being the level's lower, diagonal and upper); on an
+    odd ring rows 0 and N-1 are both kept and meet across the wrap. A ring of
+    1 or 2 is solved in closed form. There is neither pivoting nor a corner
+    correction: the C and T that assembly produces are strictly diagonally
+    dominant by rows, and so is every Schur complement. A level keeps its a,
+    c and -1/b_odd, from which the solves form alpha, gamma, a_odd/b_odd and
+    c_odd/b_odd; the transposed solve runs the same levels with the forward
+    and backward coefficients swapped, and no second reduction.
 
-    The factorization overwrites diag. Returns (solve, g): solve(b,
-    transpose=False) gives T^-1 b, or T^-T b, and may overwrite b; g is
-    solve(1, transpose). Both are None when T is (numerically) singular: a
-    roundoff-level pivot of T0, a vanishing Sherman-Morrison denominator, or
-    max |g| max |T| > 1/sqrt(eps_mach) (0.6-1.7 for the model kinds), as
-    for a roundoff-level row that pivoting swaps away.
+    Returns (solve, g): solve(b, transpose=False) gives T^-1 b, or T^-T b,
+    overwriting b; g is solve(1, transpose). Both are None when T is
+    (numerically) singular: a pivot b_odd at some level below sqrt(eps_mach)
+    max |T|, a final ring whose determinant is below that times max
+    |ring|^(n-1), or max |g| max |T| > 1/sqrt(eps_mach) (0.6-1.7 for the
+    model kinds).
     """
-    from scipy.linalg.lapack import dgttrf, dgttrs
-
     N = len(diag)
-    scale = max(float(np.abs(t).max()) for t in (lower, diag, upper))
-    top, bottom = float(lower[0]), float(upper[-1])
-    gamma = -math.copysign(max(abs(diag[0]), abs(top), abs(bottom)) or 1.0, diag[0])
-    diag[0] -= gamma
-    diag[-1] -= top * bottom / gamma
-    dl, d, du, du2, ipiv, info = dgttrf(lower[1:], diag, upper[:-1], overwrite_d=1)
-    pivots = np.abs(d)
-    if info != 0 or pivots.min() < math.sqrt(np.finfo(float).eps) * pivots.max():
+    scale = max(max(float(t.max()), -float(t.min())) for t in (lower, diag, upper))
+    tol = math.sqrt(np.finfo(float).eps) * scale
+    t1, t2 = np.empty(N // 2), np.empty(N // 2)
+    a, b, c = lower, diag, upper
+    levels = []
+    while len(b) > 2:
+        m, o = (len(b) + 1) // 2, len(b) // 2
+        k = m - 1  # odd rows with a kept row on their right, but for the wrap
+        ae, be, ce, ao, bo, co = a[0::2], b[0::2], c[0::2], a[1::2], b[1::2], c[1::2]
+        if not float(np.abs(bo, out=t1[:o]).min()) > tol:
+            return None, None
+        nrb = np.divide(-1.0, bo)
+        ab, cb = np.multiply(ao, nrb, out=t1[:o]), np.multiply(co, nrb, out=t2[:o])
+        a2, b2, c2 = np.empty(m), be.copy(), np.empty(m)
+        np.multiply(ae[1:], ab[:k], out=a2[1:])
+        np.multiply(ce[:o], cb, out=c2[:o])
+        if k < o:  # even ring: kept 0 and odd o - 1 meet across the wrap
+            a2[0] = ae[0] * ab[k]
+            b2[0] += ae[0] * cb[k]
+        else:  # odd ring: kept 0 and kept m - 1 meet across the wrap
+            a2[0], c2[k] = ae[0], ce[k]
+        b2[:o] += np.multiply(ce[:o], ab, out=ab)
+        b2[1:] += np.multiply(ae[1:], cb[:k], out=cb[:k])
+        # (left, right, wrap) of the normal forward and the transposed back
+        # step, then of the normal back and the transposed forward step
+        rows = ((ce[:o], ae[1:], ae[0]), (ao, co[:k], co[-1]))
+        levels.append((nrb, rows, np.empty(m)))
+        a, b, c = a2, b2, c2
+    if len(b) == 1:
+        ring = np.array([[a[0] + b[0] + c[0]]])
+    else:
+        ring = np.array([[b[0], a[0] + c[0]], [a[1] + c[1], b[1]]])
+    if not abs(np.linalg.det(ring)) > tol * float(np.abs(ring).max()) ** (len(b) - 1):
         return None, None
-
-    def open_solve(rhs, trans=b"N"):
-        return dgttrs(dl, d, du, du2, ipiv, rhs, trans=trans, overwrite_b=1)[0]
-
-    x = np.zeros(N)
-    x[0], x[-1] = gamma, bottom
-    z = open_solve(x)
-    ratio = top / gamma
-    vz = z[0] + ratio * z[-1]
-    denom = 1.0 + vz
-    if abs(denom) < math.sqrt(np.finfo(float).eps) * max(1.0, abs(vz)):
-        return None, None
+    ring_inv = np.linalg.inv(ring)
 
     def solve(rhs, transpose=False):
-        if not transpose:
-            y = open_solve(rhs)
-            y -= ((y[0] + ratio * y[-1]) / denom) * z
-            return y
-        # T^T = T0^T + v x^T, and x.(T^-T b) = b.(T^-1 x) = b.z / denom, so
-        # T^-T b = T0^-T (b - (b.z / denom) v) needs no second correction vector
-        c = (rhs @ z) / denom
-        rhs[0] -= c
-        rhs[-1] -= c * ratio
-        return open_solve(rhs, b"T")
+        d, chain = rhs, []
+        for nrb, rows, dn in levels:
+            _reduce_forward(d, dn, nrb, *rows[transpose], t1, t2)
+            chain.append(d)
+            d = dn
+        d[:] = (ring_inv.T if transpose else ring_inv) @ d
+        for (nrb, rows, x), dl in zip(levels[::-1], chain[::-1]):
+            _reduce_back(dl, x, nrb, *rows[not transpose], t1, t2)
+        return rhs
 
     g = solve(np.ones(N), transpose)
     if float(np.abs(g).max()) * scale > 1.0 / math.sqrt(np.finfo(float).eps):
@@ -248,8 +297,8 @@ def _stress_lu(op: LinearChainOperator):
     C[i, i-1] = -band[i, 0] and C[i, i] = C[i, i-1] + C[i+1, i] - band[i, 1].
     A u = r becomes C t = sigma + c 1 with sum(t) = 0, where the stress
     sigma is a prefix sum of eps^2 r and c is fixed by the constraint; then
-    u = cumsum(t). C goes through `_cyclic_tridiagonal`, which pivots where
-    a positive-definite factor would refuse the negative moduli of stretched
+    u = cumsum(t). C goes through `_cyclic_tridiagonal`, which, unlike a
+    positive-definite factor, accepts the negative moduli of stretched
     Lennard-Jones chains.
 
     Returns (solve, w) as `_grounded_lu` does, with w = 1. Returns None when

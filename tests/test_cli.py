@@ -211,12 +211,47 @@ def test_console_script_entry_point(tmp_path, src_env):
 
 
 def test_import_loads_no_scipy(src_env):
-    # scipy is imported by the solver on first use; commands that never solve
-    # (certify, stencil, moments, ...) do not pay for it
+    # only the grounded LU imports scipy, on first use; importing qclab and its
+    # CLI loads none of it
     code = "import sys, qclab, qclab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+R2_SOLVES_AND_CUSTOM = """
+import sys
+import numpy as np
+from qclab import (ChainConfig, InterfaceStencil, ModelKind, RegionPartition,
+                   assemble_operator, convergence_study, harmonic, solve_equilibrium)
+from qclab.cli import main
+from qclab.models import ATOM_L2, CONT_L2
+part = RegionPartition([(0.0, 0.5)], interface_width_m=4, reach=2)
+witness = lambda x: np.sin(2.0 * np.pi * np.asarray(x) + 0.3)
+for kind in ("qnl", "qcf"):
+    convergence_study(kind, witness, [64, 128], [1, 2], harmonic(1.0, 1.0), partition=part)
+assert main(["selftest"]) == 0
+print("after R = 2:", "scipy.linalg" in sys.modules)
+# a diagonal block that cancels what each block row reads outside it: zero row sums
+outer = [sum(CONT_L2.get(j - i, 0) for j in (-1, 0)) + sum(ATOM_L2.get(j - i, 0) for j in (5, 6))
+         for i in range(1, 5)]
+config = ChainConfig(N=64, F=1.2, R=2)
+op = assemble_operator(ModelKind.CUSTOM, config, harmonic(1.0, 1.0), partition=part,
+                       stencil=InterfaceStencil(4, -np.diag(np.asarray(outer, dtype=float))))
+solve_equilibrium(op, np.sin(2.0 * np.pi * config.positions()))
+print("after CUSTOM:", "scipy.linalg" in sys.modules)
+"""
+
+
+def test_r2_solves_load_no_scipy_linalg(src_env):
+    # the stress and patch forms solve in numpy: QNL and QCF ladders and the
+    # selftest leave scipy.linalg unloaded, and a CUSTOM solve, which takes
+    # the grounded LU, loads it
+    proc = subprocess.run([sys.executable, "-c", R2_SOLVES_AND_CUSTOM],
+                          capture_output=True, text=True, env=src_env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-2:] == ["after R = 2: False", "after CUSTOM: True"]
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -238,6 +273,17 @@ def test_moments_exact_mode_lennard_jones(tmp_path, capsys):
                config_text="model=qnl\nN=64\npotential=lennard_jones\nF=1.1\n")
     assert code == 0
     assert "agrees: True" in capsys.readouterr().out
+
+
+def test_moments_exact_mode_on_a_long_lennard_jones_chain(tmp_path, capsys):
+    # the float sums deviate from the exact ones by 4e-9 at N = 4096, a few
+    # eps_mach of their largest terms: they agree, and no row is listed
+    code = run(["moments", "--exact", "--report"], tmp_path, out=tmp_path / "m.csv",
+               config_text="model=continuum\nN=4096\nR=4\npotential=lennard_jones\nF=1.1\n")
+    assert code == 0
+    report = capsys.readouterr().out
+    assert "exact rational recomputation agrees: True" in report
+    assert "nonzero-moment rows: []" in report
 
 
 def test_sweep_rejects_atomistic(tmp_path):

@@ -68,6 +68,25 @@ def test_qnl_moment_structure():
     assert j2 == {33: 2.0, 34: -2.0, 63: -2.0, 64: 2.0}
 
 
+def test_moment_rows_are_judged_relative_to_their_terms():
+    # the power-p sums of row i add terms up to max_k |delta_ik| (i + K)^p, so
+    # the rounding-level row sums of Lennard-Jones continuum against atomistic
+    # at R = 4 reach 1e-10 in the j^2 moment at N = 1024; no row is listed,
+    # while the interface rows of QCE and QNL still are
+    pot = lennard_jones()
+    config = ChainConfig(N=1024, F=1.1, R=4)
+    op, ref = (assemble_operator(k, config, pot) for k in (ModelKind.CONTINUUM, ModelKind.ATOMISTIC))
+    report = moment_residuals(op, ref)
+    assert report.max_abs(2) > 1e-11
+    assert list(report.nonzero_rows()) == []
+    config = ChainConfig(N=1024, F=1.1, R=2)
+    ref = assemble_operator(ModelKind.ATOMISTIC, config, pot)
+    for kind, rows in ((ModelKind.QCE, [1, 2, 511, 512, 513, 514, 1023, 1024]),
+                       (ModelKind.QNL, [513, 514, 1023, 1024])):
+        op = assemble_operator(kind, config, pot, partition=HALF_PART)
+        assert list(moment_residuals(op, ref).nonzero_rows()) == rows, kind
+
+
 def test_qce_moment_structure():
     op, ref = ops(ModelKind.QCE, 64)
     report = moment_residuals(op, ref)

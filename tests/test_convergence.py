@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from qclab import (
     ChainConfig,
@@ -15,6 +17,7 @@ from qclab import (
     RegionPartition,
     apply_linear,
     assemble_operator,
+    classify,
     convergence_study,
     default_witness,
     difference,
@@ -29,6 +32,7 @@ from qclab import (
 from qclab import convergence
 from qclab.convergence import (
     RESIDUAL_RTOL,
+    _cyclic_tridiagonal,
     _folded_storage,
     _grounded_lu,
     _patch_lu,
@@ -331,7 +335,7 @@ def test_stress_matrix_rebuilds_the_band(potential, random_geometry):
 
 def test_stress_path_pivots_through_indefinite_stress_matrices():
     # random symmetric C with entries of both signs: a positive-definite
-    # factorization would refuse these, the pivoted tridiagonal LU must not
+    # factorization would refuse these, the ring reduction must not
     rng = np.random.default_rng(66)
     for N in (16, 64, 512):
         config = ChainConfig(N=N, F=1.2, R=2)
@@ -402,8 +406,8 @@ def test_singular_stress_matrix_defers_to_grounded_lu(N):
 
 @pytest.mark.parametrize("row", [[0.0] * 5, [-1.0, 0.0, 2.0, 0.0, -1.0]])
 def test_singular_stress_matrix_keeps_the_kernel_error(row):
-    # C = 0 fails the tridiagonal pivot test and C = cyclic [1, 2, 1] (even N)
-    # the corner correction; the grounded LU then names the kernel
+    # C = 0 fails the pivot test of the ring reduction and C = cyclic [1, 2, 1]
+    # (even N) its final 2-ring; the grounded LU then names the kernel
     config = ChainConfig(N=64, F=1.2, R=2)
     op = LinearChainOperator(config, ModelKind.ATOMISTIC, np.tile(row, (64, 1)), np.zeros(64))
     assert _stress_lu(op) is None
@@ -554,7 +558,7 @@ def test_singular_patch_matrix_defers_to_grounded_lu(N):
 
 
 def test_roundoff_pivot_of_patch_matrix_defers_to_grounded_lu():
-    # row and column j of T decoupled with T[j, j] = 1e-17: the tridiagonal LU
+    # row and column j of T decoupled with T[j, j] = 1e-17: the ring reduction
     # meets that pivot as it is, the band's row j is numerically zero, and the
     # grounded LU names the extra kernel
     N, j = 64, 32
@@ -569,9 +573,10 @@ def test_roundoff_pivot_of_patch_matrix_defers_to_grounded_lu():
 
 
 def test_roundoff_row_of_patch_matrix_that_pivoting_swaps_away():
-    # only row j of T is at roundoff level, so the pivoted LU swaps it below
-    # row j+1 and keeps every pivot and the corner denominator; T^-T 1 then
-    # blows up, and the grounded LU names the extra kernel
+    # only row j of T is at roundoff level (a pivoted LU would swap it below
+    # row j+1, keep every pivot and see T^-T 1 blow up); the ring reduction
+    # carries it unchanged to the level that eliminates it and refuses that
+    # pivot, and the grounded LU names the extra kernel
     N, j = 64, 32
     config = ChainConfig(N=N, F=1.2, R=2)
     t_lo, t_diag, t_up = np.ones(N), np.full(N, 4.0), np.full(N, 2.0)
@@ -672,6 +677,95 @@ def test_route_table(monkeypatch):
         ModelKind.CUSTOM: ["_grounded_lu"],
         "R=3": ["_grounded_lu"],
     }
+
+
+def ring_matrix(lower, diag, upper):
+    """Dense cyclic tridiagonal T with T[i, i-1] = lower[i], T[i, i] = diag[i]
+    and T[i, i+1] = upper[i], indices mod N; on a ring of 1 or 2 the three
+    entries of a row add up where they land on the same column."""
+    N = len(diag)
+    idx = np.arange(N)
+    T = np.zeros((N, N))
+    for offset, values in ((-1, lower), (0, diag), (1, upper)):
+        np.add.at(T, (idx, (idx + offset) % N), values)
+    return T
+
+
+@settings(max_examples=120)
+@given(
+    N=st.one_of(st.integers(1, 9), st.integers(10, 300)),
+    signs=st.sampled_from(["positive", "negative", "mixed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ring_kernel_matches_dense_solve(N, signs, seed):
+    # strictly dominant rows with off-diagonal entries of both signs and a
+    # diagonal of either sign, on rings of every length: odd lengths keep both
+    # ends, and rings of 1 and 2 are solved in closed form
+    rng = np.random.default_rng(seed)
+    lower, upper = rng.uniform(-1.0, 1.0, N), rng.uniform(-1.0, 1.0, N)
+    sign = {"positive": 1.0, "negative": -1.0, "mixed": rng.choice([-1.0, 1.0], N)}[signs]
+    diag = sign * (np.abs(lower) + np.abs(upper) + rng.uniform(0.05, 2.0, N))
+    T = ring_matrix(lower, diag, upper)
+    for transpose, M in ((False, T), (True, T.T)):
+        solve, g = _cyclic_tridiagonal(lower, diag, upper, transpose)
+        assert np.abs(M @ g - 1.0).max() <= 1e-13 * np.abs(M).max() * np.abs(g).max()
+        b = rng.standard_normal(N)
+        x = solve(b.copy(), transpose)
+        assert np.abs(M @ x - b).max() <= 1e-13 * np.abs(M).max() * np.abs(x).max()
+        want = np.linalg.solve(M, b)
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_ring_kernel_refuses_a_roundoff_pivot_and_a_singular_final_ring():
+    # row j of a ring of 8 at 1e-17 with no neighbours: the reduction keeps it
+    # as it is until it is eliminated, at the first level (j = 3) or the second
+    # (j = 2), or reaches the final 2-ring (j = 0)
+    for j in (3, 2, 0):
+        lower, diag, upper = np.ones(8), np.full(8, 4.0), np.full(8, 2.0)
+        lower[j], diag[j], upper[j] = 0.0, 1e-17, 0.0
+        assert _cyclic_tridiagonal(lower, diag, upper) == (None, None)
+    # a singular 2-ring, given as it is, and the 2-ring [-1/4, 1/2, -1/4] that
+    # the singular cyclic [1, 2, 1] on 8 atoms reduces to with regular pivots
+    assert _cyclic_tridiagonal(np.array([1.0, 0.25]), np.array([1.0, 1.0]),
+                               np.array([1.0, 0.25])) == (None, None)
+    assert _cyclic_tridiagonal(np.ones(8), np.full(8, 2.0), np.ones(8)) == (None, None)
+    assert _cyclic_tridiagonal(np.array([3.0]), np.array([-5.0]), np.array([2.0])) == (None, None)
+
+
+@settings(max_examples=60)
+@given(
+    N=st.integers(16, 3000),
+    ends=st.sampled_from([1, 2, 3]).flatmap(
+        lambda n: st.lists(st.integers(0, 2**16), min_size=2 * n, max_size=2 * n, unique=True)),
+    m=st.integers(2, 8),
+    F=st.sampled_from([0.95, 1.0, 1.1, 1.2, 1.3, 1.5]),
+    potential=st.sampled_from(["harmonic", "lennard_jones"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_assembled_r2_kinds_take_their_o_n_route(N, ends, m, F, potential, seed):
+    # the route table over random geometries: every R = 2 energy kind solves
+    # in stress form and QCF in patch form (in stress form where a degenerate
+    # geometry leaves its band symmetric), never through the grounded LU, and
+    # one solve keeps the residual contract without refinement
+    ends = sorted(e / 2**16 for e in ends)
+    partition = RegionPartition(list(zip(ends[::2], ends[1::2])), interface_width_m=m, reach=2)
+    config = ChainConfig(N=N, F=F, R=2)
+    try:
+        classify(partition, config)
+    except ValueError:
+        reject()
+    pot = POT1 if potential == "harmonic" else lennard_jones()
+    f = np.random.default_rng(seed).standard_normal(N)
+    for kind in (*ENERGY_KINDS, ModelKind.QCF):
+        op = assemble_operator(kind, config, pot, partition=partition if kind in COUPLED else None)
+        solve, w = (_patch_lu if kind is ModelKind.QCF else _stress_lu)(op)
+        fproj = f - (w @ f) / (w @ w) * w
+        u = solve(fproj)
+        u -= u.mean()
+        assert np.abs(apply_linear(op, u) - fproj).max() <= residual_contract(op, u, f), kind
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(convergence, "_grounded_lu", forbid("the grounded LU"))
+            solve_equilibrium(op, f)
 
 
 def test_solve_rejects_wrong_length():

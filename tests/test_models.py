@@ -910,7 +910,7 @@ def test_atomistic_solve_copies_no_band():
     f = np.sin(2.0 * np.pi * config.positions())
     peaks, solutions = [], []
     for o in (op, whole):
-        solve_equilibrium(o, f)  # warm: scipy's first import allocates
+        solve_equilibrium(o, f)  # warm: one-time allocations stay out of the peak
         tracemalloc.start()
         try:
             solutions.append(solve_equilibrium(o, f).values.tobytes())
