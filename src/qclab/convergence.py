@@ -1,41 +1,26 @@
 """Equilibrium solves on the mean-zero subspace and convergence-rate studies.
 
 The linearized operators annihilate constants, so an equilibrium is fixed
-only up to a constant. Three factorizations solve it, and `solve_equilibrium`
-picks one from the band alone:
+only up to a constant. The band's symmetry picks one of two factorizations:
 
-- Stress form, for an exactly symmetric band of half-width 2 (every
-  energy-based kind at R = 2): the band is D^T C D / eps^2 with D the backward
-  difference and C a cyclic symmetric tridiagonal matrix of condition O(1).
-  C is solved for the strains, and a running sum gives the displacements.
-- Patch form, for any other band of half-width 2 that passes the linear
-  patch test, zero first moments per row (QCF): the band is T Delta / eps^2
-  with Delta the centred second difference and T cyclic tridiagonal. T is
-  solved, and two running sums give the strains and the displacements.
-- Grounded LU, for every other band (custom stencils, R > 2, a band that
-  fails the patch test) and for a C or T that is singular: atom N is grounded
-  (its row and column dropped), which leaves a nonsingular system whenever
-  the kernel is exactly the constants. Numbering the remaining atoms 1, N-1,
-  2, N-2, ... folds the ring so that the periodic band of half-width K
-  becomes a plain band of half-width 2K, which one banded LU factorization
-  (LAPACK gbtrf) handles. Its column-major band storage is filled from the
-  operator's contiguous band columns: two strided slices per offset (the rows
-  whose neighbour lies in the same half of the fold) and O(K^2) single
-  entries where the fold turns or the ring wraps.
+- Stress form, for an exactly symmetric band of any half-width K (every
+  energy-based kind at any R, CUSTOM with a symmetric block): the band is
+  D^T C D / eps^2 with D the backward difference and C cyclic, symmetric and
+  of half-width K - 1. C is solved for the strains, and a running sum gives
+  the displacements.
+- Patch form, for a band of half-width 2 that is not symmetric but passes
+  the linear patch test, zero first moments per row (QCF): the band is
+  T Delta / eps^2 with Delta the centred second difference and T cyclic
+  tridiagonal. T is solved, and two running sums give the displacements.
 
-The stress and patch forms share one cyclic tridiagonal kernel, cyclic
-reduction on the ring in numpy: each level eliminates the odd-indexed
-unknowns, and a ring of 1 or 2 is solved in closed form. It needs neither
-pivoting nor a corner correction, since every C and T that assembly produces
-is strictly diagonally dominant, and it solves with the transpose from the
-same levels. It refuses a pivot, or a final ring, below sqrt(eps_mach) max |T|
-and a T whose T^-T 1 (or T^-1 1) blows up, and the grounded LU then decides.
-Both forms are O(N), and only the grounded LU loads scipy.linalg.
-
-The right-hand side is first projected off the left-null direction (the
-mean, for symmetric operators; T^-T 1 in patch form; from the transposed
-factors otherwise), and iterative refinement keeps the residual at the
-1e-10 ||f|| contract even on the largest chains.
+Any other band is refused with a ValueError naming the test it failed. A
+tridiagonal C or T goes through cyclic reduction on the ring in numpy, which
+needs no pivoting since every C and T that assembly produces is strictly
+diagonally dominant; a wider C through one banded LU of its folded ring,
+LAPACK gbtrf, the only path that loads scipy.linalg. A singular C or T is
+refused with a NumericalError naming it. The right-hand side is projected
+off the left-null direction (the mean in stress form, T^-T 1 in patch form),
+and the one solve is checked once against the 1e-10 ||f|| residual contract.
 """
 
 from __future__ import annotations
@@ -57,6 +42,7 @@ from .models import (
     _telescope,
     _transpose_gaps,
     apply_linear,
+    symmetry_defect,
 )
 from .potentials import PairPotential
 from .regions import RegionPartition
@@ -65,111 +51,82 @@ RESIDUAL_RTOL = 1e-10
 
 
 class NumericalError(RuntimeError):
-    """Solver-level failure: rank deficiency beyond the constant kernel or a
-    residual that refuses to meet the contract."""
+    """Solver-level failure: a singular C or T, rank deficiency beyond the
+    constant kernel, or a residual that misses the contract."""
 
 
-def _folded_storage(op: LinearChainOperator):
-    """The grounded operator in folded ring order, as LAPACK band storage.
+def _folded_storage(diags):
+    """A cyclic band matrix M in folded ring order, as LAPACK band storage.
 
-    Atom N is grounded; atoms 1..h take positions 0, 2, 4, ... and atoms
-    N-1 down to h+1 the odd positions (h = ceil((N-1)/2)), so that ring
-    distance d becomes folded distance at most 2d. Returns (ab, order,
-    last_row): A'[p, q] sits at ab[2*kb + p - q, q] with kb = 2K and kb spare
-    rows on top for the pivoting; order[p] is the 0-based atom at position
-    p; last_row is the grounded atom's row of A.
+    diags[K + k][i] is M[i, (i+k) mod N], for the 2K + 1 offsets k = -K..K.
+    Atoms 1..h take positions 0, 2, 4, ... and atoms N down to h+1 the odd
+    positions (h = ceil(N/2)), so that ring distance d becomes folded
+    distance at most 2d. Returns (ab, order): M'[p, q] sits at
+    ab[2*kb + p - q, q] with kb = 2K and kb spare rows on top for the
+    pivoting; order[p] is the 0-based atom at position p.
 
-    Each offset fills two band diagonals with strided slices: the rows
-    whose neighbour lies in the same half, unwrapped (p = 2i in the front
-    half, p = 2(n-1-i) + 1 in the back half, n = N-1). The at most 2|k|
-    rows that cross between the halves or wrap round the ring are placed
-    one by one, and the column of the grounded atom is dropped.
+    Each offset fills two band diagonals with strided slices: the rows whose
+    neighbour lies in the same half, unwrapped (p = 2i in the front half,
+    p = 2(N-1-i) + 1 in the back half). The at most 2|k| rows that cross
+    between the halves or wrap round the ring are placed one by one; entries
+    of a band as wide as the ring that land on one place add up.
     """
-    N = op.config.N
-    K = op.half_width
-    n = N - 1
-    h = (n + 1) // 2
+    N = len(diags[0])
+    K = (len(diags) - 1) // 2
+    h = (N + 1) // 2
     kb = 2 * K  # a ring distance d <= K becomes a folded distance <= 2d
-    order = np.empty(n, dtype=np.intp)
+    order = np.empty(N, dtype=np.intp)
     order[0::2] = np.arange(h)
-    order[1::2] = np.arange(n - 1, h - 1, -1)
-    pos = np.zeros(N, dtype=np.intp)
-    pos[order] = np.arange(n)
-    ab = np.zeros((3 * kb + 1, n), order="F")
-    last_row = np.zeros(N)
-    scale = 1.0 / op.config.epsilon**2
+    order[1::2] = np.arange(N - 1, h - 1, -1)
+    pos = np.empty(N, dtype=np.intp)
+    pos[order] = np.arange(N)
+    ab = np.zeros((3 * kb + 1, N), order="F")
     for k in range(-K, K + 1):
-        col = op.band[:, K + k]
-        # 0 <= f0 <= f1 <= b0 <= b1 <= n: rows f0..f1-1 have i and i+k in
+        col = diags[K + k]
+        # 0 <= f0 <= f1 <= b0 <= b1 <= N: rows f0..f1-1 have i and i+k in
         # the front half, rows b0..b1-1 both in the back half
-        f0 = min(max(0, -k), n)
+        f0 = min(max(0, -k), N)
         f1 = max(f0, min(h, h - k))
-        b0 = max(f1, min(max(h, h - k), n))
-        b1 = max(b0, min(n, n - k))
+        b0 = max(f1, min(max(h, h - k), N))
+        b1 = max(b0, min(N, N - k))
         if f1 > f0:  # q = 2(i+k), p - q = -2k
-            ab[2 * kb - 2 * k, 2 * (f0 + k):2 * (f1 + k):2] += col[f0:f1] * scale
-        if b1 > b0:  # q = 2(n-1-i-k) + 1 falls as i rises, p - q = 2k
-            ab[2 * kb + 2 * k, 2 * (n - b1 - k) + 1:2 * (n - b0 - k):2] += (
-                col[b0:b1][::-1] * scale
-            )
-        rest = np.r_[0:f0, f1:b0, b1:n]
-        j = (rest + k) % N
-        i, j = rest[j != n], j[j != n]
-        p, q = pos[i], pos[j]
-        ab[2 * kb + p - q, q] += col[i] * scale  # distinct targets: p is a permutation
-        last_row[(n + k) % N] += op.band[n, K + k] * scale
-    return ab, order, last_row
+            ab[2 * kb - 2 * k, 2 * (f0 + k):2 * (f1 + k):2] += col[f0:f1]
+        if b1 > b0:  # q = 2(N-1-i-k) + 1 falls as i rises, p - q = 2k
+            ab[2 * kb + 2 * k, 2 * (N - b1 - k) + 1:2 * (N - b0 - k):2] += col[b0:b1][::-1]
+        rest = np.r_[0:f0, f1:b0, b1:N]
+        p, q = pos[rest], pos[(rest + k) % N]
+        ab[2 * kb + p - q, q] += col[rest]  # distinct targets: p is a permutation
+    return ab, order
 
 
-def _grounded_lu(op: LinearChainOperator):
-    """Factor the operator with atom N grounded, in folded ring order.
+def _cyclic_banded(diags):
+    """Factor the cyclic band matrix M with diagonals diags, as in
+    `_folded_storage`, by one banded LU of its folded ring (LAPACK gbtrf,
+    partial pivoting).
 
-    Returns (solve, w): w is the left-null vector of A scaled to w_N = 1, and
-    solve(r) is the u with u_N = 0 and A u = r - mu w, mu being the left-null
-    component of r (zero for a projected r, up to rounding).
-    Raises NumericalError when the grounded system is (numerically) singular,
-    i.e. when the kernel of A is larger than the constants.
+    Returns (solve, g) as `_cyclic_tridiagonal` does: solve(b) gives M^-1 b,
+    overwriting b, and g = M^-1 1. Both are None when M is (numerically)
+    singular: an LU pivot below sqrt(eps_mach) max |M|, or max |g| max |M| >
+    1/sqrt(eps_mach).
     """
-    # imported here so that `import qclab` does not load scipy
+    # imported here: no band of half-width 2 or less loads scipy.linalg
     from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-    N = op.config.N
-    kb = 2 * op.half_width
-    ab, order, last_row = _folded_storage(op)
-    n = N - 1
+    kb = len(diags) - 1  # twice M's half-width
+    scale = max(max(float(d.max()), -float(d.min())) for d in diags)
+    ab, order = _folded_storage(diags)
     lu, piv, info = dgbtrf(ab, kb, kb, overwrite_ab=1)
-    pivots = np.abs(lu[2 * kb])
-    ratio = pivots.min() / pivots.max() if info == 0 else 0.0
-    # A well-posed chain keeps the smallest U pivot near 1/N of the largest;
-    # a kernel beyond the constants leaves one at roundoff level, and the
-    # refinement loop cannot see that (its floor grows with the garbage u).
-    if ratio < math.sqrt(np.finfo(float).eps):
-        raise NumericalError(
-            "operator is singular: its kernel is larger than the constants "
-            f"(smallest/largest LU pivot {ratio:.1e})"
-        )
+    if info != 0 or not float(np.abs(lu[2 * kb]).min()) > math.sqrt(np.finfo(float).eps) * scale:
+        return None, None
 
-    def grounded(r, trans=0):
-        x, _ = dgbtrs(lu, kb, kb, r[order], piv, trans=trans)
-        out = np.zeros(N)
-        out[order] = x
-        return out
+    def solve(b):
+        b[order] = dgbtrs(lu, kb, kb, b[order], piv, overwrite_b=1)[0]
+        return b
 
-    # w^T A = 0 with w_N = 1: rows 1..N-1 give A'^T w' = -(row N of A)'
-    w = grounded(-last_row, trans=1)
-    w[n] = 1.0
-    z = grounded(w)
-    denom = 1.0 - last_row @ z  # = w.w in exact arithmetic
-
-    def solve(r):
-        # A u = r - mu w on all N rows: mu picks up what rounding leaves of
-        # r outside the range of A and spreads it along w, instead of
-        # dumping it on the grounded row (N times larger in the sup norm)
-        y = grounded(r)
-        mu = (r[n] - last_row @ y) / denom
-        return y - mu * z
-
-    return solve, w
+    g = solve(np.ones(len(order)))
+    if float(np.abs(g).max()) * scale > 1.0 / math.sqrt(np.finfo(float).eps):
+        return None, None
+    return solve, g
 
 
 def _reduce_forward(d, dn, nrb, left, right, wrap, t1, t2):
@@ -289,29 +246,59 @@ def _close_ring(s, ramp):
     return u
 
 
+def _stress_diagonals(band: np.ndarray) -> list:
+    """C of a symmetric, zero-row-sum band A = D^T C D (eps^2 units), as its
+    diagonals: C[i, i+k] is diags[Kc + k][i] for k = -Kc..Kc, Kc = max(K - 1, 1).
+
+    Entrywise A[i, j] = C[i, j] - C[i, j+1] - C[i+1, j] + C[i+1, j+1]. For
+    the lower diagonals l_j[i] = C[i, i-j] and b_j[i] = band[i, K-j] this is
+    one inward recursion from l_K = l_{K+1} = 0:
+
+        l_{j-1}[i] = l_j[i] + l_j[i+1] - l_{j+1}[i+1] - b_j[i],  j = K..1.
+
+    The upper diagonals follow by symmetry, C[i, i+j] = l_j[i+j]. Each
+    diagonal is an array of its own, so that a solve keeps alive only the
+    ones it reads.
+    """
+    N, K = band.shape[0], (band.shape[1] - 1) // 2
+    Kc = max(K - 1, 1)
+    low = [np.zeros(N)] * (Kc + 1)  # low[j] is l_j
+    low[K - 1] = -band[:, 0]
+    for j in range(K - 1, 0, -1):
+        nxt = low[j] + np.roll(low[j], -1)
+        if j + 1 < K:
+            nxt -= np.roll(low[j + 1], -1)
+        nxt -= band[:, K - j]
+        low[j - 1] = nxt
+    return low[::-1] + [np.roll(low[j], -j) for j in range(1, Kc + 1)]
+
+
 def _stress_lu(op: LinearChainOperator):
-    """Factor a symmetric, zero-row-sum band of half-width 2 in stress form.
+    """Factor an exactly symmetric, zero-row-sum band of any half-width K in
+    stress form.
 
     Such a band is A = D^T C D / eps^2, with (D u)_i = u_i - u_{i-1} and C the
-    cyclic symmetric tridiagonal matrix read off its two lower diagonals:
-    C[i, i-1] = -band[i, 0] and C[i, i] = C[i, i-1] + C[i+1, i] - band[i, 1].
-    A u = r becomes C t = sigma + c 1 with sum(t) = 0, where the stress
-    sigma is a prefix sum of eps^2 r and c is fixed by the constraint; then
-    u = cumsum(t). C goes through `_cyclic_tridiagonal`, which, unlike a
-    positive-definite factor, accepts the negative moduli of stretched
-    Lennard-Jones chains.
+    cyclic symmetric matrix of half-width K - 1 whose diagonals
+    `_stress_diagonals` reads off it. A u = r becomes C t = sigma + c 1 with
+    sum(t) = 0, where the stress sigma is a prefix sum of eps^2 r and c is
+    fixed by the constraint; then u = cumsum(t). A tridiagonal C (K <= 2)
+    goes through `_cyclic_tridiagonal`, which, unlike a positive-definite
+    factor, accepts the negative moduli of stretched Lennard-Jones chains; a
+    wider one goes through `_cyclic_banded`.
 
-    Returns (solve, w) as `_grounded_lu` does, with w = 1. Returns None when
-    C itself is (numerically) singular: A may still be well posed then (the
-    bilaplacian band has C = D D^T), and the grounded LU decides. Raises
-    NumericalError when C is regular but A's kernel is larger than the
-    constants, i.e. when sum(C^-1 1) vanishes.
+    Returns (solve, w) with w = 1: solve(r) is the u with A u = r - mean(r).
+    Raises NumericalError when C is (numerically) singular, and when C is
+    regular but A's kernel is larger than the constants, i.e. when
+    sum(C^-1 1) vanishes.
     """
     N = op.config.N
-    sub = -op.band[:, 0]  # C[i, i-1]; sub[0] is the corner C[0, N-1]
-    C, g = _cyclic_tridiagonal(sub, sub + np.roll(sub, -1) - op.band[:, 1], np.roll(sub, -1))
+    diags = _stress_diagonals(op.band)
+    C, g = _cyclic_tridiagonal(*diags) if len(diags) == 3 else _cyclic_banded(diags)
     if C is None:  # g = C^-1 1 otherwise
-        return None
+        raise NumericalError(
+            "stress matrix C is (numerically) singular: the symmetric band "
+            "cannot be solved in stress form"
+        )
     g_sum = float(g.sum())
     if abs(g_sum) <= math.sqrt(np.finfo(float).eps) * float(np.abs(g).sum()):
         raise NumericalError(
@@ -346,16 +333,24 @@ def _patch_lu(op: LinearChainOperator):
     makes sum(y) = eps^2 w.(r - mu w) vanish; then s = D u is a running sum
     of y made mean-free, and u = cumsum(s).
 
-    Returns (solve, w) as `_grounded_lu` does, or None when the band fails
-    the patch test or T is (numerically) singular; the grounded LU then
-    decides. A regular T leaves A the kernel of Delta, the constants.
+    Returns (solve, w): solve(r) is the u with A u = r - mu w. A regular T
+    leaves A the kernel of Delta, the constants. Raises ValueError when the
+    band (one that is not symmetric) fails the patch test and NumericalError
+    when T is (numerically) singular.
     """
     band = op.band
-    if not _moment_defect(band[:, 3] - band[:, 1] + 2.0 * (band[:, 4] - band[:, 0]), band)[1]:
-        return None
+    moment, passes = _moment_defect(band[:, 3] - band[:, 1] + 2.0 * (band[:, 4] - band[:, 0]), band)
+    if not passes:
+        raise ValueError(
+            "operator is not symmetric and fails the linear patch test "
+            f"(max |first moment| {moment:.1e} in eps^2 stencil units)"
+        )
     T, w = _cyclic_tridiagonal(band[:, 0], band[:, 3] + 2.0 * band[:, 4], band[:, 4], True)
     if T is None:  # w = T^-T 1 otherwise
-        return None
+        raise NumericalError(
+            "patch matrix T is (numerically) singular: the band cannot be "
+            "solved in patch form"
+        )
     N = op.config.N
     ww = float(w @ w)
     eps2 = op.config.epsilon**2
@@ -383,24 +378,30 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
     """Unique mean-zero u with (linear part of op) u = P f, where P removes
     the left-null component of f (the mean, for symmetric operators).
 
-    The band picks the factorization: an exactly symmetric band of half-width
-    2 (`_transpose_gaps` all zero) is solved in stress form through its
-    tridiagonal C (`_stress_lu`); any other band of half-width 2 whose rows
-    have zero first moments in patch form through its tridiagonal T
-    (`_patch_lu`); every other band, and a C or T that is singular, through
-    one banded LU of the grounded, ring-folded operator (`_grounded_lu`). Each
-    factorization serves the left-null vector, the solve and the refinement
-    steps. The residual contract is 1e-10 ||f||_inf, widened to the float64
-    representation floor eps_mach * || |A| |u| ||_inf where the latter is
-    larger (rounding u alone perturbs A u by that much on the finest chains);
-    it is checked on the returned mean-zero u. Raises ValueError for an
-    operator with nonzero row sums and NumericalError when the kernel is
-    larger than the constants.
+    The band's symmetry picks the factorization: an exactly symmetric band
+    (`_transpose_gaps` all zero) of any half-width is solved in stress form
+    through its cyclic C (`_stress_lu`); a band of half-width 2 that is not
+    symmetric but whose rows have zero first moments in patch form through
+    its tridiagonal T (`_patch_lu`). One solve is made, and its residual is
+    checked once against the contract: 1e-10 ||f||_inf, widened to the
+    float64 representation floor eps_mach * || |A| |u| ||_inf where the
+    latter is larger (rounding u alone perturbs A u by that much on the
+    finest chains), on the returned mean-zero u.
+
+    Raises ValueError for a right-hand side of another shape than (N,) or
+    with a non-finite entry, for an operator with nonzero row sums and for
+    a band that is neither symmetric nor a half-width-2 band that passes the
+    patch test; NumericalError when C or T is singular, when the kernel is
+    larger than the constants, or when the residual misses the contract.
     """
     fv = f.values if isinstance(f, PeriodicField) else np.asarray(f, dtype=float)
     N = op.config.N
-    if len(fv) != N:
-        raise ValueError("right-hand side length does not match operator size")
+    if fv.shape != (N,):
+        raise ValueError(f"right-hand side has shape {fv.shape}, expected ({N},)")
+    finite = np.isfinite(fv)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"right-hand side is not finite at atom {i + 1}: {fv[i]}")
     defect, annihilates = _constants_defect(op)
     if not annihilates:
         raise ValueError(
@@ -408,33 +409,28 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
             "in eps^2 stencil units); equilibria are defined up to a constant only "
             "for shift-invariant operators"
         )
-    factor = None
-    if op.half_width == 2:
-        symmetric = not any(gap.any() for gap in _transpose_gaps(op.band))
-        factor = _stress_lu(op) if symmetric else _patch_lu(op)
-    solve, w = factor or _grounded_lu(op)
+    K = op.half_width
+    if not any(gap.any() for gap in _transpose_gaps(op.band)):
+        solve, w = _stress_lu(op)
+    elif K == 2:
+        solve, w = _patch_lu(op)
+    else:
+        raise ValueError(
+            f"operator is not symmetric (symmetry defect {symmetry_defect(op):.1e}), "
+            f"and a band of half-width {K} has no patch form (half-width 2 only)"
+        )
     fproj = fv - (w @ fv) / (w @ w) * w
     u = solve(fproj)
-    scale = float(np.abs(fv).max())
-    macheps = np.finfo(float).eps
-    converged = False
-    resid_inf = math.inf
+    u -= u.mean()
+    resid_inf = float(np.abs(fproj - apply_linear(op, u)).max())
     abs_band = np.broadcast_to(np.abs(_distinct_rows(op.band)), op.band.shape)
-    for attempt in range(4):  # iterative refinement: LU error grows with cond(A)
-        u = u - u.mean()
-        resid = fproj - apply_linear(op, u)
-        resid_inf = float(np.abs(resid).max())
-        abs_au = _band_apply(abs_band, -op.half_width, np.abs(u))  # eps^2 |A| |u|
-        floor = macheps * float(abs_au.max()) / op.config.epsilon**2
-        if resid_inf <= max(RESIDUAL_RTOL * scale, 8.0 * floor):
-            converged = True
-            break
-        if attempt < 3:
-            u = u + solve(resid)
-    if not converged:
+    abs_au = _band_apply(abs_band, -K, np.abs(u))  # eps^2 |A| |u|
+    floor = np.finfo(float).eps * float(abs_au.max()) / op.config.epsilon**2
+    contract = max(RESIDUAL_RTOL * float(np.abs(fv).max()), 8.0 * floor)
+    if not resid_inf <= contract:
         raise NumericalError(
-            f"equilibrium residual {resid_inf:.3e} exceeds "
-            f"{RESIDUAL_RTOL:.0e} * ||f|| after refinement"
+            f"equilibrium residual {resid_inf:.3e} exceeds its contract {contract:.3e} "
+            f"(max of {RESIDUAL_RTOL:.0e} * ||f|| and the float64 floor)"
         )
     return PeriodicField(op.config, u)
 

@@ -211,15 +211,15 @@ def test_console_script_entry_point(tmp_path, src_env):
 
 
 def test_import_loads_no_scipy(src_env):
-    # only the grounded LU imports scipy, on first use; importing qclab and its
-    # CLI loads none of it
+    # only the stress form of a band wider than 2 imports scipy.linalg, on
+    # first use; importing qclab and its CLI loads none of scipy
     code = "import sys, qclab, qclab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
-R2_SOLVES_AND_CUSTOM = """
+R2_SOLVES_THEN_A_WIDE_BAND = """
 import sys
 import numpy as np
 from qclab import (ChainConfig, InterfaceStencil, ModelKind, RegionPartition,
@@ -232,26 +232,32 @@ for kind in ("qnl", "qcf"):
     convergence_study(kind, witness, [64, 128], [1, 2], harmonic(1.0, 1.0), partition=part)
 assert main(["selftest"]) == 0
 print("after R = 2:", "scipy.linalg" in sys.modules)
-# a diagonal block that cancels what each block row reads outside it: zero row sums
-outer = [sum(CONT_L2.get(j - i, 0) for j in (-1, 0)) + sum(ATOM_L2.get(j - i, 0) for j in (5, 6))
-         for i in range(1, 5)]
-config = ChainConfig(N=64, F=1.2, R=2)
-op = assemble_operator(ModelKind.CUSTOM, config, harmonic(1.0, 1.0), partition=part,
-                       stencil=InterfaceStencil(4, -np.diag(np.asarray(outer, dtype=float))))
+if sys.argv[1] == "custom":
+    # a diagonal block that cancels what each block row reads outside it: zero row sums
+    outer = [sum(CONT_L2.get(j - i, 0) for j in (-1, 0)) + sum(ATOM_L2.get(j - i, 0) for j in (5, 6))
+             for i in range(1, 5)]
+    config = ChainConfig(N=64, F=1.2, R=2)
+    op = assemble_operator(ModelKind.CUSTOM, config, harmonic(1.0, 1.0), partition=part,
+                           stencil=InterfaceStencil(4, -np.diag(np.asarray(outer, dtype=float))))
+else:
+    config = ChainConfig(N=64, F=1.2, R=3)
+    op = assemble_operator(ModelKind.ATOMISTIC, config, harmonic(1.0, 1.0))
 solve_equilibrium(op, np.sin(2.0 * np.pi * config.positions()))
-print("after CUSTOM:", "scipy.linalg" in sys.modules)
+print(f"after {sys.argv[1]}:", "scipy.linalg" in sys.modules)
 """
 
 
 def test_r2_solves_load_no_scipy_linalg(src_env):
-    # the stress and patch forms solve in numpy: QNL and QCF ladders and the
-    # selftest leave scipy.linalg unloaded, and a CUSTOM solve, which takes
-    # the grounded LU, loads it
-    proc = subprocess.run([sys.executable, "-c", R2_SOLVES_AND_CUSTOM],
-                          capture_output=True, text=True, env=src_env)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[-2:] == ["after R = 2: False", "after CUSTOM: True"]
+    # the stress form of a band of half-width 2 and the patch form solve in
+    # numpy: QNL and QCF ladders and the selftest leave scipy.linalg
+    # unloaded. A band wider than 2 loads it, be it CUSTOM or a pure chain at
+    # R = 3; each runs in a process of its own, so each is seen to load it
+    for wide in ("custom", "R=3"):
+        proc = subprocess.run([sys.executable, "-c", R2_SOLVES_THEN_A_WIDE_BAND, wide],
+                              capture_output=True, text=True, env=src_env)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[-2:] == ["after R = 2: False", f"after {wide}: True"]
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -34,8 +34,8 @@ from qclab.convergence import (
     RESIDUAL_RTOL,
     _cyclic_tridiagonal,
     _folded_storage,
-    _grounded_lu,
     _patch_lu,
+    _stress_diagonals,
     _stress_lu,
 )
 from qclab.models import ATOM_L2, CONT_L2, COUPLED, LinearChainOperator
@@ -76,18 +76,6 @@ def bordered_reference(op, f):
     return u - u.mean(), fproj
 
 
-def grounded_reference(op, f):
-    """The grounded banded LU with three refinement steps, kept as the oracle
-    for the stress-form and patch-test paths. Returns (mean-zero u, projected
-    right-hand side)."""
-    solve, w = _grounded_lu(op)
-    fproj = f - (w @ f) / (w @ w) * w
-    u = solve(fproj)
-    for _ in range(3):
-        u = u + solve(fproj - apply_linear(op, u))
-    return u - u.mean(), fproj
-
-
 def stress_matrix(band):
     """Dense cyclic tridiagonal C with band = D^T C D, read off the two lower
     diagonals: C[i, i-1] = -band[i, 0], C[i, i] = C[i, i-1] + C[i+1, i] - band[i, 1]."""
@@ -102,10 +90,13 @@ def stress_matrix(band):
 
 
 def band_from_stress(C):
-    """Half-width-2 band (eps^2 units) of D^T C D for a cyclic tridiagonal C."""
+    """Half-width-2 band (eps^2 units) of D^T C D for a cyclic tridiagonal C,
+    made exactly symmetric: the dense products round A[i, j] and A[j, i]
+    apart, and only an exactly symmetric band takes the stress form."""
     N = C.shape[0]
     D = np.eye(N) - np.roll(np.eye(N), -1, axis=1)  # (D u)_i = u_i - u_{i-1}
     A = D.T @ C @ D
+    A = 0.5 * (A + A.T)
     idx = np.arange(N)
     return np.stack([A[idx, (idx + k) % N] for k in range(-2, 3)], axis=1)
 
@@ -247,12 +238,13 @@ def test_solver_reports_rank_deficiency():
 @pytest.mark.parametrize("N", [16, 1024])
 def test_solver_rejects_kernel_beyond_constants(N):
     # [-1, 0, 2, 0, -1] on every row: for even N the kernel is {1, (-1)^i}, and
-    # the residual floor, which grows with u, would otherwise accept garbage
+    # the residual floor, which grows with u, would otherwise accept garbage;
+    # its C = cyclic [1, 2, 1] is singular, and the error names C
     config = ChainConfig(N=N, F=1.2, R=2)
     band = np.tile([-1.0, 0.0, 2.0, 0.0, -1.0], (N, 1))
     op = LinearChainOperator(config, ModelKind.ATOMISTIC, band, np.zeros(N))
     f = np.random.default_rng(0).standard_normal(N)
-    with pytest.raises(NumericalError, match="kernel is larger than the constants"):
+    with pytest.raises(NumericalError, match="stress matrix C is"):
         solve_equilibrium(op, f)
 
 
@@ -303,15 +295,15 @@ def test_stress_path_matches_grounded_oracle(
     for kind in ENERGY_KINDS:
         op = assemble_operator(kind, config, pot, partition=partition)
         f = rng.standard_normal(N)
-        want, fproj = grounded_reference(op, f)
-        # one stress solve keeps the contract by itself, so no refinement runs
+        want, fproj = bordered_reference(op, f)
+        # one stress solve keeps the contract by itself
         solve, w = _stress_lu(op)
         assert np.array_equal(w, np.ones(N))
         u = solve(f - f.mean())
         u -= u.mean()
         assert np.abs(apply_linear(op, u) - (f - f.mean())).max() <= residual_contract(op, u, f)
         with monkeypatch.context() as patch:
-            patch.setattr(convergence, "_grounded_lu", forbid("the grounded LU"))
+            patch.setattr(convergence, "_patch_lu", forbid("the patch path"))
             u = solve_equilibrium(op, f).values
         tol = 4.0 * residual_contract(op, want, f) / c
         assert lp_norm(difference(PeriodicField(config, u - want), 1, 1), math.inf) <= tol
@@ -363,8 +355,8 @@ def test_stress_path_solves_negative_moduli(F, kind, monkeypatch):
     assert evaluate(pot, F, 2) < 0.0
     op = assemble_operator(kind, config, pot, partition=HALF_PART)
     f = np.random.default_rng(int(10 * F)).standard_normal(config.N)
-    want, fproj = grounded_reference(op, f)
-    monkeypatch.setattr(convergence, "_grounded_lu", forbid("the grounded LU"))
+    want, fproj = bordered_reference(op, f)
+    monkeypatch.setattr(convergence, "_patch_lu", forbid("the patch path"))
     u = solve_equilibrium(op, f).values
     assert np.abs(apply_linear(op, u) - fproj).max() <= residual_contract(op, u, f)
     c = abs(sum(r * r * evaluate(pot, r * F, 2) for r in (1, 2)))
@@ -372,52 +364,70 @@ def test_stress_path_solves_negative_moduli(F, kind, monkeypatch):
     assert lp_norm(difference(PeriodicField(config, u - want), 1, 1), math.inf) <= tol
 
 
-def test_nonsymmetric_pentadiagonal_band_takes_grounded_route(monkeypatch):
-    # an ATOMISTIC label does not select the stress path; the band does
+@pytest.mark.parametrize("R", [2, 3])
+def test_nonsymmetric_band_outside_the_patch_form_is_refused(R):
+    # an ATOMISTIC label does not select the stress path; the band does. A
+    # skewed band is not symmetric: at half-width 2 it fails the patch test,
+    # and wider bands have no patch form
     rng = np.random.default_rng(67)
     N = 256
-    config = ChainConfig(N=N, F=1.2, R=2)
+    config = ChainConfig(N=N, F=1.2, R=R)
     band = np.array(assemble_operator(ModelKind.ATOMISTIC, config, POT1).band)
     skew = 0.1 * rng.random(N)
-    band[:, 1] -= skew  # row sums stay zero, A[i, i+1] != A[i+1, i]
-    band[:, 3] += skew
+    band[:, R - 1] -= skew  # row sums stay zero, A[i, i-1] != A[i-1, i]
+    band[:, R + 1] += skew
     op = LinearChainOperator(config, ModelKind.ATOMISTIC, band, np.zeros(N))
-    monkeypatch.setattr(convergence, "_stress_lu", forbid("the stress path"))
-    v = rng.standard_normal(N)
-    v -= v.mean()
-    u = solve_equilibrium(op, apply_linear(op, v)).values
-    assert np.abs(u - v).max() <= 1e-10 * np.abs(v).max()
+    message = "fails the linear patch test" if R == 2 else "half-width 3 has no patch form"
+    with pytest.raises(ValueError, match=f"not symmetric .*{message}"):
+        solve_equilibrium(op, rng.standard_normal(N))
 
 
 @pytest.mark.parametrize("N", [16, 17, 1024])
-def test_singular_stress_matrix_defers_to_grounded_lu(N):
+def test_singular_stress_matrix_is_refused(N):
     # the bilaplacian [1, -4, 6, -4, 1] is D^T C D with C = D D^T, singular on
-    # the constants, while the band's own kernel is the constants
+    # the constants, while the band's own kernel is the constants: the stress
+    # form cannot solve it, and the solver names C. So for two bands of
+    # half-width 3, whose C goes to the banded LU: -Delta^3 with C = Delta^2,
+    # and C = d I - Delta_2 (Delta_2 the second difference over two atoms,
+    # d = 1e-9), whose LU pivots pass at N = 1024 while C^-1 1 ~ 1/d blows up
     config = ChainConfig(N=N, F=1.2, R=2)
-    band = np.tile([1.0, -4.0, 6.0, -4.0, 1.0], (N, 1))
-    op = LinearChainOperator(config, ModelKind.ATOMISTIC, band, np.zeros(N))
-    assert _stress_lu(op) is None
     v = np.random.default_rng(N).standard_normal(N)
-    v -= v.mean()
-    f = apply_linear(op, v)
-    u = solve_equilibrium(op, f).values
-    assert np.abs(apply_linear(op, u) - f).max() <= residual_contract(op, u, f)
+    d = 1e-9
+    for row in ([1.0, -4.0, 6.0, -4.0, 1.0], [-1.0, 6.0, -15.0, 20.0, -15.0, 6.0, -1.0],
+                [1.0, -2.0, -1.0 - d, 4.0 + 2.0 * d, -1.0 - d, -2.0, 1.0]):
+        op = LinearChainOperator(config, ModelKind.ATOMISTIC, np.tile(row, (N, 1)), np.zeros(N))
+        with pytest.raises(NumericalError, match="stress matrix C is"):
+            solve_equilibrium(op, apply_linear(op, v - v.mean()))
 
 
-@pytest.mark.parametrize("row", [[0.0] * 5, [-1.0, 0.0, 2.0, 0.0, -1.0]])
+def test_solver_checks_the_residual_of_its_one_solve(monkeypatch):
+    # a factorization whose solve misses the contract is not refined: the one
+    # residual check names the miss
+    config = ChainConfig(N=64, F=1.2, R=2)
+    op = assemble_operator(ModelKind.QNL, config, POT1, partition=HALF_PART)
+    solve, w = _stress_lu(op)
+    monkeypatch.setattr(convergence, "_stress_lu", lambda op_: (lambda r: 1.001 * solve(r), w))
+    with pytest.raises(NumericalError, match="exceeds its contract"):
+        solve_equilibrium(op, np.random.default_rng(6).standard_normal(64))
+
+
+@pytest.mark.parametrize("row", [[0.0] * 5, [-1.0, 0.0, 2.0, 0.0, -1.0], [0.0] * 7])
 def test_singular_stress_matrix_keeps_the_kernel_error(row):
     # C = 0 fails the pivot test of the ring reduction and C = cyclic [1, 2, 1]
-    # (even N) its final 2-ring; the grounded LU then names the kernel
+    # (even N) its final 2-ring; C = 0 of half-width 2 leaves the banded LU an
+    # exact zero pivot. Each band has a kernel beyond the constants, which a
+    # singular C does not prove, so the error names C
     config = ChainConfig(N=64, F=1.2, R=2)
     op = LinearChainOperator(config, ModelKind.ATOMISTIC, np.tile(row, (64, 1)), np.zeros(64))
-    assert _stress_lu(op) is None
-    with pytest.raises(NumericalError, match="kernel is larger than the constants"):
+    with pytest.raises(NumericalError, match="stress matrix C is"):
+        _stress_lu(op)
+    with pytest.raises(NumericalError, match="stress matrix C is"):
         solve_equilibrium(op, np.random.default_rng(1).standard_normal(64))
 
 
 def test_stress_solve_spreads_the_mean_of_its_right_hand_side():
-    # like the grounded LU, one stress solve returns u with A u = r - mu w for
-    # any r (w = 1): the mean of r is removed, not left on one atom
+    # one stress solve returns u with A u = r - mu w for any r (w = 1): the
+    # mean of r is removed, not left on one atom
     rng = np.random.default_rng(68)
     config = ChainConfig(N=4096, F=1.1, R=2)
     op = assemble_operator(ModelKind.QNL, config, lennard_jones(), partition=HALF_PART)
@@ -455,12 +465,12 @@ def test_stress_path_residual_contract_at_large_n(kind, potential, monkeypatch):
     op_a = assemble_operator(ModelKind.ATOMISTIC, config, pot)
     f = apply_linear(op_a, sample_field(default_witness, config).values) - op.ghost
     fproj = f - f.mean()
-    # one stress solve already keeps the contract: no refinement step is needed
+    # one stress solve keeps the contract by itself
     solve, w = _stress_lu(op)
     u = solve(fproj)
     u -= u.mean()
     assert np.abs(apply_linear(op, u) - fproj).max() <= residual_contract(op, u, f)
-    monkeypatch.setattr(convergence, "_grounded_lu", forbid("the grounded LU"))
+    monkeypatch.setattr(convergence, "_patch_lu", forbid("the patch path"))
     u = solve_equilibrium(op, f).values
     assert abs(u.mean()) <= 1e-12 * np.abs(u).max()
     assert np.abs(apply_linear(op, u) - fproj).max() <= residual_contract(op, u, f)
@@ -479,7 +489,8 @@ def test_patch_matrix_rebuilds_the_band(potential, random_geometry):
         assert np.abs(rebuilt - op.dense()).max() <= 4.0 * ulp
         # QCE is symmetric but fails the patch test: its first moments are O(1)
         qce = assemble_operator(ModelKind.QCE, config, pot, partition=partition)
-        assert _patch_lu(qce) is None
+        with pytest.raises(ValueError, match="fails the linear patch test"):
+            _patch_lu(qce)
 
 
 @pytest.mark.parametrize(
@@ -494,18 +505,18 @@ def test_patch_path_matches_grounded_oracle(
     c = sum(r * r * evaluate(pot, r * config.F, 2) for r in (1, 2))  # as above
     op = assemble_operator(ModelKind.QCF, config, pot, partition=partition)
     f = rng.standard_normal(N)
-    want, fproj = grounded_reference(op, f)
+    want, fproj = bordered_reference(op, f)
     solve, w = _patch_lu(op)
     # w^T A = 0 to rounding: (A^T w)_j = sum_k band[j-k, k] w_{j-k}, eps^2 units
     left = sum(np.roll(op.band[:, 2 + k] * w, k) for k in range(-2, 3))
     left_abs = sum(np.roll(np.abs(op.band[:, 2 + k] * w), k) for k in range(-2, 3))
     assert np.abs(left).max() <= 16 * np.finfo(float).eps * left_abs.max()
-    # one patch solve keeps the contract by itself, so no refinement runs
+    # one patch solve keeps the contract by itself
     u = solve(fproj)
     u -= u.mean()
     assert np.abs(apply_linear(op, u) - fproj).max() <= residual_contract(op, u, f)
     with monkeypatch.context() as patch:
-        patch.setattr(convergence, "_grounded_lu", forbid("the grounded LU"))
+        patch.setattr(convergence, "_stress_lu", forbid("the stress path"))
         u = solve_equilibrium(op, f).values
     tol = 4.0 * residual_contract(op, want, f) / c
     assert lp_norm(difference(PeriodicField(config, u - want), 1, 1), math.inf) <= tol
@@ -516,7 +527,7 @@ def test_patch_path_matches_grounded_oracle(
 def test_patch_path_pivots_through_indefinite_patch_matrices(monkeypatch):
     # random nonsymmetric T with entries of both signs, down to a ring of 5
     rng = np.random.default_rng(71)
-    monkeypatch.setattr(convergence, "_grounded_lu", forbid("the grounded LU"))
+    monkeypatch.setattr(convergence, "_stress_lu", forbid("the stress path"))
     for N in (5, 16, 64, 512):
         config = ChainConfig(N=N, F=1.2, R=2)
         t_diag = rng.uniform(-3.0, 3.0, N)
@@ -530,8 +541,8 @@ def test_patch_path_pivots_through_indefinite_patch_matrices(monkeypatch):
 
 
 def test_patch_solve_spreads_the_left_null_component():
-    # like the grounded LU, one patch solve returns u with A u = r - mu w for
-    # any r: the left-null component of r is removed, not left on one atom
+    # one patch solve returns u with A u = r - mu w for any r: the left-null
+    # component of r is removed, not left on one atom
     rng = np.random.default_rng(72)
     config = ChainConfig(N=4096, F=1.1, R=2)
     op = assemble_operator(ModelKind.QCF, config, lennard_jones(), partition=HALF_PART)
@@ -542,68 +553,62 @@ def test_patch_solve_spreads_the_left_null_component():
     assert np.abs(apply_linear(op, u) - rproj).max() <= residual_contract(op, u, r)
 
 
+def assert_refuses_patch_matrix(op, seed):
+    """The patch path and the solver both name a singular T."""
+    with pytest.raises(NumericalError, match="patch matrix T is"):
+        _patch_lu(op)
+    with pytest.raises(NumericalError, match="patch matrix T is"):
+        solve_equilibrium(op, np.random.default_rng(seed).standard_normal(op.config.N))
+
+
 @pytest.mark.parametrize("N", [16, 17, 64])
-def test_singular_patch_matrix_defers_to_grounded_lu(N):
+def test_singular_patch_matrix_is_refused(N):
     # T with rows (1, -3, 2) has T 1 = 0, but 1 is not a second difference, so
-    # the band T Delta = [1, -5, 9, -7, 2] still has only the constants as kernel
+    # the band T Delta = [1, -5, 9, -7, 2] still has only the constants as
+    # kernel: the patch form cannot solve it, and the solver names T
     config = ChainConfig(N=N, F=1.2, R=2)
     band = np.tile([1.0, -5.0, 9.0, -7.0, 2.0], (N, 1))
-    op = LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N))
-    assert _patch_lu(op) is None
-    v = np.random.default_rng(N).standard_normal(N)
-    v -= v.mean()
-    f = apply_linear(op, v)
-    u = solve_equilibrium(op, f).values
-    assert np.abs(apply_linear(op, u) - f).max() <= residual_contract(op, u, f)
+    assert_refuses_patch_matrix(LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N)), N)
 
 
-def test_roundoff_pivot_of_patch_matrix_defers_to_grounded_lu():
+def test_roundoff_pivot_of_patch_matrix_is_refused():
     # row and column j of T decoupled with T[j, j] = 1e-17: the ring reduction
-    # meets that pivot as it is, the band's row j is numerically zero, and the
-    # grounded LU names the extra kernel
+    # meets that pivot as it is, and the band's row j is numerically zero
     N, j = 64, 32
     config = ChainConfig(N=N, F=1.2, R=2)
     t_lo, t_diag, t_up = np.ones(N), np.full(N, 4.0), np.full(N, 2.0)
     t_lo[j:j + 2], t_diag[j], t_up[j - 1:j + 1] = 0.0, 1e-17, 0.0
     band = band_from_patch(t_lo, t_diag, t_up)
-    op = LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N))
-    assert _patch_lu(op) is None
-    with pytest.raises(NumericalError, match="kernel is larger than the constants"):
-        solve_equilibrium(op, np.random.default_rng(4).standard_normal(N))
+    assert_refuses_patch_matrix(LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N)), 4)
 
 
 def test_roundoff_row_of_patch_matrix_that_pivoting_swaps_away():
     # only row j of T is at roundoff level (a pivoted LU would swap it below
     # row j+1, keep every pivot and see T^-T 1 blow up); the ring reduction
     # carries it unchanged to the level that eliminates it and refuses that
-    # pivot, and the grounded LU names the extra kernel
+    # pivot
     N, j = 64, 32
     config = ChainConfig(N=N, F=1.2, R=2)
     t_lo, t_diag, t_up = np.ones(N), np.full(N, 4.0), np.full(N, 2.0)
     t_lo[j], t_diag[j], t_up[j] = 0.0, 1e-17, 0.0
     band = band_from_patch(t_lo, t_diag, t_up)
-    op = LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N))
-    assert _patch_lu(op) is None
-    with pytest.raises(NumericalError, match="kernel is larger than the constants"):
-        solve_equilibrium(op, np.random.default_rng(5).standard_normal(N))
+    assert_refuses_patch_matrix(LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N)), 5)
 
 
 def test_singular_patch_matrix_keeps_the_kernel_error():
     # T with rows (1, 3, 2) annihilates the alternating vector on an even ring,
-    # which is a second difference: A = [1, 1, -3, -1, 2] has it in its kernel
+    # which is a second difference: A = [1, 1, -3, -1, 2] has it in its
+    # kernel, which a singular T does not prove, so the error names T
     N = 64
     config = ChainConfig(N=N, F=1.2, R=2)
     band = np.tile([1.0, 1.0, -3.0, -1.0, 2.0], (N, 1))
-    op = LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N))
-    assert _patch_lu(op) is None
-    with pytest.raises(NumericalError, match="kernel is larger than the constants"):
-        solve_equilibrium(op, np.random.default_rng(2).standard_normal(N))
+    assert_refuses_patch_matrix(LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N)), 2)
 
 
 @pytest.mark.parametrize("N", [2**14, 2**16])
 @pytest.mark.parametrize("potential", ["harmonic", "lennard_jones"])
 def test_qcf_solve_keeps_the_contract_without_refinement(N, potential, monkeypatch):
-    # the grounded LU needed a refinement step for Lennard-Jones QCF from 2^14 up
+    # one patch solve keeps the contract on long Lennard-Jones chains too
     pot, F = {"harmonic": (POT1, 1.2), "lennard_jones": (lennard_jones(), 1.1)}[potential]
     config = ChainConfig(N=N, F=F, R=2)
     op = assemble_operator(ModelKind.QCF, config, pot, partition=HALF_PART)
@@ -617,7 +622,7 @@ def test_qcf_solve_keeps_the_contract_without_refinement(N, potential, monkeypat
 
     monkeypatch.setattr(convergence, "apply_linear", counted)
     u = solve_equilibrium(op, f).values
-    assert checks == [N]  # one residual check: no refinement step ran
+    assert checks == [N]  # one residual check
     w = _patch_lu(op)[1]
     fproj = f - (w @ f) / (w @ w) * w
     # with a wide margin: one solve lands at 0.06-0.08 of the contract
@@ -636,8 +641,8 @@ def consistent_custom_stencil(m):
 
 
 def test_route_table(monkeypatch):
-    # which factorization serves each assembled operator; a change that drops
-    # a kind onto the grounded LU (or off it) must show here
+    # which factorization serves each assembled operator; a change that moves
+    # a kind from one form to the other must show here
     reached = []
 
     def recording(name, factory):
@@ -649,7 +654,7 @@ def test_route_table(monkeypatch):
 
         return run
 
-    for name in ("_stress_lu", "_patch_lu", "_grounded_lu"):
+    for name in ("_stress_lu", "_patch_lu"):
         monkeypatch.setattr(convergence, name, recording(name, getattr(convergence, name)))
     config = ChainConfig(N=256, F=1.1, R=2)
     pot = lennard_jones()
@@ -662,7 +667,13 @@ def test_route_table(monkeypatch):
     ops[ModelKind.CUSTOM] = assemble_operator(
         ModelKind.CUSTOM, config, pot, partition=HALF_PART, stencil=consistent_custom_stencil(4)
     )
+    ops["CUSTOM m=2"] = assemble_operator(  # K = 3
+        ModelKind.CUSTOM, config, pot,
+        partition=RegionPartition([(0.0, 0.5)], interface_width_m=2, reach=2),
+        stencil=consistent_custom_stencil(2),
+    )
     ops["R=3"] = assemble_operator(ModelKind.ATOMISTIC, ChainConfig(N=256, F=1.1, R=3), pot)
+    ops["R=4"] = assemble_operator(ModelKind.CONTINUUM, ChainConfig(N=256, F=1.1, R=4), pot)
     routes = {}
     for label, op in ops.items():
         reached.clear()
@@ -674,8 +685,10 @@ def test_route_table(monkeypatch):
         ModelKind.ATOMISTIC: ["_stress_lu"],
         ModelKind.CONTINUUM: ["_stress_lu"],
         ModelKind.QCF: ["_patch_lu"],
-        ModelKind.CUSTOM: ["_grounded_lu"],
-        "R=3": ["_grounded_lu"],
+        ModelKind.CUSTOM: ["_stress_lu"],
+        "CUSTOM m=2": ["_stress_lu"],
+        "R=3": ["_stress_lu"],
+        "R=4": ["_stress_lu"],
     }
 
 
@@ -745,8 +758,8 @@ def test_ring_kernel_refuses_a_roundoff_pivot_and_a_singular_final_ring():
 def test_assembled_r2_kinds_take_their_o_n_route(N, ends, m, F, potential, seed):
     # the route table over random geometries: every R = 2 energy kind solves
     # in stress form and QCF in patch form (in stress form where a degenerate
-    # geometry leaves its band symmetric), never through the grounded LU, and
-    # one solve keeps the residual contract without refinement
+    # geometry leaves its band symmetric), and one solve keeps the residual
+    # contract
     ends = sorted(e / 2**16 for e in ends)
     partition = RegionPartition(list(zip(ends[::2], ends[1::2])), interface_width_m=m, reach=2)
     config = ChainConfig(N=N, F=F, R=2)
@@ -763,9 +776,142 @@ def test_assembled_r2_kinds_take_their_o_n_route(N, ends, m, F, potential, seed)
         u = solve(fproj)
         u -= u.mean()
         assert np.abs(apply_linear(op, u) - fproj).max() <= residual_contract(op, u, f), kind
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(convergence, "_grounded_lu", forbid("the grounded LU"))
-            solve_equilibrium(op, f)
+        solve_equilibrium(op, f)
+
+
+@settings(max_examples=100)
+@given(
+    N=st.one_of(st.integers(9, 64), st.integers(65, 1500)),
+    band=st.sampled_from(  # (kind, m) or (kind, R)
+        [(ModelKind.CUSTOM, m) for m in range(2, 8)]
+        + [(kind, R) for kind in (ModelKind.ATOMISTIC, ModelKind.CONTINUUM) for R in (3, 4)]
+    ),
+    ends=st.lists(st.integers(0, 2**16), min_size=2, max_size=2, unique=True),
+    potential=st.sampled_from(["harmonic", "lennard_jones"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wide_symmetric_bands_take_the_stress_route(N, band, ends, potential, seed):
+    # every assembled band wider than 2 is exactly symmetric: CUSTOM with the
+    # zero-row-sum diagonal block (K = m + 1) and pure chains at R = 3 and 4
+    # solve in stress form with one residual check within the contract, and
+    # agree with the SuperLU oracle
+    kind, width = band
+    pot, F = (POT1, 1.2) if potential == "harmonic" else (lennard_jones(), 1.1)
+    if kind is ModelKind.CUSTOM:
+        a, b = sorted(e / 2**16 for e in ends)
+        partition = RegionPartition([(a, b)], interface_width_m=width, reach=2)
+        config = ChainConfig(N=N, F=F, R=2)
+        try:
+            classify(partition, config)
+        except ValueError:
+            reject()
+        op = assemble_operator(kind, config, pot, partition=partition,
+                               stencil=consistent_custom_stencil(width))
+    else:
+        config = ChainConfig(N=N, F=F, R=width)
+        op = assemble_operator(kind, config, pot)
+    f = np.random.default_rng(seed).standard_normal(N)
+    routes, checks = [], []
+
+    def stress(op_):
+        routes.append("stress")
+        return _stress_lu(op_)
+
+    def counted(op_, v):
+        checks.append(len(v))
+        return apply_linear(op_, v)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(convergence, "_stress_lu", stress)
+        patch.setattr(convergence, "_patch_lu", forbid("the patch path"))
+        patch.setattr(convergence, "apply_linear", counted)
+        u = solve_equilibrium(op, f).values
+    assert routes == ["stress"] and checks == [N]
+    fproj = f - f.mean()
+    assert abs(u.mean()) <= 1e-12 * np.abs(u).max()
+    assert np.abs(apply_linear(op, u) - fproj).max() <= residual_contract(op, u, f)
+    if N <= 1024:
+        want, _ = bordered_reference(op, f)
+        c = abs(sum(r * r * evaluate(pot, r * F, 2) for r in range(1, config.R + 1)))
+        tol = 4.0 * residual_contract(op, want, f) / c  # as for the R = 2 kinds
+        assert lp_norm(difference(PeriodicField(config, u - want), 1, 1), math.inf) <= tol
+    if N <= 64:  # C rebuilds the band: A[i, j] = C[i, j] - C[i, j+1] - C[i+1, j] + C[i+1, j+1]
+        diags = _stress_diagonals(op.band)
+        Kc = (len(diags) - 1) // 2
+        idx = np.arange(N)
+        dense = np.zeros((N, N))
+        for k in range(-Kc, Kc + 1):
+            np.add.at(dense, (idx, (idx + k) % N), diags[Kc + k])
+        D = np.eye(N) - np.roll(np.eye(N), -1, axis=1)
+        assert np.abs(D.T @ dense @ D - op.dense() * config.epsilon**2).max() <= (
+            1e-13 * np.abs(op.band).max())
+
+
+def test_wide_stress_path_pivots_through_indefinite_stress_matrices(monkeypatch):
+    # random symmetric C of half-width 2-5 with entries of both signs: the
+    # recursion reads it back off D^T C D, and the banded LU of its folded
+    # ring pivots through it
+    rng = np.random.default_rng(69)
+    monkeypatch.setattr(convergence, "_patch_lu", forbid("the patch path"))
+    for N, Kc in ((16, 2), (17, 3), (64, 5), (257, 3)):
+        config = ChainConfig(N=N, F=1.2, R=2)
+        idx = np.arange(N)
+        C = np.diag(rng.uniform(-3.0, 3.0, N))
+        for j in range(1, Kc + 1):
+            C[idx, idx - j] = C[idx - j, idx] = rng.uniform(-1.0, 1.0, N)
+        D = np.eye(N) - np.roll(np.eye(N), -1, axis=1)
+        A = D.T @ C @ D
+        A = 0.5 * (A + A.T)  # exactly symmetric, as band_from_stress makes it
+        band = np.stack([A[idx, (idx + k) % N] for k in range(-Kc - 1, Kc + 2)], axis=1)
+        op = LinearChainOperator(config, ModelKind.ATOMISTIC, band, np.zeros(N))
+        rebuilt = _stress_diagonals(op.band)
+        for k in range(-Kc, Kc + 1):
+            assert np.abs(rebuilt[Kc + k] - C[idx, (idx + k) % N]).max() <= 1e-13 * np.abs(C).max()
+        v = rng.standard_normal(N)
+        v -= v.mean()
+        u = solve_equilibrium(op, apply_linear(op, v)).values
+        assert np.abs(u - v).max() <= 1e-8 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("F", [1.2, 1.5])
+def test_wide_stress_path_solves_negative_moduli(F, monkeypatch):
+    # Lennard-Jones chains at R = 3 and 4 stretched past the inflection point:
+    # every modulus is negative, and so is C
+    pot = lennard_jones()
+    monkeypatch.setattr(convergence, "_patch_lu", forbid("the patch path"))
+    for R, kind in itertools.product((3, 4), (ModelKind.ATOMISTIC, ModelKind.CONTINUUM)):
+        config = ChainConfig(N=1024, F=F, R=R)
+        moduli = [evaluate(pot, r * F, 2) for r in range(1, R + 1)]
+        assert max(moduli) < 0.0
+        op = assemble_operator(kind, config, pot)
+        f = np.random.default_rng(R).standard_normal(config.N)
+        want, fproj = bordered_reference(op, f)
+        u = solve_equilibrium(op, f).values
+        assert np.abs(apply_linear(op, u) - fproj).max() <= residual_contract(op, u, f)
+        c = abs(sum(r * r * phi2 for r, phi2 in enumerate(moduli, 1)))
+        tol = 4.0 * residual_contract(op, want, f) / c  # as for the R = 2 chains
+        assert lp_norm(difference(PeriodicField(config, u - want), 1, 1), math.inf) <= tol
+
+
+def test_solve_refuses_a_right_hand_side_of_another_shape(monkeypatch):
+    # an (N, 1) column is named and refused before anything is factored
+    config = ChainConfig(N=32, F=1.2, R=2)
+    op = assemble_operator(ModelKind.ATOMISTIC, config, POT1)
+    monkeypatch.setattr(convergence, "_stress_lu", forbid("the stress path"))
+    with pytest.raises(ValueError, match=r"has shape \(32, 1\), expected \(32,\)"):
+        solve_equilibrium(op, np.ones((32, 1)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solve_names_the_first_non_finite_atom(bad, monkeypatch):
+    # named and refused before anything is factored, without a RuntimeWarning
+    config = ChainConfig(N=32, F=1.2, R=2)
+    op = assemble_operator(ModelKind.QCF, config, POT1, partition=HALF_PART)
+    monkeypatch.setattr(convergence, "_patch_lu", forbid("the patch path"))
+    f = np.ones(32)
+    f[[6, 20]] = bad, -bad
+    with pytest.raises(ValueError, match=f"not finite at atom 7: {bad}"):
+        solve_equilibrium(op, f)
 
 
 def test_solve_rejects_wrong_length():
@@ -775,62 +921,51 @@ def test_solve_rejects_wrong_length():
         solve_equilibrium(op, np.ones(16))
 
 
-def folded_scatter_reference(op):
+def folded_scatter_reference(diags):
     """The folded band storage as qclab first built it, kept as the exact
     reference: one fancy-indexed scatter per offset through the position
-    permutation, with the grounded atom's column sent to the diagonal as 0."""
-    N = op.config.N
-    K = op.half_width
-    n = N - 1
+    permutation."""
+    N = len(diags[0])
+    K = (len(diags) - 1) // 2
     kb = 2 * K
-    order = np.empty(n, dtype=np.intp)
-    order[0::2] = np.arange((n + 1) // 2)
-    order[1::2] = np.arange(n - 1, (n + 1) // 2 - 1, -1)
+    order = np.empty(N, dtype=np.intp)
+    order[0::2] = np.arange((N + 1) // 2)
+    order[1::2] = np.arange(N - 1, (N + 1) // 2 - 1, -1)
     pos = np.zeros(N, dtype=np.intp)
-    pos[order] = np.arange(n)
-    p = pos[:n]
-    ab = np.zeros((3 * kb + 1, n))
+    pos[order] = np.arange(N)
+    ab = np.zeros((3 * kb + 1, N))
     flat = ab.reshape(-1)
-    last_row = np.zeros(N)
-    scale = 1.0 / op.config.epsilon**2
     for k in range(-K, K + 1):
-        vals = op.band[:n, K + k] * scale
-        q = np.roll(pos, -k)[:n]
-        i0 = (n - k) % N
-        if i0 < n:
-            q[i0], vals[i0] = p[i0], 0.0
-        flat[(2 * kb + p - q) * n + q] += vals
-        last_row[(n + k) % N] += op.band[n, K + k] * scale
-    return ab, order, last_row
+        q = np.roll(pos, -k)
+        flat[(2 * kb + pos - q) * N + q] += diags[K + k]
+    return ab, order
 
 
 def test_folded_storage_matches_scatter_reference(random_geometry):
+    # the fold of each wide C that the stress form factors, bit for bit
     rng = np.random.default_rng(61)
-    ops = []
+    bands = []
     for N in (12, 13, 64, 65, 1024, 1025):  # even and odd chains
         config, pot, partition = random_geometry(rng, N, "lennard_jones", 1)
         m = partition.interface_width_m
         block = rng.standard_normal((m, m))
-        ops.append(assemble_operator(ModelKind.QCF, config, pot, partition=partition))
-        ops.append(assemble_operator(
+        ops = [assemble_operator(
             ModelKind.CUSTOM, config, pot, partition=partition,
             stencil=InterfaceStencil(m, block + block.T),
-        ))
-        # F = 1.3 stretches both Lennard-Jones moduli negative: -0.0 band entries
-        ops.append(assemble_operator(
-            ModelKind.QCF, ChainConfig(N=N, F=1.3, R=2), pot, partition=partition,
-        ))
-        for kind in (ModelKind.ATOMISTIC, ModelKind.CONTINUUM):
-            ops.append(assemble_operator(kind, ChainConfig(N=N, F=1.1, R=3), pot))
+        )]
+        # F = 1.3 stretches every Lennard-Jones modulus negative
+        for F, R, kind in itertools.product((1.1, 1.3), (3, 4), (ModelKind.ATOMISTIC, ModelKind.CONTINUUM)):
+            ops.append(assemble_operator(kind, ChainConfig(N=N, F=F, R=R), pot))
+        bands += [np.array(_stress_diagonals(op.band)) for op in ops]
     # bands as wide as the ring or wider, which the fold wraps more than once
     for N in (3, 4, 5, 8):
         for K in (1, 3, N, N + 2):
-            band = rng.standard_normal((N, 2 * K + 1))
+            band = rng.standard_normal((2 * K + 1, N))  # one row per offset
             band[rng.random(band.shape) < 0.2] = -0.0
-            ops.append(LinearChainOperator(ChainConfig(N=N, R=1), ModelKind.CUSTOM, band, np.zeros(N)))
-    assert any((np.signbit(op.band) & (op.band == 0)).any() for op in ops[:-16])  # assembled -0.0
-    for op in ops:
-        got, want = _folded_storage(op), folded_scatter_reference(op)
+            bands.append(band)
+    assert any((np.signbit(band) & (band == 0)).any() for band in bands)  # -0.0 entries
+    for band in bands:
+        got, want = _folded_storage(band), folded_scatter_reference(band)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
