@@ -3,11 +3,10 @@
 The linearized operators annihilate constants, so an equilibrium is fixed
 only up to a constant. The band's symmetry picks one of two factorizations:
 
-- Stress form, for an exactly symmetric band of any half-width K (every
-  energy-based kind at any R, CUSTOM with a symmetric block): the band is
+- Stress form, for a band of any half-width K symmetric to 1e-12 of its
+  largest entry (every energy-based kind at any R, CUSTOM): the band is
   D^T C D / eps^2 with D the backward difference and C cyclic, symmetric and
-  of half-width K - 1. C is solved for the strains, and a running sum gives
-  the displacements.
+  of half-width K - 1. C gives the strains, a running sum the displacements.
 - Patch form, for a band of half-width 2 that is not symmetric but passes
   the linear patch test, zero first moments per row (QCF): the band is
   T Delta / eps^2 with Delta the centred second difference and T cyclic
@@ -42,7 +41,6 @@ from .models import (
     _telescope,
     _transpose_gaps,
     apply_linear,
-    symmetry_defect,
 )
 from .potentials import PairPotential
 from .regions import RegionPartition
@@ -236,13 +234,13 @@ def _cyclic_tridiagonal(lower, diag, upper, transpose=False):
     return solve, g
 
 
-def _close_ring(s, ramp):
-    """u = cumsum(s), in place, for strains s with sum(s) = 0 and ramp =
-    (1..N) / N. u[-1] is then the rounding the running sum gathered; left in
-    place it is a jump between atoms N and 1, and A would see it there with
-    weight 1/eps^2, so it is spread evenly over the ring."""
+def _close_ring(s):
+    """u = cumsum(s), in place, for strains s with sum(s) = 0. u[-1] is then
+    the rounding the running sum gathered; left in place it is a jump between
+    atoms N and 1, and A would see it there with weight 1/eps^2, so it is
+    spread evenly over the ring, as u[-1] (1..N) / N."""
     u = np.cumsum(s, out=s)
-    u -= u[-1] * ramp
+    u -= u[-1] * (np.arange(1, len(u) + 1) / len(u))
     return u
 
 
@@ -274,8 +272,8 @@ def _stress_diagonals(band: np.ndarray) -> list:
 
 
 def _stress_lu(op: LinearChainOperator):
-    """Factor an exactly symmetric, zero-row-sum band of any half-width K in
-    stress form.
+    """Factor a symmetric, zero-row-sum band of any half-width K in stress
+    form; a band symmetric only to rounding is read by its lower diagonals.
 
     Such a band is A = D^T C D / eps^2, with (D u)_i = u_i - u_{i-1} and C the
     cyclic symmetric matrix of half-width K - 1 whose diagonals
@@ -306,7 +304,6 @@ def _stress_lu(op: LinearChainOperator):
             f"(sum of C^-1 1 is {g_sum:.1e})"
         )
     eps2 = op.config.epsilon**2
-    ramp = np.arange(1, N + 1) / N
 
     def solve(r):
         # D^T sigma = eps^2 r for the mean-free part of r (w = 1)
@@ -315,7 +312,7 @@ def _stress_lu(op: LinearChainOperator):
         np.cumsum(r[:-1] - r.mean(), out=sigma[1:])
         t = C(sigma * -eps2)
         t -= (t.sum() / g_sum) * g
-        return _close_ring(t, ramp)
+        return _close_ring(t)
 
     return solve, np.ones(N)
 
@@ -354,7 +351,6 @@ def _patch_lu(op: LinearChainOperator):
     N = op.config.N
     ww = float(w @ w)
     eps2 = op.config.epsilon**2
-    ramp = np.arange(1, N + 1) / N
 
     def solve(r):
         rhs = w * -((w @ r) / ww)
@@ -369,7 +365,7 @@ def _patch_lu(op: LinearChainOperator):
         # it adds no rounding of its own (one solve lands 3x further inside
         # the contract than without)
         s -= s.mean()
-        return _close_ring(s, ramp)
+        return _close_ring(s)
 
     return solve, w
 
@@ -378,15 +374,16 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
     """Unique mean-zero u with (linear part of op) u = P f, where P removes
     the left-null component of f (the mean, for symmetric operators).
 
-    The band's symmetry picks the factorization: an exactly symmetric band
-    (`_transpose_gaps` all zero) of any half-width is solved in stress form
-    through its cyclic C (`_stress_lu`); a band of half-width 2 that is not
-    symmetric but whose rows have zero first moments in patch form through
-    its tridiagonal T (`_patch_lu`). One solve is made, and its residual is
-    checked once against the contract: 1e-10 ||f||_inf, widened to the
-    float64 representation floor eps_mach * || |A| |u| ||_inf where the
-    latter is larger (rounding u alone perturbs A u by that much on the
-    finest chains), on the returned mean-zero u.
+    The band's symmetry picks the factorization: a band of any half-width
+    whose `_transpose_gaps` vanish relative to its largest entry, as its row
+    sums must (`_moment_defect`), is solved in stress form through its cyclic
+    C (`_stress_lu`); a band of half-width 2 that is not symmetric but whose
+    rows have zero first moments in patch form through its tridiagonal T
+    (`_patch_lu`). One solve is made, and its residual is checked once
+    against the contract: 1e-10 ||f||_inf, widened to the float64
+    representation floor eps_mach * || |A| |u| ||_inf where the latter is
+    larger (rounding u alone perturbs A u by that much on the finest
+    chains), on the returned mean-zero u.
 
     Raises ValueError for a right-hand side of another shape than (N,) or
     with a non-finite entry, for an operator with nonzero row sums and for
@@ -398,9 +395,8 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
     N = op.config.N
     if fv.shape != (N,):
         raise ValueError(f"right-hand side has shape {fv.shape}, expected ({N},)")
-    finite = np.isfinite(fv)
-    if not finite.all():
-        i = int(np.argmin(finite))
+    if not np.isfinite(fv).all():
+        i = int(np.argmin(np.isfinite(fv)))
         raise ValueError(f"right-hand side is not finite at atom {i + 1}: {fv[i]}")
     defect, annihilates = _constants_defect(op)
     if not annihilates:
@@ -409,21 +405,22 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
             "in eps^2 stencil units); equilibria are defined up to a constant only "
             "for shift-invariant operators"
         )
-    K = op.half_width
-    if not any(gap.any() for gap in _transpose_gaps(op.band)):
+    K, band = op.half_width, _distinct_rows(op.band)
+    gap, symmetric = _moment_defect(np.array([abs(g).max() for g in _transpose_gaps(band)]), band)
+    if symmetric:
         solve, w = _stress_lu(op)
     elif K == 2:
         solve, w = _patch_lu(op)
     else:
         raise ValueError(
-            f"operator is not symmetric (symmetry defect {symmetry_defect(op):.1e}), "
-            f"and a band of half-width {K} has no patch form (half-width 2 only)"
+            f"operator is not symmetric (max |A[i, j] - A[j, i]| {gap:.1e} in eps^2 stencil "
+            f"units), and a band of half-width {K} has no patch form (half-width 2 only)"
         )
     fproj = fv - (w @ fv) / (w @ w) * w
     u = solve(fproj)
     u -= u.mean()
     resid_inf = float(np.abs(fproj - apply_linear(op, u)).max())
-    abs_band = np.broadcast_to(np.abs(_distinct_rows(op.band)), op.band.shape)
+    abs_band = np.broadcast_to(np.abs(band), op.band.shape)
     abs_au = _band_apply(abs_band, -K, np.abs(u))  # eps^2 |A| |u|
     floor = np.finfo(float).eps * float(abs_au.max()) / op.config.epsilon**2
     contract = max(RESIDUAL_RTOL * float(np.abs(fv).max()), 8.0 * floor)

@@ -429,9 +429,15 @@ def assemble_from_moduli(
             for side, direction in enumerate((1, -1)):
                 rows[side, i - 1, K + direction * (js - i)] += coeffs
             l2 += list(rows.reshape(2 * m, 2 * K + 1))
-            code = code.astype(np.min_scalar_type(2 * m + 1))
+            if m == 1:  # codes 4 (CA) and 5 (AC): the continuum atom before the block
+                # reads the atomistic atom after it as that one reads it back
+                l2 += [l2[0] + _stencil_row({0: 1, 2: -1}, K)[::d] for d in (1, -1)]
+            code = code.astype(np.min_scalar_type(len(l2) - 1))
             for b, cut in regions.boundaries:
-                code[block_atoms((b, cut), m, N) - 1] = np.arange(2, m + 2) + m * (cut == "AC")
+                atoms = block_atoms((b, cut), m, N)
+                if m == 1:
+                    code[(atoms[0] - 2 if cut == "CA" else atoms[0]) % N] = 4 + (cut == "AC")
+                code[atoms - 1] = np.arange(2, m + 2) + m * (cut == "AC")
         table = second[0] * _stencil_row(L1_ROW, K) + second[1] * np.array(l2)
         gtable = np.zeros(len(table))
     if code is None:
@@ -516,7 +522,7 @@ def _telescope(band: np.ndarray):
 
 def _moment_defect(moments: np.ndarray, band: np.ndarray):
     """(max |moment|, whether it vanishes) for per-row moments of the band,
-    sum_k k^p b_k, in eps^2 stencil units. They vanish when max |moment| <=
+    sum_k k^p b_k, or its transpose gaps, in eps^2 stencil units. They vanish when max |moment| <=
     ROW_SUM_RTOL * max |band entry|; a NaN or infinite entry never does."""
     defect = float(np.abs(moments).max())
     scale = max(float(band.max()), -float(band.min()))  # max |entry|, no temporary

@@ -27,6 +27,7 @@ from qclab import (
     min_residual,
     sample_field,
     solve_equilibrium,
+    symmetry_defect,
     to_strain_form,
 )
 from qclab import convergence
@@ -90,13 +91,10 @@ def stress_matrix(band):
 
 
 def band_from_stress(C):
-    """Half-width-2 band (eps^2 units) of D^T C D for a cyclic tridiagonal C,
-    made exactly symmetric: the dense products round A[i, j] and A[j, i]
-    apart, and only an exactly symmetric band takes the stress form."""
+    """Half-width-2 band (eps^2 units) of D^T C D for a cyclic tridiagonal C."""
     N = C.shape[0]
     D = np.eye(N) - np.roll(np.eye(N), -1, axis=1)  # (D u)_i = u_i - u_{i-1}
     A = D.T @ C @ D
-    A = 0.5 * (A + A.T)
     idx = np.arange(N)
     return np.stack([A[idx, (idx + k) % N] for k in range(-2, 3)], axis=1)
 
@@ -327,8 +325,11 @@ def test_stress_matrix_rebuilds_the_band(potential, random_geometry):
 
 def test_stress_path_pivots_through_indefinite_stress_matrices():
     # random symmetric C with entries of both signs: a positive-definite
-    # factorization would refuse these, the ring reduction must not
+    # factorization would refuse these, the ring reduction must not. The dense
+    # product rounds some A[i, j] and A[j, i] apart, and the stress form takes
+    # a band that is symmetric to rounding
     rng = np.random.default_rng(66)
+    rounded = []
     for N in (16, 64, 512):
         config = ChainConfig(N=N, F=1.2, R=2)
         sub = rng.uniform(-1.0, 1.0, N)
@@ -338,11 +339,13 @@ def test_stress_path_pivots_through_indefinite_stress_matrices():
         C[idx - 1, idx] = sub
         assert np.linalg.eigvalsh(C).min() < 0.0 < np.linalg.eigvalsh(C).max()
         op = LinearChainOperator(config, ModelKind.ATOMISTIC, band_from_stress(C), np.zeros(N))
+        rounded.append(symmetry_defect(op) > 0.0)
         assert _stress_lu(op) is not None
         v = rng.standard_normal(N)
         v -= v.mean()
         u = solve_equilibrium(op, apply_linear(op, v)).values
         assert np.abs(u - v).max() <= 1e-8 * np.abs(v).max()
+    assert any(rounded)
 
 
 @pytest.mark.parametrize("F", [1.2, 1.3, 1.5])
@@ -380,6 +383,34 @@ def test_nonsymmetric_band_outside_the_patch_form_is_refused(R):
     message = "fails the linear patch test" if R == 2 else "half-width 3 has no patch form"
     with pytest.raises(ValueError, match=f"not symmetric .*{message}"):
         solve_equilibrium(op, rng.standard_normal(N))
+
+
+@pytest.mark.parametrize("R", [2, 3])
+def test_symmetry_is_judged_relative_to_the_largest_entry(R, monkeypatch):
+    # a band whose transpose gaps stay within the row-sum tolerance, 1e-12 of
+    # its largest entry, is solved in stress form; at twice the tolerance it
+    # is not symmetric, and being skewed it fails the patch test too
+    N = 64
+    config = ChainConfig(N=N, F=1.2, R=R)
+    band = np.array(assemble_operator(ModelKind.ATOMISTIC, config, POT1).band)
+    reached = []
+    stress = convergence._stress_lu
+    monkeypatch.setattr(convergence, "_stress_lu", lambda op: reached.append(R) or stress(op))
+    f = np.random.default_rng(R).standard_normal(N)
+    for gap in (0.5e-12, 2e-12):
+        skewed = band.copy()
+        skewed[:, R - 1] -= 0.5 * gap * np.abs(band).max()  # A[i, i+1] - A[i+1, i] = gap
+        skewed[:, R + 1] += 0.5 * gap * np.abs(band).max()
+        op = LinearChainOperator(config, ModelKind.ATOMISTIC, skewed, np.zeros(N))
+        assert symmetry_defect(op) > 0.0
+        if gap < 1e-12:
+            u = solve_equilibrium(op, f).values
+            assert reached == [R]
+            assert np.abs(apply_linear(op, u) - (f - f.mean())).max() <= residual_contract(op, u, f)
+        else:
+            with pytest.raises(ValueError, match="not symmetric"):
+                solve_equilibrium(op, f)
+            assert reached == [R]
 
 
 @pytest.mark.parametrize("N", [16, 17, 1024])
@@ -667,6 +698,11 @@ def test_route_table(monkeypatch):
     ops[ModelKind.CUSTOM] = assemble_operator(
         ModelKind.CUSTOM, config, pot, partition=HALF_PART, stencil=consistent_custom_stencil(4)
     )
+    ops["CUSTOM m=1"] = assemble_operator(  # K = 2
+        ModelKind.CUSTOM, config, pot,
+        partition=RegionPartition([(0.0, 0.5)], interface_width_m=1, reach=2),
+        stencil=consistent_custom_stencil(1),
+    )
     ops["CUSTOM m=2"] = assemble_operator(  # K = 3
         ModelKind.CUSTOM, config, pot,
         partition=RegionPartition([(0.0, 0.5)], interface_width_m=2, reach=2),
@@ -686,6 +722,7 @@ def test_route_table(monkeypatch):
         ModelKind.CONTINUUM: ["_stress_lu"],
         ModelKind.QCF: ["_patch_lu"],
         ModelKind.CUSTOM: ["_stress_lu"],
+        "CUSTOM m=1": ["_stress_lu"],
         "CUSTOM m=2": ["_stress_lu"],
         "R=3": ["_stress_lu"],
         "R=4": ["_stress_lu"],
@@ -783,7 +820,7 @@ def test_assembled_r2_kinds_take_their_o_n_route(N, ends, m, F, potential, seed)
 @given(
     N=st.one_of(st.integers(9, 64), st.integers(65, 1500)),
     band=st.sampled_from(  # (kind, m) or (kind, R)
-        [(ModelKind.CUSTOM, m) for m in range(2, 8)]
+        [(ModelKind.CUSTOM, m) for m in range(1, 8)]
         + [(kind, R) for kind in (ModelKind.ATOMISTIC, ModelKind.CONTINUUM) for R in (3, 4)]
     ),
     ends=st.lists(st.integers(0, 2**16), min_size=2, max_size=2, unique=True),
@@ -791,10 +828,10 @@ def test_assembled_r2_kinds_take_their_o_n_route(N, ends, m, F, potential, seed)
     seed=st.integers(0, 2**32 - 1),
 )
 def test_wide_symmetric_bands_take_the_stress_route(N, band, ends, potential, seed):
-    # every assembled band wider than 2 is exactly symmetric: CUSTOM with the
-    # zero-row-sum diagonal block (K = m + 1) and pure chains at R = 3 and 4
-    # solve in stress form with one residual check within the contract, and
-    # agree with the SuperLU oracle
+    # every assembled band wider than 2 is exactly symmetric, and so is CUSTOM
+    # at every m: CUSTOM with the zero-row-sum diagonal block (K = max(2, m + 1))
+    # and pure chains at R = 3 and 4 solve in stress form with one residual
+    # check within the contract, and agree with the SuperLU oracle
     kind, width = band
     pot, F = (POT1, 1.2) if potential == "harmonic" else (lennard_jones(), 1.1)
     if kind is ModelKind.CUSTOM:
@@ -849,8 +886,8 @@ def test_wide_symmetric_bands_take_the_stress_route(N, band, ends, potential, se
 
 def test_wide_stress_path_pivots_through_indefinite_stress_matrices(monkeypatch):
     # random symmetric C of half-width 2-5 with entries of both signs: the
-    # recursion reads it back off D^T C D, and the banded LU of its folded
-    # ring pivots through it
+    # recursion reads it back off D^T C D, symmetric to rounding, and the
+    # banded LU of its folded ring pivots through it
     rng = np.random.default_rng(69)
     monkeypatch.setattr(convergence, "_patch_lu", forbid("the patch path"))
     for N, Kc in ((16, 2), (17, 3), (64, 5), (257, 3)):
@@ -861,7 +898,6 @@ def test_wide_stress_path_pivots_through_indefinite_stress_matrices(monkeypatch)
             C[idx, idx - j] = C[idx - j, idx] = rng.uniform(-1.0, 1.0, N)
         D = np.eye(N) - np.roll(np.eye(N), -1, axis=1)
         A = D.T @ C @ D
-        A = 0.5 * (A + A.T)  # exactly symmetric, as band_from_stress makes it
         band = np.stack([A[idx, (idx + k) % N] for k in range(-Kc - 1, Kc + 2)], axis=1)
         op = LinearChainOperator(config, ModelKind.ATOMISTIC, band, np.zeros(N))
         rebuilt = _stress_diagonals(op.band)

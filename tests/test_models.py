@@ -119,7 +119,9 @@ def assembled_add_at(kind, config, second, first, partition):
 def native_rows_reference(kind, config, second, partition, stencil=None):
     """QCF and CUSTOM bands built row by row, as qclab did before its row
     tables: the native L2 row of each atom's region, and for CUSTOM the block
-    rows overwritten boundary by boundary."""
+    rows overwritten boundary by boundary. Beside a one-atom block the
+    continuum row also reads the atomistic atom two away, with the atomistic
+    coefficient -1 that this atom reads it with, and its diagonal grows by 1."""
     regions = classify(partition, config)
     m = partition.interface_width_m
     K = 2 if kind is ModelKind.QCF else max(2, m + 1)
@@ -137,6 +139,10 @@ def native_rows_reference(kind, config, second, partition, stencil=None):
                 ))
                 l2[atoms[i - 1] - 1, :] = 0.0
                 l2[atoms[i - 1] - 1, K + direction * (js - i)] += coeffs
+            if m == 1:
+                neighbour = (atoms[0] - 1 - direction) % config.N
+                l2[neighbour, K] += 1.0
+                l2[neighbour, K + 2 * direction] -= 1.0
     return second[0] * _stencil_row(L1_ROW, K) + second[1] * l2
 
 
@@ -849,9 +855,7 @@ def test_assembly_matches_scatter_and_row_oracles(N, R, ends, m, F, potential, b
             assert energy_gradient(kind, config, pot, u, part).tobytes() == want.tobytes(), kind
         for gap, want in zip(_transpose_gaps(op.band), transpose_gaps_roll(op.band), strict=True):
             assert np.broadcast_to(gap, (N,)).tobytes() == want.tobytes(), kind
-        if kind in ENERGY_BASED or (kind is ModelKind.CUSTOM and m >= 2):
-            # a one-atom block sees the second-neighbour pair across it from
-            # one end only, so CUSTOM is symmetric from m = 2 on
+        if kind in ENERGY_BASED or kind is ModelKind.CUSTOM:
             assert symmetry_defect(op) == 0.0, kind
 
         K = max(op.half_width, R)
