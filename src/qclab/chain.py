@@ -128,10 +128,15 @@ def difference(u: PeriodicField, r: int, order: int) -> PeriodicField:
 
 def lp_norm(u: PeriodicField, p: float) -> float:
     """Discrete l^p_eps norm: (eps sum |u_j|^p)^(1/p); max |u_j| for p = inf."""
+    a = np.abs(u.values)
+    return _magnitude_norm(a, p, u.config.epsilon, a)
+
+
+def _magnitude_norm(a: np.ndarray, p: float, eps: float, out: np.ndarray) -> float:
+    """`lp_norm` of a field whose magnitudes are a; the p-th powers go to out,
+    a itself or an array of its length."""
     if not p >= 1:  # NaN fails too
         raise ValueError(f"p must lie in [1, inf], got {p}")
-    a = np.abs(u.values)
     if p == math.inf:
         return float(a.max()) if len(a) else 0.0
-    eps = u.config.epsilon
-    return float((eps * np.sum(a**p)) ** (1.0 / p))
+    return float((eps * np.sum(np.power(a, p, out=out))) ** (1.0 / p))

@@ -149,8 +149,9 @@ def _rungs(kind: ModelKind, f, N_list, potential, partition, F):
         config = ChainConfig(N=N, F=F, R=2)
         u = sample_field(f, config)
         op_kind = assemble_operator(kind, config, potential, partition=partition)
-        op_atom = assemble_operator(ModelKind.ATOMISTIC, config, potential)
-        yield config, u, op_kind, apply_linear(op_atom, u.values)
+        # L^a is not kept alive through the caller's work on the rung
+        La_u = apply_linear(assemble_operator(ModelKind.ATOMISTIC, config, potential), u.values)
+        yield config, u, op_kind, La_u
 
 
 def consistency_sweep(

@@ -12,11 +12,12 @@ only up to a constant. The band's symmetry picks one of two factorizations:
   T Delta / eps^2 with Delta the centred second difference and T cyclic
   tridiagonal. T is solved, and two running sums give the displacements.
 
-Any other band is refused with a ValueError naming the test it failed. A
-tridiagonal C or T goes through cyclic reduction on the ring in numpy, which
-needs no pivoting since every C and T that assembly produces is strictly
-diagonally dominant; a wider C through one banded LU of its folded ring,
-LAPACK gbtrf, the only path that loads scipy.linalg. A singular C or T is
+Any other band is refused with a ValueError naming the test it failed. C
+is solved at its true width: outer diagonals that are exactly zero are
+dropped. A tridiagonal C or T goes through cyclic reduction on the ring in
+numpy, which needs no pivoting since every C and T that assembly produces is
+strictly diagonally dominant; a wider C through one banded LU of its folded
+ring, LAPACK gbtrf, the only path that loads scipy.linalg. A singular C or T is
 refused with a NumericalError naming it. The right-hand side is projected
 off the left-null direction (the mean in stress form, T^-T 1 in patch form),
 and the one solve is checked once against the 1e-10 ||f|| residual contract.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import PeriodicField, difference, lp_norm
+from .chain import PeriodicField, _magnitude_norm
 from .consistency import _rungs, fit_slope
 from .models import (
     LinearChainOperator,
@@ -205,9 +206,11 @@ def _cyclic_tridiagonal(lower, diag, upper, transpose=False):
         b2[:o] += np.multiply(ce[:o], ab, out=ab)
         b2[1:] += np.multiply(ae[1:], cb[:k], out=cb[:k])
         # (left, right, wrap) of the normal forward and the transposed back
-        # step, then of the normal back and the transposed forward step
+        # step, then of the normal back and the transposed forward step; b2
+        # is read only while factoring, so it then holds the level's forward
+        # elimination
         rows = ((ce[:o], ae[1:], ae[0]), (ao, co[:k], co[-1]))
-        levels.append((nrb, rows, np.empty(m)))
+        levels.append((nrb, rows, b2))
         a, b, c = a2, b2, c2
     if len(b) == 1:
         ring = np.array([[a[0] + b[0] + c[0]]])
@@ -234,14 +237,27 @@ def _cyclic_tridiagonal(lower, diag, upper, transpose=False):
     return solve, g
 
 
-def _close_ring(s):
+def _close_ring(s, ramp):
     """u = cumsum(s), in place, for strains s with sum(s) = 0. u[-1] is then
     the rounding the running sum gathered; left in place it is a jump between
     atoms N and 1, and A would see it there with weight 1/eps^2, so it is
-    spread evenly over the ring, as u[-1] (1..N) / N."""
+    spread evenly over the ring, as u[-1] (1..N) / N, formed in ramp (an
+    array of the same length, overwritten)."""
     u = np.cumsum(s, out=s)
-    u -= u[-1] * (np.arange(1, len(u) + 1) / len(u))
+    ramp.fill(1.0)
+    np.cumsum(ramp, out=ramp)  # 1..N, exact
+    ramp /= len(u)
+    ramp *= u[-1]
+    u -= ramp
     return u
+
+
+def _with_next(ufunc, a, x, out):
+    """out_i = ufunc(a_i, x_{(i+1) mod N}): x read through a wrapped window,
+    not a rolled copy."""
+    ufunc(a[:-1], x[1:], out=out[:-1])
+    out[-1] = ufunc(a[-1], x[0])
+    return out
 
 
 def _stress_diagonals(band: np.ndarray) -> list:
@@ -256,16 +272,16 @@ def _stress_diagonals(band: np.ndarray) -> list:
 
     The upper diagonals follow by symmetry, C[i, i+j] = l_j[i+j]. Each
     diagonal is an array of its own, so that a solve keeps alive only the
-    ones it reads.
+    ones it reads; the recursion reads l_j[i+1] through wrapped windows.
     """
     N, K = band.shape[0], (band.shape[1] - 1) // 2
     Kc = max(K - 1, 1)
-    low = [np.zeros(N)] * (Kc + 1)  # low[j] is l_j
+    low = [None] * K + [np.zeros(N)] * (Kc + 1 - K)  # low[j] is l_j; l_1 = 0 for K = 1
     low[K - 1] = -band[:, 0]
     for j in range(K - 1, 0, -1):
-        nxt = low[j] + np.roll(low[j], -1)
+        nxt = _with_next(np.add, low[j], low[j], np.empty(N))
         if j + 1 < K:
-            nxt -= np.roll(low[j + 1], -1)
+            _with_next(np.subtract, nxt, low[j + 1], nxt)
         nxt -= band[:, K - j]
         low[j - 1] = nxt
     return low[::-1] + [np.roll(low[j], -j) for j in range(1, Kc + 1)]
@@ -279,10 +295,12 @@ def _stress_lu(op: LinearChainOperator):
     cyclic symmetric matrix of half-width K - 1 whose diagonals
     `_stress_diagonals` reads off it. A u = r becomes C t = sigma + c 1 with
     sum(t) = 0, where the stress sigma is a prefix sum of eps^2 r and c is
-    fixed by the constraint; then u = cumsum(t). A tridiagonal C (K <= 2)
-    goes through `_cyclic_tridiagonal`, which, unlike a positive-definite
-    factor, accepts the negative moduli of stretched Lennard-Jones chains; a
-    wider one goes through `_cyclic_banded`.
+    fixed by the constraint; then u = cumsum(t). C's outer diagonal pairs
+    that are exactly zero are dropped first, so that C is solved at its true
+    half-width. A tridiagonal C (every K <= 2, and CUSTOM with a diagonal
+    block) goes through `_cyclic_tridiagonal`, which, unlike a
+    positive-definite factor, accepts the negative moduli of stretched
+    Lennard-Jones chains; a wider one goes through `_cyclic_banded`.
 
     Returns (solve, w) with w = 1: solve(r) is the u with A u = r - mean(r).
     Raises NumericalError when C is (numerically) singular, and when C is
@@ -291,14 +309,16 @@ def _stress_lu(op: LinearChainOperator):
     """
     N = op.config.N
     diags = _stress_diagonals(op.band)
+    while len(diags) > 3 and not diags[0].any():  # diags[-1] is diags[0] rolled
+        diags = diags[1:-1]
     C, g = _cyclic_tridiagonal(*diags) if len(diags) == 3 else _cyclic_banded(diags)
     if C is None:  # g = C^-1 1 otherwise
         raise NumericalError(
             "stress matrix C is (numerically) singular: the symmetric band "
             "cannot be solved in stress form"
         )
-    g_sum = float(g.sum())
-    if abs(g_sum) <= math.sqrt(np.finfo(float).eps) * float(np.abs(g).sum()):
+    g_sum, work = float(g.sum()), np.abs(g)  # work: a full-length buffer every solve reuses
+    if abs(g_sum) <= math.sqrt(np.finfo(float).eps) * float(work.sum()):
         raise NumericalError(
             "operator is singular: its kernel is larger than the constants "
             f"(sum of C^-1 1 is {g_sum:.1e})"
@@ -309,10 +329,12 @@ def _stress_lu(op: LinearChainOperator):
         # D^T sigma = eps^2 r for the mean-free part of r (w = 1)
         sigma = np.empty(N)
         sigma[0] = 0.0
-        np.cumsum(r[:-1] - r.mean(), out=sigma[1:])
-        t = C(sigma * -eps2)
-        t -= (t.sum() / g_sum) * g
-        return _close_ring(t)
+        np.subtract(r[:-1], r.mean(), out=sigma[1:])
+        np.cumsum(sigma[1:], out=sigma[1:])
+        sigma *= -eps2
+        t = C(sigma)
+        t -= np.multiply(g, t.sum() / g_sum, out=work)
+        return _close_ring(t, work)
 
     return solve, np.ones(N)
 
@@ -353,7 +375,7 @@ def _patch_lu(op: LinearChainOperator):
     eps2 = op.config.epsilon**2
 
     def solve(r):
-        rhs = w * -((w @ r) / ww)
+        rhs = np.multiply(w, -((w @ r) / ww))
         rhs += r
         rhs *= eps2
         y = T(rhs)
@@ -365,7 +387,7 @@ def _patch_lu(op: LinearChainOperator):
         # it adds no rounding of its own (one solve lands 3x further inside
         # the contract than without)
         s -= s.mean()
-        return _close_ring(s)
+        return _close_ring(s, y)
 
     return solve, w
 
@@ -383,7 +405,11 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
     against the contract: 1e-10 ||f||_inf, widened to the float64
     representation floor eps_mach * || |A| |u| ||_inf where the latter is
     larger (rounding u alone perturbs A u by that much on the finest
-    chains), on the returned mean-zero u.
+    chains), on the returned mean-zero u. The floor's |A| |u| is the band
+    product of `_band_apply` with magnitudes: |band| is read one column at
+    a time into a product buffer, never formed whole, and the columns are
+    added in order from zeros, as np.abs(band) applied to np.abs(u) adds
+    them.
 
     Raises ValueError for a right-hand side of another shape than (N,) or
     with a non-finite entry, for an operator with nonzero row sums and for
@@ -406,7 +432,9 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
             "for shift-invariant operators"
         )
     K, band = op.half_width, _distinct_rows(op.band)
-    gap, symmetric = _moment_defect(np.array([abs(g).max() for g in _transpose_gaps(band)]), band)
+    gap, symmetric = _moment_defect(
+        np.array([np.abs(g, out=g).max() for g in _transpose_gaps(band)]), band
+    )
     if symmetric:
         solve, w = _stress_lu(op)
     elif K == 2:
@@ -416,12 +444,17 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
             f"operator is not symmetric (max |A[i, j] - A[j, i]| {gap:.1e} in eps^2 stencil "
             f"units), and a band of half-width {K} has no patch form (half-width 2 only)"
         )
-    fproj = fv - (w @ fv) / (w @ w) * w
+    fproj = np.multiply(w, (w @ fv) / (w @ w))
+    np.subtract(fv, fproj, out=fproj)
+    # w, then the factorization, are freed once used: the check allocates on
+    # top of what is still alive
+    del w
     u = solve(fproj)
+    del solve
     u -= u.mean()
-    resid_inf = float(np.abs(fproj - apply_linear(op, u)).max())
-    abs_band = np.broadcast_to(np.abs(band), op.band.shape)
-    abs_au = _band_apply(abs_band, -K, np.abs(u))  # eps^2 |A| |u|
+    resid = apply_linear(op, u)
+    resid_inf = float(np.abs(np.subtract(fproj, resid, out=resid), out=resid).max())
+    abs_au = _band_apply(op.band, -K, u, magnitudes=True)  # eps^2 |A| |u|
     floor = np.finfo(float).eps * float(abs_au.max()) / op.config.epsilon**2
     contract = max(RESIDUAL_RTOL * float(np.abs(fv).max()), 8.0 * floor)
     if not resid_inf <= contract:
@@ -484,17 +517,23 @@ def convergence_study(
     per_p = {p: [] for p in p_list}
     for config, u, op_k, La_u in _rungs(kind, f_witness, N_list, potential, partition, F):
         N, eps = config.N, config.epsilon
-        u_qc = solve_equilibrium(op_k, La_u - op_k.ghost)
-        e = PeriodicField(config, u.values - u_qc.values)
-        de = difference(e, 1, 1)
-        norms = {p: lp_norm(de, p) for p in dict.fromkeys([*p_list, math.inf])}
+        # the rung's own La_u holds f, then e, then the p-th powers of |D e|;
+        # |D e| goes to the array of L e once ||L e||_inf is read
+        u_qc = solve_equilibrium(op_k, np.subtract(La_u, op_k.ghost, out=La_u))
+        e = np.subtract(u.values, u_qc.values, out=La_u)
+        de = apply_linear(op_k, e)
+        le_inf = float(np.abs(de, out=de).max())
+        np.subtract(e[1:], e[:-1], out=de[1:])  # (D e)_i = (e_i - e_{i-1}) / eps
+        de[0] = e[0] - e[-1]
+        de /= eps
+        np.abs(de, out=de)
+        norms = {p: _magnitude_norm(de, p, eps, e) for p in dict.fromkeys([*p_list, math.inf])}
         de_inf = norms[math.inf]
         for p in p_list:
             rows.append(ConvergenceRow(N=N, epsilon=eps, p=p, error_norm=norms[p]))
             per_p[p].append((eps, norms[p]))
         # the solve has checked the row sums; the strain band itself is not needed
         bound_C = _telescope(op_k.band)[1]
-        le_inf = float(np.abs(apply_linear(op_k, e.values)).max())
         norm_ok = all(
             norms[p] >= eps ** (1.0 / p) * de_inf * (1.0 - 1e-12)
             for p in p_list

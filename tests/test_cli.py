@@ -211,8 +211,8 @@ def test_console_script_entry_point(tmp_path, src_env):
 
 
 def test_import_loads_no_scipy(src_env):
-    # only the stress form of a band wider than 2 imports scipy.linalg, on
-    # first use; importing qclab and its CLI loads none of scipy
+    # only the stress form of a C wider than tridiagonal imports scipy.linalg,
+    # on first use; importing qclab and its CLI loads none of scipy
     code = "import sys, qclab, qclab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0, proc.stderr
@@ -233,12 +233,15 @@ for kind in ("qnl", "qcf"):
 assert main(["selftest"]) == 0
 print("after R = 2:", "scipy.linalg" in sys.modules)
 if sys.argv[1] == "custom":
-    # a diagonal block that cancels what each block row reads outside it: zero row sums
+    # a dense block: its diagonal cancels what each block row reads outside
+    # it, and the zero-row-sum coupling 4 I - 1 1^T between all four block
+    # atoms gives C nonzero diagonals at offsets +-2, which no trim removes
     outer = [sum(CONT_L2.get(j - i, 0) for j in (-1, 0)) + sum(ATOM_L2.get(j - i, 0) for j in (5, 6))
              for i in range(1, 5)]
+    block = -np.diag(np.asarray(outer, dtype=float)) + 4.0 * np.eye(4) - np.ones((4, 4))
     config = ChainConfig(N=64, F=1.2, R=2)
     op = assemble_operator(ModelKind.CUSTOM, config, harmonic(1.0, 1.0), partition=part,
-                           stencil=InterfaceStencil(4, -np.diag(np.asarray(outer, dtype=float))))
+                           stencil=InterfaceStencil(4, block))
 else:
     config = ChainConfig(N=64, F=1.2, R=3)
     op = assemble_operator(ModelKind.ATOMISTIC, config, harmonic(1.0, 1.0))
@@ -248,10 +251,10 @@ print(f"after {sys.argv[1]}:", "scipy.linalg" in sys.modules)
 
 
 def test_r2_solves_load_no_scipy_linalg(src_env):
-    # the stress form of a band of half-width 2 and the patch form solve in
-    # numpy: QNL and QCF ladders and the selftest leave scipy.linalg
-    # unloaded. A band wider than 2 loads it, be it CUSTOM or a pure chain at
-    # R = 3; each runs in a process of its own, so each is seen to load it
+    # a tridiagonal C or T solves in numpy: QNL and QCF ladders and the
+    # selftest leave scipy.linalg unloaded. A C wider than that loads it, be
+    # it CUSTOM with a dense block or a pure chain at R = 3; each runs in a
+    # process of its own, so each is seen to load it
     for wide in ("custom", "R=3"):
         proc = subprocess.run([sys.executable, "-c", R2_SOLVES_THEN_A_WIDE_BAND, wide],
                               capture_output=True, text=True, env=src_env)

@@ -33,6 +33,7 @@ from qclab import (
 from qclab import convergence
 from qclab.convergence import (
     RESIDUAL_RTOL,
+    _cyclic_banded,
     _cyclic_tridiagonal,
     _folded_storage,
     _patch_lu,
@@ -671,22 +672,35 @@ def consistent_custom_stencil(m):
     return InterfaceStencil(m, -np.diag(np.asarray(outer, dtype=float)))
 
 
+def dense_custom_stencil(m):
+    """`consistent_custom_stencil` plus the zero-row-sum coupling m I - 1 1^T
+    between all m block atoms: dense, symmetric and with zero row sums. From
+    m = 4 on, where it couples atoms 3 apart, C is wider than tridiagonal
+    next to the cuts."""
+    coupling = m * np.eye(m) - np.ones((m, m))
+    return InterfaceStencil(m, consistent_custom_stencil(m).block + coupling)
+
+
 def test_route_table(monkeypatch):
-    # which factorization serves each assembled operator; a change that moves
-    # a kind from one form to the other must show here
+    # which factorization and which kernel serve each assembled operator: the
+    # ring (cyclic reduction of a tridiagonal C or T) or gbtrf (banded LU of
+    # a wider C). A change that moves a kind from one form or kernel to the
+    # other must show here
     reached = []
 
     def recording(name, factory):
-        def run(op):
-            out = factory(op)
+        def run(*args):
+            out = factory(*args)
             if out is not None:
                 reached.append(name)
             return out
 
         return run
 
-    for name in ("_stress_lu", "_patch_lu"):
-        monkeypatch.setattr(convergence, name, recording(name, getattr(convergence, name)))
+    kernels = {"_stress_lu": "_stress_lu", "_patch_lu": "_patch_lu",
+               "_cyclic_tridiagonal": "ring", "_cyclic_banded": "gbtrf"}
+    for name, label in kernels.items():
+        monkeypatch.setattr(convergence, name, recording(label, getattr(convergence, name)))
     config = ChainConfig(N=256, F=1.1, R=2)
     pot = lennard_jones()
     ops = {
@@ -708,6 +722,9 @@ def test_route_table(monkeypatch):
         partition=RegionPartition([(0.0, 0.5)], interface_width_m=2, reach=2),
         stencil=consistent_custom_stencil(2),
     )
+    ops["CUSTOM m=4 dense"] = assemble_operator(  # K = 5, C of half-width 2
+        ModelKind.CUSTOM, config, pot, partition=HALF_PART, stencil=dense_custom_stencil(4)
+    )
     ops["R=3"] = assemble_operator(ModelKind.ATOMISTIC, ChainConfig(N=256, F=1.1, R=3), pot)
     ops["R=4"] = assemble_operator(ModelKind.CONTINUUM, ChainConfig(N=256, F=1.1, R=4), pot)
     routes = {}
@@ -715,17 +732,21 @@ def test_route_table(monkeypatch):
         reached.clear()
         solve_equilibrium(op, np.random.default_rng(3).standard_normal(op.config.N))
         routes[label] = list(reached)
+    # a diagonal CUSTOM block leaves C tridiagonal (its outer diagonals are
+    # exact zeros, trimmed), whatever the band's half-width; so does the
+    # continuum, whose rows read nearest neighbours only at any R
     assert routes == {
-        ModelKind.QNL: ["_stress_lu"],
-        ModelKind.QCE: ["_stress_lu"],
-        ModelKind.ATOMISTIC: ["_stress_lu"],
-        ModelKind.CONTINUUM: ["_stress_lu"],
-        ModelKind.QCF: ["_patch_lu"],
-        ModelKind.CUSTOM: ["_stress_lu"],
-        "CUSTOM m=1": ["_stress_lu"],
-        "CUSTOM m=2": ["_stress_lu"],
-        "R=3": ["_stress_lu"],
-        "R=4": ["_stress_lu"],
+        ModelKind.QNL: ["ring", "_stress_lu"],
+        ModelKind.QCE: ["ring", "_stress_lu"],
+        ModelKind.ATOMISTIC: ["ring", "_stress_lu"],
+        ModelKind.CONTINUUM: ["ring", "_stress_lu"],
+        ModelKind.QCF: ["ring", "_patch_lu"],
+        ModelKind.CUSTOM: ["ring", "_stress_lu"],
+        "CUSTOM m=1": ["ring", "_stress_lu"],
+        "CUSTOM m=2": ["ring", "_stress_lu"],
+        "CUSTOM m=4 dense": ["gbtrf", "_stress_lu"],
+        "R=3": ["gbtrf", "_stress_lu"],
+        "R=4": ["ring", "_stress_lu"],
     }
 
 
@@ -826,10 +847,12 @@ def test_assembled_r2_kinds_take_their_o_n_route(N, ends, m, F, potential, seed)
     ends=st.lists(st.integers(0, 2**16), min_size=2, max_size=2, unique=True),
     potential=st.sampled_from(["harmonic", "lennard_jones"]),
     seed=st.integers(0, 2**32 - 1),
+    dense=st.booleans(),
 )
-def test_wide_symmetric_bands_take_the_stress_route(N, band, ends, potential, seed):
+def test_wide_symmetric_bands_take_the_stress_route(N, band, ends, potential, seed, dense):
     # every assembled band wider than 2 is exactly symmetric, and so is CUSTOM
-    # at every m: CUSTOM with the zero-row-sum diagonal block (K = max(2, m + 1))
+    # at every m: CUSTOM with the zero-row-sum diagonal or dense block (K =
+    # max(2, m + 1); a dense block of m >= 4 makes C wider than tridiagonal)
     # and pure chains at R = 3 and 4 solve in stress form with one residual
     # check within the contract, and agree with the SuperLU oracle
     kind, width = band
@@ -842,8 +865,8 @@ def test_wide_symmetric_bands_take_the_stress_route(N, band, ends, potential, se
             classify(partition, config)
         except ValueError:
             reject()
-        op = assemble_operator(kind, config, pot, partition=partition,
-                               stencil=consistent_custom_stencil(width))
+        stencil = (dense_custom_stencil if dense else consistent_custom_stencil)(width)
+        op = assemble_operator(kind, config, pot, partition=partition, stencil=stencil)
     else:
         config = ChainConfig(N=N, F=F, R=width)
         op = assemble_operator(kind, config, pot)
@@ -858,12 +881,23 @@ def test_wide_symmetric_bands_take_the_stress_route(N, band, ends, potential, se
         checks.append(len(v))
         return apply_linear(op_, v)
 
+    def banded(diags):
+        routes.append("gbtrf")
+        return _cyclic_banded(diags)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(convergence, "_stress_lu", stress)
         patch.setattr(convergence, "_patch_lu", forbid("the patch path"))
+        patch.setattr(convergence, "_cyclic_banded", banded)
         patch.setattr(convergence, "apply_linear", counted)
         u = solve_equilibrium(op, f).values
-    assert routes == ["stress"] and checks == [N]
+    # the kernel follows C's true width: gbtrf when a diagonal beyond +-1 is
+    # nonzero (atomistic chains, and dense blocks of m >= 4 on most
+    # geometries), the ring when the trim leaves C tridiagonal
+    diags = _stress_diagonals(op.band)
+    wide = any(d.any() for d in diags[:len(diags) // 2 - 1])
+    assert wide or kind is not ModelKind.ATOMISTIC
+    assert routes == ["stress"] + ["gbtrf"] * wide and checks == [N]
     fproj = f - f.mean()
     assert abs(u.mean()) <= 1e-12 * np.abs(u).max()
     assert np.abs(apply_linear(op, u) - fproj).max() <= residual_contract(op, u, f)
