@@ -3,8 +3,9 @@
 Commands: energy, stencil, moments, ghost, sweep, certify, converge,
 selftest. Exit codes: 0 success, 1 standard output closed early (as when
 piped into `head`; the run ends quietly), 2 config error (including an
-unreadable --config or unwritable --out), 3 numerical failure.
-Data files are deterministic: a single version header line, no timestamps.
+unreadable --config, unwritable --out or an --out path ending in .dat), 3
+numerical failure. Data files are deterministic: a single version header
+line, no timestamps.
 """
 
 from __future__ import annotations
@@ -111,7 +112,11 @@ def parse_config(text: str) -> RunConfig:
             elif key == "N_list":
                 cfg.N_list = tuple(int(s) for s in value.split(",") if s.strip())
             elif key == "p_list":
-                cfg.p_list = tuple(_parse_p(s) for s in value.split(",") if s.strip())
+                ps = tuple(_parse_p(s) for s in value.split(",") if s.strip())
+                repeated = next((p for i, p in enumerate(ps) if p in ps[:i]), None)
+                if repeated is not None:
+                    raise ValueError(f"p = {repeated} is repeated")
+                cfg.p_list = ps
             elif key == "partition":
                 cfg.partition = _parse_intervals(value) if value else ()
             elif key == "exact":
@@ -409,6 +414,8 @@ def main(argv=None) -> int:
         cfg = parse_config(text)
         if args.out is not None:
             cfg.out = args.out
+        if Path(cfg.out).suffix == ".dat":  # the gnuplot twin would overwrite the CSV
+            raise ConfigError(f"out path {cfg.out!r} ends in .dat, the suffix of its gnuplot twin")
         if args.exact:
             cfg.exact = True
         code = COMMANDS[args.command](cfg, args)

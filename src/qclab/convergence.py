@@ -13,14 +13,15 @@ only up to a constant. The band's symmetry picks one of two factorizations:
   tridiagonal. T is solved, and two running sums give the displacements.
 
 Any other band is refused with a ValueError naming the test it failed. C
-is solved at its true width: outer diagonals that are exactly zero are
-dropped. A tridiagonal C or T goes through cyclic reduction on the ring in
-numpy, which needs no pivoting since every C and T that assembly produces is
-strictly diagonally dominant; a wider C through one banded LU of its folded
-ring, LAPACK gbtrf, the only path that loads scipy.linalg. A singular C or T is
-refused with a NumericalError naming it. The right-hand side is projected
-off the left-null direction (the mean in stress form, T^-T 1 in patch form),
-and the one solve is checked once against the 1e-10 ||f|| residual contract.
+and T are factored by `_factor`, which drops outer diagonal pairs that are
+exactly zero, picks the kernel, forms C^-1 1 or T^-T 1 and raises the one
+NumericalError that names a singular C or T. The kernels are cyclic
+reduction on the ring in numpy for a tridiagonal C or T (no pivoting: every
+C and T that assembly produces is strictly diagonally dominant) and one
+banded LU of the folded ring, LAPACK gbtrf, for a wider C. The right-hand
+side is projected off the left-null direction (the mean in stress form,
+T^-T 1 in patch form), and the one solve is checked once against the 1e-10
+||f|| residual contract. Only gbtrf loads scipy.linalg.
 """
 
 from __future__ import annotations
@@ -98,34 +99,26 @@ def _folded_storage(diags):
     return ab, order
 
 
-def _cyclic_banded(diags):
+def _cyclic_banded(diags, tol):
     """Factor the cyclic band matrix M with diagonals diags, as in
     `_folded_storage`, by one banded LU of its folded ring (LAPACK gbtrf,
-    partial pivoting).
-
-    Returns (solve, g) as `_cyclic_tridiagonal` does: solve(b) gives M^-1 b,
-    overwriting b, and g = M^-1 1. Both are None when M is (numerically)
-    singular: an LU pivot below sqrt(eps_mach) max |M|, or max |g| max |M| >
-    1/sqrt(eps_mach).
+    partial pivoting). Returns solve, where solve(b) gives M^-1 b,
+    overwriting b; or None when an LU pivot is below tol.
     """
     # imported here: no band of half-width 2 or less loads scipy.linalg
     from scipy.linalg.lapack import dgbtrf, dgbtrs
 
     kb = len(diags) - 1  # twice M's half-width
-    scale = max(max(float(d.max()), -float(d.min())) for d in diags)
     ab, order = _folded_storage(diags)
     lu, piv, info = dgbtrf(ab, kb, kb, overwrite_ab=1)
-    if info != 0 or not float(np.abs(lu[2 * kb]).min()) > math.sqrt(np.finfo(float).eps) * scale:
-        return None, None
+    if info != 0 or not float(np.abs(lu[2 * kb]).min()) > tol:
+        return None
 
     def solve(b):
         b[order] = dgbtrs(lu, kb, kb, b[order], piv, overwrite_b=1)[0]
         return b
 
-    g = solve(np.ones(len(order)))
-    if float(np.abs(g).max()) * scale > 1.0 / math.sqrt(np.finfo(float).eps):
-        return None, None
-    return solve, g
+    return solve
 
 
 def _reduce_forward(d, dn, nrb, left, right, wrap, t1, t2):
@@ -156,7 +149,7 @@ def _reduce_back(d, x, nrb, left, right, wrap, t1, t2):
     d[0::2] = x
 
 
-def _cyclic_tridiagonal(lower, diag, upper, transpose=False):
+def _cyclic_tridiagonal(lower, diag, upper, tol):
     """Factor the cyclic tridiagonal T with T[i, i-1] = lower[i], T[i, i] =
     diag[i] and T[i, i+1] = upper[i], indices mod N: lower[0] is the corner
     T[0, N-1] and upper[-1] the corner T[N-1, 0].
@@ -174,16 +167,11 @@ def _cyclic_tridiagonal(lower, diag, upper, transpose=False):
     c_odd/b_odd; the transposed solve runs the same levels with the forward
     and backward coefficients swapped, and no second reduction.
 
-    Returns (solve, g): solve(b, transpose=False) gives T^-1 b, or T^-T b,
-    overwriting b; g is solve(1, transpose). Both are None when T is
-    (numerically) singular: a pivot b_odd at some level below sqrt(eps_mach)
-    max |T|, a final ring whose determinant is below that times max
-    |ring|^(n-1), or max |g| max |T| > 1/sqrt(eps_mach) (0.6-1.7 for the
-    model kinds).
+    Returns solve, where solve(b, transpose=False) gives T^-1 b, or T^-T b,
+    overwriting b; or None when a pivot b_odd at some level is below tol, or
+    the final ring's determinant below tol max |ring|^(n-1).
     """
     N = len(diag)
-    scale = max(max(float(t.max()), -float(t.min())) for t in (lower, diag, upper))
-    tol = math.sqrt(np.finfo(float).eps) * scale
     t1, t2 = np.empty(N // 2), np.empty(N // 2)
     a, b, c = lower, diag, upper
     levels = []
@@ -192,7 +180,7 @@ def _cyclic_tridiagonal(lower, diag, upper, transpose=False):
         k = m - 1  # odd rows with a kept row on their right, but for the wrap
         ae, be, ce, ao, bo, co = a[0::2], b[0::2], c[0::2], a[1::2], b[1::2], c[1::2]
         if not float(np.abs(bo, out=t1[:o]).min()) > tol:
-            return None, None
+            return None
         nrb = np.divide(-1.0, bo)
         ab, cb = np.multiply(ao, nrb, out=t1[:o]), np.multiply(co, nrb, out=t2[:o])
         a2, b2, c2 = np.empty(m), be.copy(), np.empty(m)
@@ -217,7 +205,7 @@ def _cyclic_tridiagonal(lower, diag, upper, transpose=False):
     else:
         ring = np.array([[b[0], a[0] + c[0]], [a[1] + c[1], b[1]]])
     if not abs(np.linalg.det(ring)) > tol * float(np.abs(ring).max()) ** (len(b) - 1):
-        return None, None
+        return None
     ring_inv = np.linalg.inv(ring)
 
     def solve(rhs, transpose=False):
@@ -231,9 +219,32 @@ def _cyclic_tridiagonal(lower, diag, upper, transpose=False):
             _reduce_back(dl, x, nrb, *rows[not transpose], t1, t2)
         return rhs
 
-    g = solve(np.ones(N), transpose)
-    if float(np.abs(g).max()) * scale > 1.0 / math.sqrt(np.finfo(float).eps):
-        return None, None
+    return solve
+
+
+def _factor(diags, name, transpose=False):
+    """Factor the cyclic band matrix M with diagonals diags, as in
+    `_folded_storage`, at its true width: outer diagonal pairs that are
+    exactly zero at both ends are dropped, then a tridiagonal M goes through
+    `_cyclic_tridiagonal` and a wider one through `_cyclic_banded`.
+
+    Returns (solve, g), solve as the kernel gives it and g = M^-1 1, or M^-T
+    1 with transpose (a tridiagonal M only). Raises NumericalError naming M
+    when M is (numerically) singular: a pivot below sqrt(eps_mach) max |M|,
+    or max |g| max |M| > 1/sqrt(eps_mach) (0.6-1.7 for the model kinds).
+    """
+    while len(diags) > 3 and not (diags[0].any() or diags[-1].any()):
+        diags = diags[1:-1]
+    scale = max(max(float(d.max()), -float(d.min())) for d in diags)
+    root_eps = math.sqrt(np.finfo(float).eps)
+    if len(diags) == 3:
+        solve = _cyclic_tridiagonal(*diags, root_eps * scale)
+        g = solve and solve(np.ones(len(diags[1])), transpose)
+    else:  # no transposed solve: only T asks for one, and T is tridiagonal
+        solve = _cyclic_banded(diags, root_eps * scale)
+        g = solve and solve(np.ones(len(diags[1])))
+    if solve is None or float(np.abs(g).max()) * scale > 1.0 / root_eps:
+        raise NumericalError(f"{name} is (numerically) singular and cannot be factored")
     return solve, g
 
 
@@ -295,12 +306,11 @@ def _stress_lu(op: LinearChainOperator):
     cyclic symmetric matrix of half-width K - 1 whose diagonals
     `_stress_diagonals` reads off it. A u = r becomes C t = sigma + c 1 with
     sum(t) = 0, where the stress sigma is a prefix sum of eps^2 r and c is
-    fixed by the constraint; then u = cumsum(t). C's outer diagonal pairs
-    that are exactly zero are dropped first, so that C is solved at its true
-    half-width. A tridiagonal C (every K <= 2, and CUSTOM with a diagonal
-    block) goes through `_cyclic_tridiagonal`, which, unlike a
+    fixed by the constraint; then u = cumsum(t). `_factor` solves C at its
+    true half-width: a tridiagonal C (every K <= 2, and CUSTOM with a
+    diagonal block) goes through the ring kernel, which, unlike a
     positive-definite factor, accepts the negative moduli of stretched
-    Lennard-Jones chains; a wider one goes through `_cyclic_banded`.
+    Lennard-Jones chains.
 
     Returns (solve, w) with w = 1: solve(r) is the u with A u = r - mean(r).
     Raises NumericalError when C is (numerically) singular, and when C is
@@ -308,15 +318,7 @@ def _stress_lu(op: LinearChainOperator):
     sum(C^-1 1) vanishes.
     """
     N = op.config.N
-    diags = _stress_diagonals(op.band)
-    while len(diags) > 3 and not diags[0].any():  # diags[-1] is diags[0] rolled
-        diags = diags[1:-1]
-    C, g = _cyclic_tridiagonal(*diags) if len(diags) == 3 else _cyclic_banded(diags)
-    if C is None:  # g = C^-1 1 otherwise
-        raise NumericalError(
-            "stress matrix C is (numerically) singular: the symmetric band "
-            "cannot be solved in stress form"
-        )
+    C, g = _factor(_stress_diagonals(op.band), "stress matrix C")
     g_sum, work = float(g.sum()), np.abs(g)  # work: a full-length buffer every solve reuses
     if abs(g_sum) <= math.sqrt(np.finfo(float).eps) * float(work.sum()):
         raise NumericalError(
@@ -364,12 +366,7 @@ def _patch_lu(op: LinearChainOperator):
             "operator is not symmetric and fails the linear patch test "
             f"(max |first moment| {moment:.1e} in eps^2 stencil units)"
         )
-    T, w = _cyclic_tridiagonal(band[:, 0], band[:, 3] + 2.0 * band[:, 4], band[:, 4], True)
-    if T is None:  # w = T^-T 1 otherwise
-        raise NumericalError(
-            "patch matrix T is (numerically) singular: the band cannot be "
-            "solved in patch form"
-        )
+    T, w = _factor([band[:, 0], band[:, 3] + 2.0 * band[:, 4], band[:, 4]], "patch matrix T", True)
     N = op.config.N
     ww = float(w @ w)
     eps2 = op.config.epsilon**2
@@ -509,9 +506,11 @@ def convergence_study(
 ) -> ConvergenceTable:
     """Solve L^kind u_qc = L^a u (ghost of L^kind on the left) across chain
     sizes and record ||D e||_p for e = u - u_qc. Raises ValueError for an
-    N_list that is not strictly increasing."""
+    N_list that is not strictly increasing and for a repeated p."""
     kind = ModelKind(kind)
     p_list = list(p_list)
+    if len(set(p_list)) < len(p_list):
+        raise ValueError(f"p_list must not repeat a p, got {p_list}")
     rows = []
     checks = []
     per_p = {p: [] for p in p_list}

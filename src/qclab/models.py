@@ -516,22 +516,19 @@ def _telescope(band: np.ndarray):
     The coefficient of (Du)_{i+k} collects the stencil weight that
     telescopes across the bond (i+k-1, i+k): minus the sum of offsets below
     k for k <= 0, the sum of offsets k..K for k >= 1. Returns the 2K columns
-    in offset order 1-K..K and the largest row l1 norm, summed column by
-    column as in row_sums.
+    as the column-major (N, 2K) strain band, in offset order 1-K..K, and the
+    largest row l1 norm, summed column by column as in row_sums.
     """
-    K = (band.shape[1] - 1) // 2
+    N, K = band.shape[0], (band.shape[1] - 1) // 2
+    strain = np.empty((N, 2 * K), order="F")
     below = above = 0.0  # running sums from the two ends of the stencil
-    lows, highs = [], []
     for c in range(K):
-        below = below - band[:, c]           # k = c+1-K
-        above = above + band[:, 2 * K - c]   # k = K-c
-        lows.append(below)
-        highs.append(above)
-    columns = lows + highs[::-1]
-    row_l1 = np.abs(columns[0])
-    for col in columns[1:]:
-        row_l1 += np.abs(col)
-    return columns, float(row_l1.max())
+        below = np.subtract(below, band[:, c], out=strain[:, c])  # k = c+1-K
+        above = np.add(above, band[:, 2 * K - c], out=strain[:, 2 * K - 1 - c])  # k = K-c
+    row_l1, magnitude = np.abs(strain[:, 0]), np.empty(N)
+    for j in range(1, 2 * K):
+        row_l1 += np.abs(strain[:, j], out=magnitude)
+    return strain, float(row_l1.max())
 
 
 def _moment_defect(moments: np.ndarray, band: np.ndarray):
@@ -560,8 +557,7 @@ def to_strain_form(op: LinearChainOperator) -> StrainFormOperator:
         raise ValueError("operator has nonzero row sums; no strain form exists")
     if np.abs(op.ghost).max() > STRAIN_FORM_TOL:
         raise ValueError("operator has a ghost field; no strain form exists")
-    columns, bound_C = _telescope(op.band)
-    return StrainFormOperator(op.config, np.stack(columns).T, bound_C)
+    return StrainFormOperator(op.config, *_telescope(op.band))
 
 
 def _transpose_gaps(band: np.ndarray):

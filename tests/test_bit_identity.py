@@ -32,7 +32,7 @@ from qclab.convergence import (
     ConvergenceChecks,
     ConvergenceRow,
     _close_ring,
-    _cyclic_tridiagonal,
+    _factor,
     _stress_diagonals,
 )
 from qclab.models import COUPLED, _band_apply, _telescope
@@ -90,10 +90,12 @@ def lp_norm_oracle(u, p):
 
 def solve_oracle(op, f):
     """solve_equilibrium's arithmetic for an R = 2 band, every step into a
-    fresh array; the ring kernel is the module's own."""
+    fresh array; the factorization, `_factor` and its ring kernel, is the
+    module's own."""
     N, eps2, band = op.config.N, op.config.epsilon**2, op.band
     if op.kind is ModelKind.QCF:
-        T, w = _cyclic_tridiagonal(band[:, 0], band[:, 3] + 2.0 * band[:, 4], band[:, 4], True)
+        diags = [band[:, 0], band[:, 3] + 2.0 * band[:, 4], band[:, 4]]
+        T, w = _factor(diags, "patch matrix T", True)
         ww = float(w @ w)
 
         def solve(r):
@@ -107,7 +109,7 @@ def solve_oracle(op, f):
             s -= s.mean()
             return close_ring_oracle(s)
     else:
-        C, g = _cyclic_tridiagonal(*stress_diagonals_oracle(band))
+        C, g = _factor(stress_diagonals_oracle(band), "stress matrix C")
         g_sum, w = float(g.sum()), np.ones(N)
 
         def solve(r):

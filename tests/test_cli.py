@@ -348,6 +348,37 @@ def test_converge_names_an_N_list_that_does_not_increase(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text", ["2,2", "1,inf,Infinity", "1, 2.0, 2"])
+def test_converge_names_a_repeated_p(tmp_path, capsys, text):
+    # a repeated p listed each (N, p) row twice, the second with a running
+    # slope fitted through two points at one N; inf and Infinity are one p
+    message = r"line 3: bad value for 'p_list': p = (2\.0|inf) is repeated"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(f"model=qnl\nN_list=64,128,256\np_list={text}\n")
+    out = tmp_path / "c.csv"
+    code = run(["converge"], tmp_path,
+               config_text=f"model=qnl\nN_list=64,128,256\np_list={text}\n", out=out)
+    assert code == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["option", "key"])
+def test_an_out_path_ending_in_dat_is_refused(tmp_path, capsys, where):
+    # the gnuplot twin goes to the path with suffix .dat: for such a path it
+    # would overwrite the CSV, so the path is refused before any work
+    out = tmp_path / "g.dat"
+    if where == "option":
+        code = run(["ghost"], tmp_path, config_text="N_list=32,64\n", out=out)
+    else:
+        code = run(["ghost"], tmp_path, config_text=f"N_list=32,64\nout={out}\n")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"out path {str(out)!r} ends in .dat" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 @pytest.mark.parametrize("command", ["stencil", "moments"])
 def test_stencil_and_moments_files_hold_plain_numbers(tmp_path, capsys, command):
     out = tmp_path / f"{command}.csv"

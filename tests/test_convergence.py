@@ -35,6 +35,7 @@ from qclab.convergence import (
     RESIDUAL_RTOL,
     _cyclic_banded,
     _cyclic_tridiagonal,
+    _factor,
     _folded_storage,
     _patch_lu,
     _stress_diagonals,
@@ -91,13 +92,14 @@ def stress_matrix(band):
     return C
 
 
-def band_from_stress(C):
-    """Half-width-2 band (eps^2 units) of D^T C D for a cyclic tridiagonal C."""
+def band_from_stress(C, K=2):
+    """Half-width-K band (eps^2 units) of D^T C D for a cyclic C of half-width
+    K - 1."""
     N = C.shape[0]
     D = np.eye(N) - np.roll(np.eye(N), -1, axis=1)  # (D u)_i = u_i - u_{i-1}
     A = D.T @ C @ D
     idx = np.arange(N)
-    return np.stack([A[idx, (idx + k) % N] for k in range(-2, 3)], axis=1)
+    return np.stack([A[idx, (idx + k) % N] for k in range(-K, K + 1)], axis=1)
 
 
 def patch_matrix(band):
@@ -126,6 +128,34 @@ def forbid(name):
         raise AssertionError(f"{name} must not run on this band")
 
     return refuse
+
+
+def refusal_route(call, match):
+    """Run call, which must raise a NumericalError matching match, and return
+    its route: (kernel, "factored" or "refused") for each kernel that `_factor`
+    reached, then "_factor" where `_factor` raised the error."""
+    route = []
+    factor = convergence._factor
+
+    def traced(*args, **kwargs):
+        try:
+            return factor(*args, **kwargs)
+        except NumericalError:
+            route.append("_factor")
+            raise
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, label in (("_cyclic_tridiagonal", "ring"), ("_cyclic_banded", "gbtrf")):
+            def run(*args, kernel=getattr(convergence, name), label=label):
+                solve = kernel(*args)
+                route.append((label, "refused" if solve is None else "factored"))
+                return solve
+
+            patch.setattr(convergence, name, run)
+        patch.setattr(convergence, "_factor", traced)
+        with pytest.raises(NumericalError, match=match):
+            call()
+    return route
 
 
 def residual_contract(op, u, f):
@@ -414,22 +444,35 @@ def test_symmetry_is_judged_relative_to_the_largest_entry(R, monkeypatch):
             assert reached == [R]
 
 
-@pytest.mark.parametrize("N", [16, 17, 1024])
+@pytest.mark.parametrize("N", [16, 17, 64, 1024])
 def test_singular_stress_matrix_is_refused(N):
     # the bilaplacian [1, -4, 6, -4, 1] is D^T C D with C = D D^T, singular on
     # the constants, while the band's own kernel is the constants: the stress
-    # form cannot solve it, and the solver names C. So for two bands of
-    # half-width 3, whose C goes to the banded LU: -Delta^3 with C = Delta^2,
-    # and C = d I - Delta_2 (Delta_2 the second difference over two atoms,
-    # d = 1e-9), whose LU pivots pass at N = 1024 while C^-1 1 ~ 1/d blows up
+    # form cannot solve it, and `_factor` names C after the ring refuses a
+    # pivot. So for three bands of half-width 3, whose C goes to the banded
+    # LU: -Delta^3 with C = Delta^2; C = cyclic [1, 0, -2, 0, 1], with C 1 = 0
+    # and its outer diagonals kept; and C = d I - Delta_2 (Delta_2 the second
+    # difference over two atoms, d = 1e-9), whose LU pivots pass from N = 64
+    # on while C^-1 1 ~ 1/d breaks the bound on max |C^-1 1|
     config = ChainConfig(N=N, F=1.2, R=2)
     v = np.random.default_rng(N).standard_normal(N)
     d = 1e-9
-    for row in ([1.0, -4.0, 6.0, -4.0, 1.0], [-1.0, 6.0, -15.0, 20.0, -15.0, 6.0, -1.0],
-                [1.0, -2.0, -1.0 - d, 4.0 + 2.0 * d, -1.0 - d, -2.0, 1.0]):
-        op = LinearChainOperator(config, ModelKind.ATOMISTIC, np.tile(row, (N, 1)), np.zeros(N))
-        with pytest.raises(NumericalError, match="stress matrix C is"):
-            solve_equilibrium(op, apply_linear(op, v - v.mean()))
+    circulant = sum(c * np.roll(np.eye(N), k, axis=1)
+                    for k, c in zip(range(-2, 3), [1.0, 0.0, -2.0, 0.0, 1.0]))
+    bound = "factored" if N >= 64 else "refused"
+    cases = [
+        (np.tile([1.0, -4.0, 6.0, -4.0, 1.0], (N, 1)), ("ring", "refused")),
+        (np.tile([-1.0, 6.0, -15.0, 20.0, -15.0, 6.0, -1.0], (N, 1)), ("gbtrf", "refused")),
+        (band_from_stress(circulant, 3), ("gbtrf", "refused")),
+        (np.tile([1.0, -2.0, -1.0 - d, 4.0 + 2.0 * d, -1.0 - d, -2.0, 1.0], (N, 1)),
+         ("gbtrf", bound)),
+    ]
+    for band, kernel in cases:
+        op = LinearChainOperator(config, ModelKind.ATOMISTIC, band, np.zeros(N))
+        route = refusal_route(
+            lambda: solve_equilibrium(op, apply_linear(op, v - v.mean())), "stress matrix C is"
+        )
+        assert route == [kernel, "_factor"]
 
 
 def test_solver_checks_the_residual_of_its_one_solve(monkeypatch):
@@ -446,15 +489,15 @@ def test_solver_checks_the_residual_of_its_one_solve(monkeypatch):
 @pytest.mark.parametrize("row", [[0.0] * 5, [-1.0, 0.0, 2.0, 0.0, -1.0], [0.0] * 7])
 def test_singular_stress_matrix_keeps_the_kernel_error(row):
     # C = 0 fails the pivot test of the ring reduction and C = cyclic [1, 2, 1]
-    # (even N) its final 2-ring; C = 0 of half-width 2 leaves the banded LU an
-    # exact zero pivot. Each band has a kernel beyond the constants, which a
-    # singular C does not prove, so the error names C
+    # (even N) its final 2-ring; C = 0 of half-width 2 is trimmed to
+    # tridiagonal, so it too meets a zero pivot in the ring reduction. Each
+    # band has a kernel beyond the constants, which a singular C does not
+    # prove, so the error names C
     config = ChainConfig(N=64, F=1.2, R=2)
     op = LinearChainOperator(config, ModelKind.ATOMISTIC, np.tile(row, (64, 1)), np.zeros(64))
-    with pytest.raises(NumericalError, match="stress matrix C is"):
-        _stress_lu(op)
-    with pytest.raises(NumericalError, match="stress matrix C is"):
-        solve_equilibrium(op, np.random.default_rng(1).standard_normal(64))
+    f = np.random.default_rng(1).standard_normal(64)
+    for call in (lambda: _stress_lu(op), lambda: solve_equilibrium(op, f)):
+        assert refusal_route(call, "stress matrix C is") == [("ring", "refused"), "_factor"]
 
 
 def test_stress_solve_spreads_the_mean_of_its_right_hand_side():
@@ -585,22 +628,29 @@ def test_patch_solve_spreads_the_left_null_component():
     assert np.abs(apply_linear(op, u) - rproj).max() <= residual_contract(op, u, r)
 
 
-def assert_refuses_patch_matrix(op, seed):
-    """The patch path and the solver both name a singular T."""
-    with pytest.raises(NumericalError, match="patch matrix T is"):
-        _patch_lu(op)
-    with pytest.raises(NumericalError, match="patch matrix T is"):
-        solve_equilibrium(op, np.random.default_rng(seed).standard_normal(op.config.N))
+def assert_refuses_patch_matrix(op, seed, outcome):
+    """The patch path and the solver both name a singular T, raised by
+    `_factor` after the ring kernel's outcome ("refused" a pivot, or
+    "factored" T and left max |T^-T 1| to break its bound)."""
+    f = np.random.default_rng(seed).standard_normal(op.config.N)
+    for call in (lambda: _patch_lu(op), lambda: solve_equilibrium(op, f)):
+        assert refusal_route(call, "patch matrix T is") == [("ring", outcome), "_factor"]
 
 
 @pytest.mark.parametrize("N", [16, 17, 64])
 def test_singular_patch_matrix_is_refused(N):
     # T with rows (1, -3, 2) has T 1 = 0, but 1 is not a second difference, so
     # the band T Delta = [1, -5, 9, -7, 2] still has only the constants as
-    # kernel: the patch form cannot solve it, and the solver names T
+    # kernel: the patch form cannot solve it, and the solver names T. With
+    # rows (1, -3 + d, 2), d = 1e-8, every pivot passes, but T^-T 1 = 1/d
+    # breaks the bound on max |T^-T 1|
     config = ChainConfig(N=N, F=1.2, R=2)
     band = np.tile([1.0, -5.0, 9.0, -7.0, 2.0], (N, 1))
-    assert_refuses_patch_matrix(LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N)), N)
+    assert_refuses_patch_matrix(
+        LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N)), N, "refused")
+    band = band_from_patch(np.ones(N), np.full(N, -3.0 + 1e-8), np.full(N, 2.0))
+    assert_refuses_patch_matrix(
+        LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N)), N, "factored")
 
 
 def test_roundoff_pivot_of_patch_matrix_is_refused():
@@ -611,7 +661,8 @@ def test_roundoff_pivot_of_patch_matrix_is_refused():
     t_lo, t_diag, t_up = np.ones(N), np.full(N, 4.0), np.full(N, 2.0)
     t_lo[j:j + 2], t_diag[j], t_up[j - 1:j + 1] = 0.0, 1e-17, 0.0
     band = band_from_patch(t_lo, t_diag, t_up)
-    assert_refuses_patch_matrix(LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N)), 4)
+    assert_refuses_patch_matrix(
+        LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N)), 4, "refused")
 
 
 def test_roundoff_row_of_patch_matrix_that_pivoting_swaps_away():
@@ -624,7 +675,8 @@ def test_roundoff_row_of_patch_matrix_that_pivoting_swaps_away():
     t_lo, t_diag, t_up = np.ones(N), np.full(N, 4.0), np.full(N, 2.0)
     t_lo[j], t_diag[j], t_up[j] = 0.0, 1e-17, 0.0
     band = band_from_patch(t_lo, t_diag, t_up)
-    assert_refuses_patch_matrix(LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N)), 5)
+    assert_refuses_patch_matrix(
+        LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N)), 5, "refused")
 
 
 def test_singular_patch_matrix_keeps_the_kernel_error():
@@ -634,7 +686,8 @@ def test_singular_patch_matrix_keeps_the_kernel_error():
     N = 64
     config = ChainConfig(N=N, F=1.2, R=2)
     band = np.tile([1.0, 1.0, -3.0, -1.0, 2.0], (N, 1))
-    assert_refuses_patch_matrix(LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N)), 2)
+    assert_refuses_patch_matrix(
+        LinearChainOperator(config, ModelKind.QCF, band, np.zeros(N)), 2, "refused")
 
 
 @pytest.mark.parametrize("N", [2**14, 2**16])
@@ -778,13 +831,22 @@ def test_ring_kernel_matches_dense_solve(N, signs, seed):
     diag = sign * (np.abs(lower) + np.abs(upper) + rng.uniform(0.05, 2.0, N))
     T = ring_matrix(lower, diag, upper)
     for transpose, M in ((False, T), (True, T.T)):
-        solve, g = _cyclic_tridiagonal(lower, diag, upper, transpose)
+        solve, g = _factor([lower, diag, upper], "ring matrix", transpose)
         assert np.abs(M @ g - 1.0).max() <= 1e-13 * np.abs(M).max() * np.abs(g).max()
         b = rng.standard_normal(N)
         x = solve(b.copy(), transpose)
         assert np.abs(M @ x - b).max() <= 1e-13 * np.abs(M).max() * np.abs(x).max()
         want = np.linalg.solve(M, b)
         assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def ring_refuses(lower, diag, upper):
+    """Whether the ring kernel refuses T at the tolerance `_factor` gives it,
+    sqrt(eps_mach) max |T|; `_factor` must then raise the error naming T."""
+    tol = math.sqrt(np.finfo(float).eps) * max(np.abs(t).max() for t in (lower, diag, upper))
+    with pytest.raises(NumericalError, match="ring matrix is"):
+        _factor([lower, diag, upper], "ring matrix")
+    return _cyclic_tridiagonal(lower, diag, upper, tol) is None
 
 
 def test_ring_kernel_refuses_a_roundoff_pivot_and_a_singular_final_ring():
@@ -794,13 +856,12 @@ def test_ring_kernel_refuses_a_roundoff_pivot_and_a_singular_final_ring():
     for j in (3, 2, 0):
         lower, diag, upper = np.ones(8), np.full(8, 4.0), np.full(8, 2.0)
         lower[j], diag[j], upper[j] = 0.0, 1e-17, 0.0
-        assert _cyclic_tridiagonal(lower, diag, upper) == (None, None)
+        assert ring_refuses(lower, diag, upper)
     # a singular 2-ring, given as it is, and the 2-ring [-1/4, 1/2, -1/4] that
     # the singular cyclic [1, 2, 1] on 8 atoms reduces to with regular pivots
-    assert _cyclic_tridiagonal(np.array([1.0, 0.25]), np.array([1.0, 1.0]),
-                               np.array([1.0, 0.25])) == (None, None)
-    assert _cyclic_tridiagonal(np.ones(8), np.full(8, 2.0), np.ones(8)) == (None, None)
-    assert _cyclic_tridiagonal(np.array([3.0]), np.array([-5.0]), np.array([2.0])) == (None, None)
+    assert ring_refuses(np.array([1.0, 0.25]), np.array([1.0, 1.0]), np.array([1.0, 0.25]))
+    assert ring_refuses(np.ones(8), np.full(8, 2.0), np.ones(8))
+    assert ring_refuses(np.array([3.0]), np.array([-5.0]), np.array([2.0]))
 
 
 @settings(max_examples=60)
@@ -881,9 +942,9 @@ def test_wide_symmetric_bands_take_the_stress_route(N, band, ends, potential, se
         checks.append(len(v))
         return apply_linear(op_, v)
 
-    def banded(diags):
+    def banded(*args):
         routes.append("gbtrf")
-        return _cyclic_banded(diags)
+        return _cyclic_banded(*args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(convergence, "_stress_lu", stress)
@@ -1130,6 +1191,16 @@ def test_study_names_an_N_list_that_does_not_increase():
         with pytest.raises(ValueError, match=rf"strictly increasing, got \[{N_list[0]}, {N_list[1]}\]"):
             convergence_study(
                 ModelKind.QNL, default_witness, N_list, [1.0], POT1, partition=HALF_PART
+            )
+
+
+def test_study_names_a_repeated_p():
+    # a repeated p listed every row twice, and fitted a running slope through
+    # two points at one N
+    for p_list in ([2, 2], [1.0, math.inf, 2.0, math.inf]):
+        with pytest.raises(ValueError, match=r"must not repeat a p"):
+            convergence_study(
+                ModelKind.QNL, default_witness, [64, 128], p_list, POT1, partition=HALF_PART
             )
 
 

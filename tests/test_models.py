@@ -37,6 +37,7 @@ from qclab import (
     zeros,
 )
 from qclab.consistency import _moment_sums
+from conftest import POTENTIALS, draw_geometry
 from qclab.models import (
     ATOM_L2,
     CONT_L2,
@@ -487,6 +488,34 @@ def test_ghost_free_kinds():
             ModelKind.QNL, config, lennard_jones(), partition=HALF_PART
         )
         assert np.abs(op_lj.ghost).max() <= 1e-12
+
+
+# a range of uniform stretch per potential: harmonic chains at any F, and
+# Lennard-Jones chains from compression to well past the inflection point
+F_RANGES = {"harmonic": (0.5, 2.0), "lennard_jones": (0.9, 2.0)}
+
+
+@settings(max_examples=80)
+@given(
+    N=st.integers(256, 4096),
+    potential=st.sampled_from(sorted(POTENTIALS)),
+    n_intervals=st.integers(1, 3),
+    stretch=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ghost_free_kinds_over_random_geometries(N, potential, n_intervals, stretch, seed):
+    # criterion 3 over multi-interval geometries, both potentials and a range
+    # of F: QNL and QCF keep a ghost sup <= 1e-12, and QNL, QCF, atomistic and
+    # continuum have a strain form with a finite, positive bound_C
+    _, pot, partition = draw_geometry(np.random.default_rng(seed), N, potential, n_intervals)
+    lo, hi = F_RANGES[potential]
+    config = ChainConfig(N=N, F=lo + stretch * (hi - lo), R=2)
+    for kind in (ModelKind.QNL, ModelKind.QCF, ModelKind.ATOMISTIC, ModelKind.CONTINUUM):
+        op = assemble_operator(kind, config, pot, partition=partition if kind in COUPLED else None)
+        if kind in COUPLED:
+            assert np.abs(op.ghost).max() <= 1e-12, kind
+        bound_C = to_strain_form(op).bound_C
+        assert math.isfinite(bound_C) and bound_C > 0.0, kind
 
 
 def test_qce_ghost_magnitude():
