@@ -233,13 +233,10 @@ def criterion_7_oracle_equivalence() -> CriterionResult:
     worst_apply = 0.0
     for N in (64, 256):
         config = ChainConfig(N=N, F=1.2, R=2)
-        part = RegionPartition([(0.0, 0.5)], interface_width_m=4, reach=2)
         u = rng.standard_normal(N)
         for kind in (ModelKind.ATOMISTIC, ModelKind.CONTINUUM, ModelKind.QNL, ModelKind.QCE):
-            op = assemble_operator(
-                kind, config, POT1,
-                partition=None if kind in (ModelKind.ATOMISTIC, ModelKind.CONTINUUM) else part,
-            )
+            part = None if kind in (ModelKind.ATOMISTIC, ModelKind.CONTINUUM) else HALF_PART
+            op = assemble_operator(kind, config, POT1, partition=part)
             got = apply(op, u)
             want = op.dense() @ u + op.ghost
             worst_apply = max(worst_apply, float(np.abs(config.epsilon**2 * (got - want)).max()))
@@ -263,10 +260,7 @@ def criterion_7_oracle_equivalence() -> CriterionResult:
     ok &= worst_energy <= 1e-13
 
     config = ChainConfig(N=128, F=1.2, R=2)
-    op = assemble_operator(
-        ModelKind.QNL, config, POT1,
-        partition=RegionPartition([(0.0, 0.5)], interface_width_m=4, reach=2),
-    )
+    op = assemble_operator(ModelKind.QNL, config, POT1, partition=HALF_PART)
     sf = to_strain_form(op)
     worst_strain = 0.0
     for _ in range(50):

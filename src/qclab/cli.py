@@ -22,10 +22,12 @@ import numpy as np
 
 from . import __version__
 from .chain import ChainConfig, PeriodicField, sample_field
-from .consistency import _moment_sums, consistency_sweep, ghost_force, moment_residuals
-from .convergence import NumericalError, convergence_study, fit_slope
+from .consistency import (
+    _ladder, _moment_sums, _slope_or_nan, consistency_sweep, ghost_force, moment_residuals,
+)
+from .convergence import NumericalError, convergence_study
 from .impossibility import CertificateError, certificate, min_residual
-from .models import COUPLED, ModelKind, assemble_operator, total_energy
+from .models import COUPLED, ENERGY_BASED, ModelKind, assemble_operator, total_energy
 from .potentials import harmonic, lennard_jones
 from .regions import RegionPartition
 from . import acceptance
@@ -218,7 +220,7 @@ def _report(args, text: str):
 
 def cmd_energy(cfg: RunConfig, args) -> int:
     kind = _kind(cfg)
-    if kind in (ModelKind.QCF, ModelKind.CUSTOM):
+    if kind not in ENERGY_BASED:
         raise ConfigError(f"model {kind.value!r} has no energy; pick an energy-based model")
     config = ChainConfig(N=cfg.N, F=cfg.F, R=cfg.R)
     u = sample_field(_witness(cfg), config)
@@ -273,7 +275,7 @@ def cmd_moments(cfg: RunConfig, args) -> int:
 
 def cmd_ghost(cfg: RunConfig, args) -> int:
     kind = _kind(cfg)
-    N_list = cfg.N_list or tuple(2**k for k in range(6, 12))
+    N_list = _ladder(cfg.N_list or tuple(2**k for k in range(6, 12)))
     part = _partition(cfg)
     rows = []
     sups = []
@@ -355,7 +357,7 @@ def cmd_converge(cfg: RunConfig, args) -> int:
         for count in range(1, len(series) + 1):
             N, err = series[count - 1]
             pts = [(1.0 / n, e) for n, e in series[:count]]
-            running = fit_slope(pts)[0] if count >= 2 else float("nan")
+            running = _slope_or_nan(pts)[0]
             row = (kind.value, N, 1.0 / N, "inf" if p == math.inf else p, err, running)
             rows.append(row)
             block.append(row)

@@ -138,14 +138,29 @@ def fit_slope(points) -> tuple:
     return float(slope), float(intercept), r2
 
 
+def _slope_or_nan(points) -> tuple:
+    """`fit_slope` of a ladder's points, or (nan, nan, nan) where the ladder
+    has no slope: fewer than two points, or a coordinate that is not
+    positive, as every residual of a partition without an interface is 0."""
+    pts = list(points)
+    if len(pts) < 2 or not all(x > 0 and y > 0 for x, y in pts):
+        return (float("nan"),) * 3
+    return fit_slope(pts)
+
+
+def _ladder(N_list) -> list:
+    """N_list as ints; raises ValueError for one that is not strictly increasing."""
+    N_list = [int(N) for N in N_list]
+    if any(b <= a for a, b in zip(N_list, N_list[1:])):
+        raise ValueError(f"N_list must be strictly increasing, got {N_list}")
+    return N_list
+
+
 def _rungs(kind: ModelKind, f, N_list, potential, partition, F):
     """The rungs of a sweep or a study: (config, u = f sampled, L^kind, L^a u)
     per chain size, L^a u being linear (the atomistic ghost is +0.0). Raises
     ValueError, on the first step, for an N_list not strictly increasing."""
-    N_list = [int(N) for N in N_list]
-    if any(b <= a for a, b in zip(N_list, N_list[1:])):
-        raise ValueError(f"N_list must be strictly increasing, got {N_list}")
-    for N in N_list:
+    for N in _ladder(N_list):
         config = ChainConfig(N=N, F=F, R=2)
         u = sample_field(f, config)
         op_kind = assemble_operator(kind, config, potential, partition=partition)
@@ -163,11 +178,12 @@ def consistency_sweep(
     F: float = 1.2,
 ) -> SweepResult:
     """Sample u = f on each chain, measure ||L^kind u - L^a u||_inf (ghost
-    terms included) and fit the exponent of residual vs eps."""
+    terms included) and fit the exponent of residual vs eps; the exponent and
+    r^2 are nan for a single rung or a residual of 0."""
     kind = ModelKind(kind)
     pts = []
     for config, u, op_kind, La_u in _rungs(kind, f, N_list, potential, partition, F):
         resid = apply(op_kind, u).values - La_u
         pts.append((config.N, float(np.abs(resid).max())))
-    slope, _, r2 = fit_slope([(1.0 / N, r) for N, r in pts])
+    slope, _, r2 = _slope_or_nan([(1.0 / N, r) for N, r in pts])
     return SweepResult(kind=kind, points=tuple(pts), exponent=slope, r_squared=r2)

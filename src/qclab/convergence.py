@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import PeriodicField, _magnitude_norm
-from .consistency import _rungs, fit_slope
+from .consistency import _rungs, _slope_or_nan, fit_slope
 from .models import (
     LinearChainOperator,
     ModelKind,
@@ -548,10 +548,5 @@ def convergence_study(
                 norm_equiv_ok=norm_ok,
             )
         )
-    fits = {}
-    for p, pts in per_p.items():
-        if all(v > 0 for _, v in pts) and len(pts) >= 2:
-            fits[p] = fit_slope(pts)
-        else:
-            fits[p] = (float("nan"), float("nan"), float("nan"))
+    fits = {p: _slope_or_nan(pts) for p, pts in per_p.items()}
     return ConvergenceTable(kind=kind, rows=tuple(rows), fits=fits, checks=tuple(checks))

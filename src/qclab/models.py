@@ -38,7 +38,7 @@ import numpy as np
 
 from .chain import ChainConfig, PeriodicField, wrap_pad
 from .potentials import PairPotential, evaluate, singular
-from .regions import RegionPartition, block_atoms, classify, membership_mask
+from .regions import RegionPartition, classify, membership_mask
 
 
 class ModelKind(str, Enum):
@@ -80,6 +80,10 @@ class InterfaceStencil:
         blk = np.asarray(block, dtype=float).copy()
         if blk.shape != (m, m):
             raise ValueError(f"expected a {m}x{m} block, got {blk.shape}")
+        if not np.isfinite(blk).all():
+            i, j = np.argwhere(~np.isfinite(blk))[0]
+            raise ValueError(f"interface stencil block is not finite at row {i + 1}, "
+                             f"column {j + 1}: {blk[i, j]}")
         if not np.array_equal(blk, blk.T):
             raise ValueError("interface stencil block must be exactly symmetric")
         blk.flags.writeable = False
@@ -447,11 +451,10 @@ def assemble_from_moduli(
                 # reads the atomistic atom after it as that one reads it back
                 l2 += [l2[0] + _stencil_row({0: 1, 2: -1}, K)[::d] for d in (1, -1)]
             code = code.astype(np.min_scalar_type(len(l2) - 1))
-            for b, cut in regions.boundaries:
-                atoms = block_atoms((b, cut), m, N)
-                if m == 1:
-                    code[(atoms[0] - 2 if cut == "CA" else atoms[0]) % N] = 4 + (cut == "AC")
-                code[atoms - 1] = np.arange(2, m + 2) + m * (cut == "AC")
+            ac = np.array([cut == "AC" for _, cut in regions.boundaries], dtype=bool)
+            if m == 1:  # the continuum neighbour sits before a CA block, after an AC one
+                code[(regions.blocks[:, 0] - 1 + np.where(ac, 1, -1)) % N] = 4 + ac
+            code[regions.blocks - 1] = np.arange(2, m + 2) + m * ac[:, None]
         table = second[0] * _stencil_row(L1_ROW, K) + second[1] * np.array(l2)
         gtable = np.zeros(len(table))
     if code is None:

@@ -69,13 +69,17 @@ def validate(partition: RegionPartition) -> list:
 
 @dataclass(frozen=True)
 class AtomLabels:
-    """Per-atom classification plus the region membership mask and the
-    boundaries it was derived from."""
+    """Per-atom classification plus the region membership mask, the
+    boundaries it was derived from and the m-block of each boundary: row j of
+    blocks holds the 1-based atoms of boundary j's block by block index 1..m,
+    from the continuum end toward the atomistic end (shape (0, m) without a
+    boundary)."""
 
     config: ChainConfig
     labels: np.ndarray       # int8, one of the label constants
     in_atomistic: np.ndarray  # bool, position membership of A
     boundaries: list         # (b, orientation) pairs, as from region_boundaries
+    blocks: np.ndarray       # int, (boundaries, m) block atoms, continuum end first
 
     def atoms(self, label: int) -> np.ndarray:
         """1-based atom indices carrying `label`."""
@@ -111,28 +115,6 @@ def region_boundaries(mask: np.ndarray) -> list:
     return [(int(b) + 1, "AC" if mask[b] else "CA") for b in cuts]
 
 
-def _block_sides(m: int, atomistic_left):
-    """Atoms of an m-block left and right of its cut, ceil(m/2) of them on
-    the atomistic side; atomistic_left is a bool or one bool per cut."""
-    n_atom = math.ceil(m / 2)
-    left = np.where(atomistic_left, n_atom, m - n_atom)
-    return left, m - left
-
-
-def block_atoms(boundary, m: int, N: int) -> np.ndarray:
-    """1-based atoms of the m-wide interface block at a boundary, ordered by
-    block index 1..m from the continuum end toward the atomistic end.
-
-    ceil(m/2) atoms sit on the atomistic side of the cut.
-    """
-    b, orient = boundary
-    left, right = _block_sides(m, orient == "AC")
-    raw = np.arange(b + 1 - left, b + right + 1)
-    if orient == "AC":
-        raw = raw[::-1]
-    return (raw - 1) % N + 1
-
-
 @functools.lru_cache(maxsize=1)
 def classify(partition: RegionPartition, config: ChainConfig) -> AtomLabels:
     """Label atoms interior-atomistic / interior-continuum / interface.
@@ -141,35 +123,38 @@ def classify(partition: RegionPartition, config: ChainConfig) -> AtomLabels:
     of `reach` atoms on either side of the cut. Atom i is interface iff it
     lies in a collar, i.e. iff an atom within `reach` of it lies in the other
     region. Rejects invalid partitions (see `membership_mask`), chains too
-    short for their interface segments and windows that overlap. The latest
-    result is kept, read-only, for the next kind assembled on the geometry."""
+    short for their interface segments and windows that overlap. The atoms
+    of each boundary's m-block, ceil(m/2) of them on the atomistic side and
+    block index 1 at the continuum end, are placed here once, as `blocks`.
+    The latest result is kept, read-only, for the next kind assembled on the
+    geometry."""
     N, reach, m = config.N, partition.reach, partition.interface_width_m
     mask = membership_mask(partition, config)
     boundaries = region_boundaries(mask)
     labels = np.where(mask, INTERIOR_ATOMISTIC, INTERIOR_CONTINUUM).astype(np.int8)
-    if boundaries:
-        B = len(boundaries)
-        need = B // 2 * (m + 4 * reach)
-        if N < need:
-            raise ValueError(
-                f"N={N} too small for {B // 2} interface segment(s): need N >= {need}"
-            )
-        cuts = np.array([b for b, _ in boundaries]) - 1  # 0-based atom left of each cut
-        left, right = _block_sides(m, mask[cuts])
-        lo, hi = cuts + 1 - np.maximum(reach, left), cuts + np.maximum(reach, right)
+    B = len(boundaries)
+    need = B // 2 * (m + 4 * reach)
+    if N < need:
+        raise ValueError(f"N={N} too small for {B // 2} interface segment(s): need N >= {need}")
+    cuts = np.array([b for b, _ in boundaries], dtype=int) - 1  # 0-based atom left of each cut
+    ac = mask[cuts]
+    left = np.where(ac, math.ceil(m / 2), m // 2)  # block atoms left of the cut
+    lo, hi = cuts + 1 - np.maximum(reach, left), cuts + np.maximum(reach, m - left)
 
-        def meets(i, j):  # windows are shorter than N, so j > i meets i above or across the wrap
-            return (lo[j] <= hi[i]) | (lo[i] + N <= hi[j])
+    def meets(i, j):  # windows are shorter than N, so j > i meets i above or across the wrap
+        return (lo[j] <= hi[i]) | (lo[i] + N <= hi[j])
 
-        # when two windows meet, so do two ring neighbours (a cut between the
-        # two lies in one of them), so the pairwise search runs only then
-        if meets(np.arange(B - 1), np.arange(1, B)).any() or meets(0, B - 1):
-            i = next(i for i in range(B) if meets(i, np.arange(i + 1, B)).any())
-            j = i + 1 + int(np.argmax(meets(i, np.arange(i + 1, B))))
-            raise ValueError(
-                f"interface collars of boundaries {boundaries[i][0]} and "
-                f"{boundaries[j][0]} overlap"
-            )
-        labels[(cuts[:, None] + np.arange(1 - reach, reach + 1)) % N] = INTERFACE
-    labels.flags.writeable = mask.flags.writeable = False
-    return AtomLabels(config=config, labels=labels, in_atomistic=mask, boundaries=boundaries)
+    # when two windows meet, so do two ring neighbours (a cut between the
+    # two lies in one of them), so the pairwise search runs only then
+    if B and (meets(np.arange(B - 1), np.arange(1, B)).any() or meets(0, B - 1)):
+        i = next(i for i in range(B) if meets(i, np.arange(i + 1, B)).any())
+        j = i + 1 + int(np.argmax(meets(i, np.arange(i + 1, B))))
+        raise ValueError(
+            f"interface collars of boundaries {boundaries[i][0]} and "
+            f"{boundaries[j][0]} overlap"
+        )
+    labels[(cuts[:, None] + np.arange(1 - reach, reach + 1)) % N] = INTERFACE
+    raw = cuts[:, None] + 1 - left[:, None] + np.arange(m)  # an AC block runs backwards
+    blocks = np.where(ac[:, None], raw[:, ::-1], raw) % N + 1
+    labels.flags.writeable = mask.flags.writeable = blocks.flags.writeable = False
+    return AtomLabels(config, labels, mask, boundaries, blocks)

@@ -1,11 +1,13 @@
-"""Shared fixtures: seeded random multi-interval geometries, and the
-environment of a subprocess that imports qclab from this checkout. Every
-property test runs under one hypothesis profile: derandomized, with no
-example database and no deadline, so each run draws the same examples. The
-caches hypothesis keeps besides go to a temporary directory that is removed
-at exit, so a run writes no .hypothesis/ directory."""
+"""Shared fixtures: seeded random multi-interval geometries, the block-atom
+oracle and the environment of a subprocess that imports qclab from this
+checkout. Every property test runs under one hypothesis profile:
+derandomized, with no example database and no deadline, so each run draws
+the same examples. The caches hypothesis keeps besides go to a temporary
+directory that is removed at exit, so a run writes no .hypothesis/
+directory."""
 
 import atexit
+import math
 import os
 import shutil
 import tempfile
@@ -29,6 +31,20 @@ POTENTIALS = {
     "harmonic": (harmonic(1.0, 1.0), 1.2),
     "lennard_jones": (lennard_jones(), 1.1),
 }
+
+
+def _block_atoms_reference(boundary, m, N):
+    """1-based atoms of the m-block at a (b, orientation) boundary, by block
+    index 1..m from the continuum end, ceil(m/2) of them on the atomistic
+    side of the cut: the placement `classify(...).blocks` is checked against."""
+    b, orient = boundary
+    n_atom = math.ceil(m / 2)
+    n_cont = m - n_atom
+    if orient == "AC":
+        raw = np.arange(b + n_cont, b - n_atom, -1)
+    else:
+        raw = np.arange(b - n_cont + 1, b + n_atom + 1)
+    return (raw - 1) % N + 1
 
 
 def draw_geometry(rng, N: int, potential: str, n_intervals: int):

@@ -147,6 +147,20 @@ def test_sweep_command(tmp_path, capsys):
     assert header == "N,epsilon,residual,model"
 
 
+@pytest.mark.parametrize("model", ["qnl", "qce", "qcf"])
+@pytest.mark.parametrize("N_list", ["64,128", "64"])
+def test_sweep_without_a_slope_reports_nan(tmp_path, capsys, model, N_list):
+    # the partition has no interface, so every residual is 0; that, and a
+    # single rung, used to end in a config error from the slope fit
+    out = tmp_path / "s.csv"
+    code = run(["sweep", "--report"], tmp_path,
+               config_text=f"model={model}\npartition=0:1\nN_list={N_list}\n", out=out)
+    assert code == 0
+    assert f"{model} consistency exponent nan (r^2 nan)" in capsys.readouterr().out
+    rows = out.read_text().splitlines()[2:]
+    assert [row.split(",")[2] for row in rows] == ["0.0"] * len(N_list.split(","))
+
+
 def test_certify_command(tmp_path, capsys):
     out = tmp_path / "certify.csv"
     code = run(["certify", "--report"], tmp_path,
@@ -339,12 +353,15 @@ def test_nonfinite_input_is_a_config_error(tmp_path, capsys, command):
         assert captured.out == ""
 
 
-def test_converge_names_an_N_list_that_does_not_increase(tmp_path, capsys):
-    # a repeated size used to reach the slope fit (a RankWarning, slope 0.61)
-    code = run(["converge"], tmp_path, config_text="model=qnl\nN_list=64,64\n")
+@pytest.mark.parametrize("command", ["converge", "ghost"])
+def test_converge_names_an_N_list_that_does_not_increase(tmp_path, capsys, command):
+    # a repeated size used to reach the slope fit (a RankWarning, slope 0.61);
+    # ghost listed the rungs in the order given, with ratios 0.25 and 2.0
+    N_list = "64,64" if command == "converge" else "256,64,128"
+    code = run([command], tmp_path, config_text=f"model=qce\nN_list={N_list}\n")
     assert code == 2
     captured = capsys.readouterr()
-    assert "N_list must be strictly increasing, got [64, 64]" in captured.err
+    assert f"N_list must be strictly increasing, got [{N_list.replace(',', ', ')}]" in captured.err
     assert captured.out == ""
 
 

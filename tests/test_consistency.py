@@ -179,6 +179,17 @@ def test_sweep_points_monotone_n():
     assert all(r >= 0 for _, r in res.points)
 
 
+@pytest.mark.parametrize("kind", [ModelKind.QNL, ModelKind.QCE, ModelKind.QCF])
+@pytest.mark.parametrize("N_list", [[64, 128], [64]])
+def test_sweep_over_a_ladder_without_a_slope_reports_nan(kind, N_list):
+    # without an interface every residual is exactly 0, and one rung has no
+    # slope: both used to raise from the fit
+    res = consistency_sweep(kind, default_witness, N_list, POT1,
+                            partition=RegionPartition([(0.0, 1.0)]))
+    assert res.points == tuple((N, 0.0) for N in N_list)
+    assert np.isnan(res.exponent) and np.isnan(res.r_squared)
+
+
 def test_sweep_names_an_N_list_that_does_not_increase():
     for N_list in ([64, 64], [128, 64]):
         with pytest.raises(ValueError, match=rf"strictly increasing, got \[{N_list[0]}, {N_list[1]}\]"):

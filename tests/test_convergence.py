@@ -31,6 +31,7 @@ from qclab import (
     to_strain_form,
 )
 from qclab import convergence
+from qclab.consistency import _slope_or_nan
 from qclab.convergence import (
     RESIDUAL_RTOL,
     _cyclic_banded,
@@ -184,6 +185,14 @@ def test_fit_slope_rejects_degenerate_input():
         fit_slope([(0.5, 1.0), (0.25, -1.0)])
     with pytest.raises(ValueError):
         fit_slope([(0.0, 1.0), (0.25, 1.0)])
+
+
+def test_ladders_without_a_slope_fit_to_nan():
+    # the sweep, the study and the running slopes of converge share this rule
+    for pts in ([], [(0.5, 1.0)], [(0.5, 1.0), (0.25, 0.0)], [(0.5, 1.0), (0.25, math.nan)]):
+        assert all(math.isnan(v) for v in _slope_or_nan(pts))
+    pts = [(0.5, 1.0), (0.25, 0.3), (0.125, 0.1)]
+    assert _slope_or_nan(pts) == fit_slope(pts)
 
 
 def test_fit_slope_has_one_definition():

@@ -37,7 +37,7 @@ from qclab import (
     zeros,
 )
 from qclab.consistency import _moment_sums
-from conftest import POTENTIALS, draw_geometry
+from conftest import POTENTIALS, _block_atoms_reference, draw_geometry
 from qclab.models import (
     ATOM_L2,
     CONT_L2,
@@ -50,7 +50,7 @@ from qclab.models import (
     _transpose_gaps,
 )
 from qclab.potentials import evaluate
-from qclab.regions import INTERIOR_ATOMISTIC, INTERIOR_CONTINUUM, block_atoms, membership_mask
+from qclab.regions import INTERIOR_ATOMISTIC, INTERIOR_CONTINUUM, membership_mask
 
 HALF_PART = RegionPartition([(0.0, 0.5)], interface_width_m=4, reach=2)
 POT1 = harmonic(1.0, 1.0)
@@ -130,7 +130,7 @@ def native_rows_reference(kind, config, second, partition, stencil=None):
     if kind is ModelKind.CUSTOM:
         js = np.arange(-1, m + 3)
         for boundary in regions.boundaries:
-            atoms = block_atoms(boundary, m, config.N)
+            atoms = _block_atoms_reference(boundary, m, config.N)
             direction = 1 if boundary[1] == "CA" else -1
             for i in range(1, m + 1):
                 coeffs = np.concatenate((
@@ -753,6 +753,16 @@ def test_custom_requires_matching_block():
         )
     with pytest.raises(ValueError):
         InterfaceStencil(2, np.array([[1.0, 2.0], [2.1, 1.0]]))  # not symmetric
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_interface_stencil_names_an_entry_that_is_not_finite(bad):
+    # a NaN was refused as "not exactly symmetric"; an inf was accepted, and
+    # only the solver refused the band it gave
+    block = np.eye(3)
+    block[2, 1] = block[1, 2] = bad
+    with pytest.raises(ValueError, match=rf"not finite at row 2, column 3: {bad}$"):
+        InterfaceStencil(3, block)
 
 
 def test_custom_operator_is_symmetric_with_zero_ghost():

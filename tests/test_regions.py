@@ -1,7 +1,5 @@
 """Region partitioning and atom classification."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,8 @@ from qclab import (
     membership_mask,
     validate,
 )
-from qclab.regions import block_atoms, region_boundaries
+from conftest import _block_atoms_reference
+from qclab.regions import region_boundaries
 
 
 def test_classify_reference_example():
@@ -91,14 +90,14 @@ def test_membership_uses_half_open_intervals():
 
 
 def test_block_atoms_orientations():
-    # AC cut between atoms 8|9: ceil(m/2) atoms on the atomistic side,
-    # block index 1 at the continuum end
-    np.testing.assert_array_equal(block_atoms((8, "AC"), 4, 16), [10, 9, 8, 7])
-    # CA cut between atoms 16|1 wraps
-    np.testing.assert_array_equal(block_atoms((16, "CA"), 4, 16), [15, 16, 1, 2])
+    # (0, 0.5] at N = 16 cuts AC between atoms 8|9 and CA between 16|1:
+    # ceil(m/2) atoms on the atomistic side, block index 1 at the continuum end
+    config = ChainConfig(N=16, F=1.0)
+    blocks = classify(RegionPartition([(0.0, 0.5)], interface_width_m=4), config).blocks
+    np.testing.assert_array_equal(blocks, [[10, 9, 8, 7], [15, 16, 1, 2]])  # the CA cut wraps
     # odd m: 2 atomistic, 1 continuum
-    np.testing.assert_array_equal(block_atoms((8, "AC"), 3, 16), [9, 8, 7])
-    np.testing.assert_array_equal(block_atoms((16, "CA"), 3, 16), [16, 1, 2])
+    blocks = classify(RegionPartition([(0.0, 0.5)], interface_width_m=3), config).blocks
+    np.testing.assert_array_equal(blocks, [[9, 8, 7], [16, 1, 2]])
 
 
 def test_region_boundaries_orientation():
@@ -137,17 +136,6 @@ def test_region_boundaries_match_loop_reference():
         got = region_boundaries(mask)
         assert got == _region_boundaries_loop(mask)
         assert all(type(b) is int for b, _ in got)
-
-
-def _block_atoms_reference(boundary, m, N):
-    b, orient = boundary
-    n_atom = math.ceil(m / 2)
-    n_cont = m - n_atom
-    if orient == "AC":
-        raw = np.arange(b + n_cont, b - n_atom, -1)
-    else:
-        raw = np.arange(b - n_cont + 1, b + n_atom + 1)
-    return (raw - 1) % N + 1
 
 
 def _classify_reference(partition, config):
@@ -226,5 +214,9 @@ def test_classify_matches_set_window_reference():
         assert got.labels.dtype == np.int8 and np.array_equal(got.labels, want[0])
         assert np.array_equal(got.in_atomistic, want[1])
         assert got.boundaries == want[2]
+        m = partition.interface_width_m
+        want_blocks = [_block_atoms_reference(bd, m, N) for bd in want[2]]
+        assert got.blocks.dtype.kind == "i" and not got.blocks.flags.writeable
+        assert np.array_equal(got.blocks, np.reshape(want_blocks, (-1, m)))
         outcomes["accepted"] += 1
     assert min(outcomes.values()) >= 50, outcomes
