@@ -9,10 +9,20 @@ differences follow the strain convention D_r u_i = (u_i - u_{i-r}) / (r eps).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; anything `operator.index` refuses (2.5, and 2.0 too)
+    raises a ValueError naming the field, so a size is never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -29,6 +39,8 @@ class ChainConfig:
     R: int = 2
 
     def __post_init__(self):
+        for name in ("N", "R"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.N < 1:
             raise ValueError(f"N must be positive, got {self.N}")
         if self.R < 1:

@@ -11,6 +11,7 @@ line, no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -23,7 +24,8 @@ import numpy as np
 from . import __version__
 from .chain import ChainConfig, PeriodicField, sample_field
 from .consistency import (
-    _ladder, _moment_sums, _slope_or_nan, consistency_sweep, ghost_force, moment_residuals,
+    _ladder, _moment_sums, _slope_or_nan, consistency_sweep, default_witness, ghost_force,
+    moment_residuals,
 )
 from .convergence import NumericalError, convergence_study
 from .impossibility import CertificateError, certificate, min_residual
@@ -158,8 +160,7 @@ def _partition(cfg: RunConfig) -> RegionPartition | None:
 
 
 def _witness(cfg: RunConfig):
-    phase = cfg.phase
-    return lambda x: np.sin(2.0 * np.pi * np.asarray(x) + phase)
+    return functools.partial(default_witness, phase=cfg.phase)
 
 
 def _kind(cfg: RunConfig) -> ModelKind:

@@ -20,10 +20,10 @@ from .potentials import PairPotential
 from .regions import RegionPartition
 
 
-def default_witness(x):
+def default_witness(x, phase=0.3):
     """Smooth 1-periodic probe; the phase keeps the curvature nonzero at the
     default interface locations x = 1/2 and x = 1."""
-    return np.sin(2.0 * np.pi * np.asarray(x) + 0.3)
+    return np.sin(2.0 * np.pi * np.asarray(x) + phase)
 
 
 def _column(o: LinearChainOperator, k: int):

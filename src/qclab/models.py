@@ -24,6 +24,9 @@ region, and CUSTOM adds a code per block row. Translation-invariant kinds
 (atomistic, continuum) have one row, broadcast with row stride 0, so their
 assembly costs the same at every N. The band product, the row codes and the
 bond arguments read neighbours as windows of one `chain.wrap_pad` padding.
+An anchored bond-term group holds its anchor set as a boolean mask: the row
+codes read the mask through windows, and the energy path reads every
+group's arguments through windows and keeps its anchors' by the mask.
 """
 
 from __future__ import annotations
@@ -215,8 +218,8 @@ def _band_apply(band: np.ndarray, first_offset: int, v, magnitudes: bool = False
 
 class _TermGroup(NamedTuple):
     shell: int            # neighbor distance r; bond argument is r F + g.u/eps
-    anchors: object       # distinct 0-based anchor atoms (so indexed += never
-                          # collides); in `_term_spec`, the anchor set's name
+    anchors: object       # None for every atom, else the name of an
+                          # `_anchor_sets` mask, read through windows
     pattern: tuple        # ((offset, coeff), ...) defining g relative to anchor
     weight: float
 
@@ -264,46 +267,40 @@ def _anchor_sets(kind: ModelKind, mask) -> dict:
     return {"P": pair, "L": ~pair}
 
 
-def _term_groups(kind: ModelKind, config: ChainConfig, mask) -> list:
-    """Bond-term groups of an energy-based kind; mask is the membership mask
-    of a coupled kind's partition (unused by the pure kinds)."""
-    everyone = np.arange(config.N)
-    anchors = {None: everyone}
-    if kind in COUPLED:
-        anchors.update((name, everyone[ind]) for name, ind in _anchor_sets(kind, mask).items())
-    return [_TermGroup(r, anchors[s], pattern, w) for r, s, pattern, w in _term_spec(kind, config.R)]
-
-
 def _bond_arguments(kind, config: ChainConfig, potential, u: PeriodicField, partition):
-    """Each bond-term group of an energy-based kind with its arguments rF + g.u/eps,
-    read from u padded by R wrapped values: one window per pattern offset for
-    a group anchored at every atom, a gather for any other. Raises ValueError
-    for a field of another size, and naming the first singular bond argument."""
+    """Each bond-term group of an energy-based kind with its anchor mask (None
+    for every atom) and its anchors' arguments rF + g.u/eps. Every group reads
+    one window per pattern offset of u padded by R wrapped values and keeps
+    its anchors' arguments by the mask. Raises ValueError for a field of
+    another size, and naming the first singular bond argument."""
     kind = ModelKind(kind)
     if kind not in ENERGY_BASED:
         raise ValueError(f"{kind.value} does not derive from an energy")
     N, R = config.N, config.R
     if len(u.values) != N:
         raise ValueError(f"field has {len(u.values)} values but the chain has N={N} atoms")
-    mask = None
+    sets = {}
     if kind in COUPLED:
         mask = membership_mask(_coupled_partition(kind, config, partition), config)
+        sets = _anchor_sets(kind, mask)
     vp = wrap_pad(u.values, R, R)
-    for g in _term_groups(kind, config, mask):
-        every = len(g.anchors) == N
-        s = np.zeros(len(g.anchors))
+    for g in _term_spec(kind, R):
+        s = np.zeros(N)
         for off, c in g.pattern:
-            s += c * (vp[R + off:R + off + N] if every else vp[g.anchors + (R + off)])
+            s += c * vp[R + off:R + off + N]
         args = g.shell * config.F + s / config.epsilon
+        at = sets.get(g.anchors)
+        if at is not None:
+            args = args[at]
         bad = np.flatnonzero(singular(potential, args))
         if bad.size:
             first = bad[0]
+            atom = first if at is None else np.flatnonzero(at)[first]
             raise ValueError(
                 f"{potential.kind} is singular at bond argument s = {float(args[first])!r}: "
-                f"{kind.value} bond of shell r={g.shell} anchored at atom "
-                f"{g.anchors[first] + 1}"
+                f"{kind.value} bond of shell r={g.shell} anchored at atom {atom + 1}"
             )
-        yield g, args
+        yield g, at, args
 
 
 def total_energy(
@@ -316,7 +313,7 @@ def total_energy(
     """Scaled total energy sum_terms w * eps * phi(rF + strain)."""
     eps = config.epsilon
     total = 0.0
-    for g, args in _bond_arguments(kind, config, potential, u, partition):
+    for g, _, args in _bond_arguments(kind, config, potential, u, partition):
         total += g.weight * eps * float(np.sum(evaluate(potential, args, 0)))
     return total
 
@@ -331,15 +328,15 @@ def energy_gradient(
     """Scaled gradient (1/eps) dE/du as a raw array; at u = 0 this is the ghost field."""
     N = config.N
     grad = np.zeros(N)
-    for g, args in _bond_arguments(kind, config, potential, u, partition):
+    for g, at, args in _bond_arguments(kind, config, potential, u, partition):
         dphi = np.asarray(evaluate(potential, args, 1))
-        for off, c in g.pattern:
+        if at is not None:  # the anchors' derivatives in a zero field
+            dphi, anchored = np.zeros(N), dphi
+            dphi[at] = anchored
+        for off, c in g.pattern:  # grad[(i + off) mod N] += term[i], split at the wrap
             term, w = g.weight * c * dphi, off % N
-            if len(g.anchors) == N:  # grad[(i + off) mod N] += term[i], split at the wrap
-                grad[w:] += term[:N - w]
-                grad[:w] += term[N - w:]
-            else:
-                grad[(g.anchors + off) % N] += term
+            grad[w:] += term[:N - w]
+            grad[:w] += term[N - w:]
     return grad / config.epsilon
 
 

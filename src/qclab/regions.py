@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .chain import ChainConfig
+from .chain import ChainConfig, _integer
 
 INTERIOR_ATOMISTIC = 0
 INTERIOR_CONTINUUM = 1
@@ -44,8 +44,8 @@ class RegionPartition:
     def __init__(self, atomistic_intervals: Iterable, interface_width_m: int = 4, reach: int = 2):
         ivs = tuple((float(a), float(b)) for a, b in atomistic_intervals)
         object.__setattr__(self, "atomistic_intervals", ivs)
-        object.__setattr__(self, "interface_width_m", int(interface_width_m))
-        object.__setattr__(self, "reach", int(reach))
+        for name, value in (("interface_width_m", interface_width_m), ("reach", reach)):
+            object.__setattr__(self, name, _integer(name, value))
         if self.interface_width_m < 1:
             raise ValueError("interface_width_m must be positive")
         if self.reach < 1:
@@ -78,7 +78,7 @@ class AtomLabels:
     config: ChainConfig
     labels: np.ndarray       # int8, one of the label constants
     in_atomistic: np.ndarray  # bool, position membership of A
-    boundaries: list         # (b, orientation) pairs, as from region_boundaries
+    boundaries: tuple        # (b, orientation) pairs, as from region_boundaries
     blocks: np.ndarray       # int, (boundaries, m) block atoms, continuum end first
 
     def atoms(self, label: int) -> np.ndarray:
@@ -130,7 +130,7 @@ def classify(partition: RegionPartition, config: ChainConfig) -> AtomLabels:
     geometry."""
     N, reach, m = config.N, partition.reach, partition.interface_width_m
     mask = membership_mask(partition, config)
-    boundaries = region_boundaries(mask)
+    boundaries = tuple(region_boundaries(mask))
     labels = np.where(mask, INTERIOR_ATOMISTIC, INTERIOR_CONTINUUM).astype(np.int8)
     B = len(boundaries)
     need = B // 2 * (m + 4 * reach)

@@ -25,6 +25,12 @@ def test_config_rejects_bad_sizes():
         ChainConfig(N=4, R=0)
     with pytest.raises(ValueError):
         ChainConfig(N=4, R=2)  # stencil of width 5 self-wraps
+    # a size that is not an integer is refused by name, never truncated
+    for field, value in (("N", 64.5), ("N", 64.0), ("R", 2.5), ("N", "64")):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            ChainConfig(**{"N": 64, field: value})
+    config = ChainConfig(N=np.int64(64), R=np.int32(2))
+    assert config == ChainConfig(N=64) and type(config.N) is int and type(config.R) is int
 
 
 def test_sample_sin_n4():

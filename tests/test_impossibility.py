@@ -291,6 +291,39 @@ def test_min_residual_attains_certificate_bound():
         assert result.residual == pytest.approx(bound, abs=1e-8)
 
 
+def rank_mod_prime(a, p=2**31 - 1):
+    """Rank of an integer matrix over GF(p), by Gaussian elimination in int64:
+    every entry is reduced below p < 2^31, so each product stays below 2^62."""
+    a = np.asarray(a, dtype=np.int64) % p
+    rank = 0
+    for col in range(a.shape[1]):
+        nonzero = np.flatnonzero(a[rank:, col])
+        if nonzero.size == 0:
+            continue
+        pivot = rank + nonzero[0]
+        a[[rank, pivot]] = a[[pivot, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, col]), p - 2, p) % p
+        a[rank + 1:] = (a[rank + 1:] - a[rank + 1:, col, None] * a[rank]) % p
+        rank += 1
+        if rank == a.shape[0]:
+            break
+    return rank
+
+
+def test_consistency_rows_have_rank_2m_minus_1():
+    """The certificate's w annihilates the 2m consistency rows, so their rank
+    over Q is at most 2m - 1, and the rank mod p is at most the rank over Q.
+    Rank 2m - 1 mod p therefore leaves span(w) as the whole left null space:
+    the least-squares defect is b's component along w, of norm |w.b| / ||w||
+    = 2/||w||, so min_residual attains the certificate bound for every m here."""
+    for m in range(1, 33):
+        system = build_constraint_system(m)
+        rows = system.consistency_rows()
+        w = np.array(certificate_weights(m), dtype=np.int64)[rows]
+        assert not (w @ system.matrix[rows]).any()
+        assert rank_mod_prime(system.matrix[rows]) == 2 * m - 1, m
+
+
 def test_min_residual_m4_reference_value():
     assert min_residual(4).residual == pytest.approx(2.0 / math.sqrt(384.0), abs=1e-8)
     assert min_residual(2).residual == pytest.approx(2.0 / math.sqrt(22.0), abs=1e-8)

@@ -45,8 +45,10 @@ from qclab.models import (
     ENERGY_BASED,
     L1_ROW,
     _band_apply,
+    _TermGroup,
+    _anchor_sets,
     _stencil_row,
-    _term_groups,
+    _term_spec,
     _transpose_gaps,
 )
 from qclab.potentials import evaluate
@@ -90,6 +92,17 @@ def brute_force_gradient(kind, config, pot, u):
     return grad
 
 
+def term_groups_reference(kind, config, mask):
+    """The bond-term groups of `_term_spec` with their anchor sets as distinct
+    0-based index arrays, the form the modulo and add.at oracles read; mask is
+    the membership mask of a coupled kind's partition (unused otherwise)."""
+    everyone = np.arange(config.N)
+    anchors = {None: everyone}
+    if kind in COUPLED:
+        anchors.update((name, everyone[ind]) for name, ind in _anchor_sets(kind, mask).items())
+    return [_TermGroup(r, anchors[s], pattern, w) for r, s, pattern, w in _term_spec(kind, config.R)]
+
+
 def shell_bands_add_at(groups, N, R, K):
     """np.add.at reference for the band and ghost-weight accumulation."""
     bands = [np.zeros((N, 2 * K + 1)) for _ in range(R)]
@@ -109,7 +122,7 @@ def assembled_add_at(kind, config, second, first, partition):
     (0 + f1 G1 + f2 G2) / eps."""
     N, R = config.N, config.R
     mask = membership_mask(partition, config) if kind in COUPLED else None
-    bands, gweights = shell_bands_add_at(_term_groups(kind, config, mask), N, R, R)
+    bands, gweights = shell_bands_add_at(term_groups_reference(kind, config, mask), N, R, R)
     band, ghost = np.zeros((N, 2 * R + 1)), np.zeros(N)
     for r in range(R):
         band += second[r] * bands[r]
@@ -153,7 +166,7 @@ def bond_arguments_modulo(kind, config, u, partition):
     v, N = u.values, config.N
     mask = membership_mask(partition, config) if kind in COUPLED else None
     out = []
-    for g in _term_groups(kind, config, mask):
+    for g in term_groups_reference(kind, config, mask):
         s = np.zeros(len(g.anchors))
         for off, c in g.pattern:
             s += c * v[(g.anchors + off) % N]
@@ -1142,16 +1155,21 @@ def test_symmetry_defect_matches_gather_reference(random_geometry):
         assert symmetry_defect(op) == want / config.epsilon**2
 
 
-@pytest.mark.parametrize("kind", [ModelKind.ATOMISTIC, ModelKind.QNL])
+@pytest.mark.parametrize("kind", [ModelKind.ATOMISTIC, ModelKind.QNL, ModelKind.QCE])
 def test_singular_lennard_jones_bond_is_named(kind):
+    """Atom 6 is atomistic and anchors an every-atom group of the atomistic
+    kind and QNL. QCE's shell-1 groups anchor on region A or C only: atom 22
+    is the sixth of C's anchors 17..32, so naming it tells the anchor's atom
+    from its position among the anchors."""
     config = ChainConfig(N=32, F=1.1, R=2)
+    atom = 22 if kind is ModelKind.QCE else 6
     u = np.zeros(32)
-    u[5] = -1.2 * config.epsilon  # bond (5, 6) pushed through zero
+    u[atom - 1] = -1.2 * config.epsilon  # bond (atom - 1, atom) pushed through zero
     field = PeriodicField(config, u)
-    s = config.F + u[5] / config.epsilon
+    s = config.F + u[atom - 1] / config.epsilon
     want = re.escape(
         f"singular at bond argument s = {float(s)!r}: {kind.value} bond of shell r=1 "
-        "anchored at atom 6"
+        f"anchored at atom {atom}"
     )
     part = None if kind is ModelKind.ATOMISTIC else HALF_PART
     for fn in (total_energy, energy_gradient):

@@ -72,6 +72,10 @@ def test_classify_deterministic():
     assert len(other.labels) == 128
     b = classify(part, c)
     np.testing.assert_array_equal(a.labels, b.labels)
+    # no caller can change what the next one is handed
+    with pytest.raises(AttributeError):
+        b.boundaries.append((3, "AC"))
+    assert classify(part, c).boundaries == ((32, "AC"), (64, "CA"))
 
 
 def test_interface_size_constant_across_refinement():
@@ -110,6 +114,14 @@ def test_partition_parameter_validation():
         RegionPartition([(0.0, 0.5)], interface_width_m=0)
     with pytest.raises(ValueError):
         RegionPartition([(0.0, 0.5)], reach=0)
+    # a size that is not an integer is refused by name, never truncated
+    for field, value in (("interface_width_m", 2.5), ("reach", 2.7), ("reach", 2.0),
+                         ("interface_width_m", "4")):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            RegionPartition([(0.0, 0.5)], **{field: value})
+    part = RegionPartition([(0.0, 0.5)], interface_width_m=np.int64(3), reach=np.int32(1))
+    assert (part.interface_width_m, part.reach) == (3, 1)
+    assert type(part.interface_width_m) is int and type(part.reach) is int
 
 
 def _region_boundaries_loop(mask):
@@ -213,7 +225,7 @@ def test_classify_matches_set_window_reference():
         got = classify(partition, config)
         assert got.labels.dtype == np.int8 and np.array_equal(got.labels, want[0])
         assert np.array_equal(got.in_atomistic, want[1])
-        assert got.boundaries == want[2]
+        assert got.boundaries == tuple(want[2])
         m = partition.interface_width_m
         want_blocks = [_block_atoms_reference(bd, m, N) for bd in want[2]]
         assert got.blocks.dtype.kind == "i" and not got.blocks.flags.writeable
