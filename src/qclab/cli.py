@@ -117,6 +117,8 @@ def parse_config(text: str) -> RunConfig:
                 cfg.N_list = tuple(int(s) for s in value.split(",") if s.strip())
             elif key == "p_list":
                 ps = tuple(_parse_p(s) for s in value.split(",") if s.strip())
+                if not ps:
+                    raise ValueError("name at least one p")
                 repeated = next((p for i, p in enumerate(ps) if p in ps[:i]), None)
                 if repeated is not None:
                     raise ValueError(f"p = {repeated} is repeated")

@@ -37,11 +37,10 @@ from .models import (
     LinearChainOperator,
     ModelKind,
     _band_apply,
+    _bound_C,
     _constants_defect,
-    _distinct_rows,
     _moment_defect,
-    _telescope,
-    _transpose_gaps,
+    _transpose_gap,
     apply_linear,
 )
 from .potentials import PairPotential
@@ -344,7 +343,8 @@ def _stress_lu(op: LinearChainOperator):
 def _patch_lu(op: LinearChainOperator):
     """Factor a zero-row-sum band of half-width 2 that passes the linear
     patch test: every row's first moment -2 b_-2 - b_-1 + b_1 + 2 b_2
-    vanishes, relative to the largest entry (`_moment_defect`).
+    vanishes, relative to the largest entry (`_moment_defect` of the run
+    rows).
 
     Such a band is A = T Delta / eps^2, with (Delta u)_i = u_{i-1} - 2 u_i +
     u_{i+1} and T the cyclic tridiagonal matrix whose row i is
@@ -359,8 +359,8 @@ def _patch_lu(op: LinearChainOperator):
     band (one that is not symmetric) fails the patch test and NumericalError
     when T is (numerically) singular.
     """
-    band = op.band
-    moment, passes = _moment_defect(band[:, 3] - band[:, 1] + 2.0 * (band[:, 4] - band[:, 0]), band)
+    band, rows = op.band, op._runs.rows
+    moment, passes = _moment_defect(rows[:, 3] - rows[:, 1] + 2.0 * (rows[:, 4] - rows[:, 0]), rows)
     if not passes:
         raise ValueError(
             "operator is not symmetric and fails the linear patch test "
@@ -394,9 +394,10 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
     the left-null component of f (the mean, for symmetric operators).
 
     The band's symmetry picks the factorization: a band of any half-width
-    whose `_transpose_gaps` vanish relative to its largest entry, as its row
-    sums must (`_moment_defect`), is solved in stress form through its cyclic
-    C (`_stress_lu`); a band of half-width 2 that is not symmetric but whose
+    whose transpose gap vanishes relative to its largest entry, as its row
+    sums must (`_moment_defect`; both read off the operator's runs,
+    `_band_runs` and `_transpose_gap`), is solved in stress form through its cyclic C
+    (`_stress_lu`); a band of half-width 2 that is not symmetric but whose
     rows have zero first moments in patch form through its tridiagonal T
     (`_patch_lu`). One solve is made, and its residual is checked once
     against the contract: 1e-10 ||f||_inf, widened to the float64
@@ -428,10 +429,8 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
             "in eps^2 stencil units); equilibria are defined up to a constant only "
             "for shift-invariant operators"
         )
-    K, band = op.half_width, _distinct_rows(op.band)
-    gap, symmetric = _moment_defect(
-        np.array([np.abs(g, out=g).max() for g in _transpose_gaps(band)]), band
-    )
+    K = op.half_width
+    gap, symmetric = _moment_defect(_transpose_gap(op.band, op._runs.starts), op._runs.rows)
     if symmetric:
         solve, w = _stress_lu(op)
     elif K == 2:
@@ -506,9 +505,12 @@ def convergence_study(
 ) -> ConvergenceTable:
     """Solve L^kind u_qc = L^a u (ghost of L^kind on the left) across chain
     sizes and record ||D e||_p for e = u - u_qc. Raises ValueError for an
-    N_list that is not strictly increasing and for a repeated p."""
+    N_list that is not strictly increasing, and for a p_list that is empty
+    or repeats a p."""
     kind = ModelKind(kind)
     p_list = list(p_list)
+    if not p_list:
+        raise ValueError("p_list must name at least one p")
     if len(set(p_list)) < len(p_list):
         raise ValueError(f"p_list must not repeat a p, got {p_list}")
     rows = []
@@ -531,8 +533,8 @@ def convergence_study(
         for p in p_list:
             rows.append(ConvergenceRow(N=N, epsilon=eps, p=p, error_norm=norms[p]))
             per_p[p].append((eps, norms[p]))
-        # the solve has checked the row sums; the strain band itself is not needed
-        bound_C = _telescope(op_k.band)[1]
+        # the solve has checked the row sums; every row of a run has one l1 norm
+        bound_C = _bound_C(op_k._runs.rows)
         norm_ok = all(
             norms[p] >= eps ** (1.0 / p) * de_inf * (1.0 - 1e-12)
             for p in p_list

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import _integer
 from .models import ATOM_L2, CONT_L2, InterfaceStencil
 
 POWERS = (0, 1, 2)  # moments against u_j = 1, j, j^2
@@ -109,14 +110,16 @@ def _equations(m: int, n_unknowns: int, column):
     return matrix, rhs
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1, typed=True)
 def build_constraint_system(m: int) -> ConstraintSystem:
     """Assemble the consistency equations for an m-atom symmetric block.
 
     The most recent system is kept, so certificate(m) followed by
     min_residual(m) builds it once; its arrays are read-only because every
-    caller shares them.
+    caller shares them. The cache is typed, so that 2.0 does not find the
+    system of 2 but is refused, as is any m that is not an integer.
     """
+    m = _integer("m", m)
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     k, l = np.triu_indices(m)
@@ -182,6 +185,7 @@ def _max_abs(a: np.ndarray) -> int:
 def certificate(m: int) -> Certificate:
     """Compute the weighted combination of the consistency equations in exact
     integer arithmetic and verify that every unknown cancels."""
+    m = _integer("m", m)
     system = build_constraint_system(m)
     w = certificate_weights(m)
     sums, value = _weighted_sums(system, w)
@@ -212,6 +216,7 @@ def min_residual(m: int, symmetric: bool = True) -> MinResidualResult:
     the certificate bound; dropping it (diagnostic mode) admits exact
     solutions such as the force-based (QCF) interface rows.
     """
+    m = _integer("m", m)
     rows = _consistency_rows(m)
     if symmetric:
         system = build_constraint_system(m)

@@ -18,15 +18,18 @@ directly from closed-form rows and carry no energy.
 
 Every band is a table of the kind's distinct rows, gathered column by column
 by a per-atom code. A coupled row differs from a pure row only near an
-interface, so the table is small. An energy kind's code has one bit per
-anchored bond-term group that can reach the row; QCF codes each atom's
-region, and CUSTOM adds a code per block row. Translation-invariant kinds
-(atomistic, continuum) have one row, broadcast with row stride 0, so their
-assembly costs the same at every N. The band product, the row codes and the
-bond arguments read neighbours as windows of one `chain.wrap_pad` padding.
-An anchored bond-term group holds its anchor set as a boolean mask: the row
-codes read the mask through windows, and the energy path reads every
-group's arguments through windows and keeps its anchors' by the mask.
+interface, so the table is small, and the band is O(m) runs of equal rows
+(`_band_runs`, cached on the operator) from which every check of row facts
+(row sums, max |entry|, transpose gaps, first moments, bound_C) reads. An
+energy kind's code has one bit per anchored bond-term group that can reach
+the row; QCF codes each atom's region, and CUSTOM adds a code per block row.
+Translation-invariant kinds (atomistic, continuum) have one row, broadcast
+with row stride 0, so their assembly costs the same at every N. The band
+product, the row codes and the bond arguments read neighbours as windows of
+one `chain.wrap_pad` padding. An anchored bond-term group holds its anchor
+set as a boolean mask: the row codes read the mask through windows, and the
+energy path reads every group's arguments through windows and keeps its
+anchors' by the mask.
 """
 
 from __future__ import annotations
@@ -120,6 +123,12 @@ class LinearChainOperator:
         self.ghost.flags.writeable = False
 
     @property
+    def _runs(self) -> _Runs:  # computed once, as the band is read-only
+        if "_runs" not in self.__dict__:
+            self.__dict__["_runs"] = _band_runs(self.band)
+        return self.__dict__["_runs"]
+
+    @property
     def half_width(self) -> int:
         return (self.band.shape[1] - 1) // 2
 
@@ -168,8 +177,37 @@ def _row_sums(band: np.ndarray) -> np.ndarray:
     return out
 
 
-def _distinct_rows(band: np.ndarray) -> np.ndarray:
-    return band[:1] if band.strides[0] == 0 else band  # a broadcast band's one row
+class _Runs(NamedTuple):
+    starts: np.ndarray  # the (0-based) atoms where a run of equal rows starts
+    rows: np.ndarray    # (runs, 2K+1): each run's row
+
+
+def _band_runs(band: np.ndarray) -> _Runs:
+    """The band's runs of equal rows, from one compare pass: runs start at
+    atom 1 and where a row differs from the one before (a NaN row always);
+    a broadcast band is one run."""
+    if band.strides[0] == 0:
+        starts = np.zeros(1, np.intp)
+    else:
+        new = np.ones(len(band), bool)
+        (band[1:] != band[:-1]).any(axis=1, out=new[1:])
+        starts = np.flatnonzero(new)
+    return _Runs(starts, band[starts])
+
+
+@functools.lru_cache(maxsize=64)
+def _run_pairs(K: int, N: int):  # -j, k - j (mod N, less N) and columns K + k, K - k
+    j, k = np.array([(j, k) for k in range(K + 1) for j in range(k + 1)]).T
+    return -j % N - N, (k - j) % N - N, K + k, K - k
+
+
+def _transpose_gap(band: np.ndarray, starts: np.ndarray) -> float:
+    """max |A[i, i+k] - A[i+k, i]| over k = 0..K (eps^2 units) by one gather
+    of the pairs at i = s - j, j <= k, per run start s: pairs inside a run
+    share the gap at s, so every entry is paired, and a NaN gives a NaN."""
+    rows, partners, ahead, behind = _run_pairs((band.shape[1] - 1) // 2, len(band))
+    s = starts[:, None]
+    return float(np.abs(band[s + rows, ahead] - band[s + partners, behind]).max())
 
 
 def _band_apply(band: np.ndarray, first_offset: int, v, magnitudes: bool = False) -> np.ndarray:
@@ -510,14 +548,13 @@ class StrainFormOperator:
         return out
 
 
-def _telescope(band: np.ndarray):
-    """Strain columns of a zero-row-sum band and their bound_C.
+def _telescope(band: np.ndarray) -> np.ndarray:
+    """Strain columns of a zero-row-sum band.
 
     The coefficient of (Du)_{i+k} collects the stencil weight that
     telescopes across the bond (i+k-1, i+k): minus the sum of offsets below
     k for k <= 0, the sum of offsets k..K for k >= 1. Returns the 2K columns
-    as the column-major (N, 2K) strain band, in offset order 1-K..K, and the
-    largest row l1 norm, summed column by column as in row_sums.
+    as the column-major (N, 2K) strain band, in offset order 1-K..K.
     """
     N, K = band.shape[0], (band.shape[1] - 1) // 2
     strain = np.empty((N, 2 * K), order="F")
@@ -525,57 +562,54 @@ def _telescope(band: np.ndarray):
     for c in range(K):
         below = np.subtract(below, band[:, c], out=strain[:, c])  # k = c+1-K
         above = np.add(above, band[:, 2 * K - c], out=strain[:, 2 * K - 1 - c])  # k = K-c
-    row_l1, magnitude = np.abs(strain[:, 0]), np.empty(N)
-    for j in range(1, 2 * K):
+    return strain
+
+
+def _bound_C(band: np.ndarray) -> float:
+    """bound_C, the largest row l1 norm of the band's strain rows, summed
+    column by column as in row_sums; the run rows give the band's."""
+    strain = _telescope(band)
+    row_l1, magnitude = np.abs(strain[:, 0]), np.empty(len(strain))
+    for j in range(1, strain.shape[1]):
         row_l1 += np.abs(strain[:, j], out=magnitude)
-    return strain, float(row_l1.max())
+    return float(row_l1.max())
 
 
-def _moment_defect(moments: np.ndarray, band: np.ndarray):
-    """(max |moment|, whether it vanishes) for per-row moments of the band,
-    sum_k k^p b_k, or its transpose gaps, in eps^2 stencil units. They vanish when max |moment| <=
+def _moment_defect(moments, rows: np.ndarray):
+    """(max |moment|, whether it vanishes) for per-row moments of a band,
+    sum_k k^p b_k, or its transpose gap, in eps^2 stencil units, where rows
+    are the band's run rows (`_band_runs`). They vanish when max |moment| <=
     ROW_SUM_RTOL * max |band entry|; a NaN or infinite entry never does."""
     defect = float(np.abs(moments).max())
-    scale = max(float(band.max()), -float(band.min()))  # max |entry|, no temporary
+    scale = max(float(rows.max()), -float(rows.min()))  # max |entry|, no temporary
     return defect, defect <= ROW_SUM_RTOL * scale < math.inf
 
 
 def _constants_defect(op: LinearChainOperator):
     """(max |row sum|, whether the band annihilates constants), by
-    `_moment_defect` of the row sums of the band's distinct rows."""
-    band = _distinct_rows(op.band)
-    return _moment_defect(_row_sums(band), band)
+    `_moment_defect` of the row sums of the band's run rows."""
+    rows = op._runs.rows
+    return _moment_defect(_row_sums(rows), rows)
 
 
 def to_strain_form(op: LinearChainOperator) -> StrainFormOperator:
     """Rewrite L in terms of backward differences via telescoping.
 
     Requires zero row sums (shift invariance, the solver's test) and a zero
-    ghost field. The strain band is column-major, like the operator's.
+    ghost field; a NaN ghost entry is refused too. The strain band is
+    column-major, like the operator's.
     """
     if not _constants_defect(op)[1]:
         raise ValueError("operator has nonzero row sums; no strain form exists")
-    if np.abs(op.ghost).max() > STRAIN_FORM_TOL:
+    if not np.abs(op.ghost).max() <= STRAIN_FORM_TOL:
         raise ValueError("operator has a ghost field; no strain form exists")
-    return StrainFormOperator(op.config, *_telescope(op.band))
-
-
-def _transpose_gaps(band: np.ndarray):
-    """A[i, i+k] - A[i+k, i] in eps^2 units for k = 0..K, one array per k,
-    computed as each is asked for: row i+k holds A[i+k, i] at offset -k, a
-    window of the wrapped column; a broadcast band gives its one row's gaps.
-    Every pair is visited once; k = 0 pairs the diagonal with itself, so a
-    NaN anywhere in the band shows as a NaN gap."""
-    band = _distinct_rows(band)
-    N, K = band.shape[0], (band.shape[1] - 1) // 2
-    return (band[:, K + k] - wrap_pad(band[:, K - k], 0, k % N)[k % N:] for k in range(K + 1))
+    return StrainFormOperator(op.config, _telescope(op.band), _bound_C(op._runs.rows))
 
 
 def symmetry_defect(op: LinearChainOperator) -> float:
-    """max |L_ij - L_ji| over the dense realization (computed bandwise); NaN
-    when the band holds a NaN."""
-    worst = np.max([np.abs(gap).max() for gap in _transpose_gaps(op.band)])
-    return float(worst) / op.config.epsilon**2
+    """max |L_ij - L_ji| over the dense realization (computed from the band's
+    runs, `_transpose_gap`); NaN when the band holds a NaN."""
+    return _transpose_gap(op.band, op._runs.starts) / op.config.epsilon**2
 
 
 def hessian_consistency_check(

@@ -35,7 +35,7 @@ from qclab.convergence import (
     _factor,
     _stress_diagonals,
 )
-from qclab.models import COUPLED, _band_apply, _telescope
+from qclab.models import COUPLED, _band_apply, _bound_C
 
 HALF_PART = RegionPartition([(0.0, 0.5)], interface_width_m=4, reach=2)
 POTENTIALS = {"harmonic": (harmonic(1.0, 1.0), 1.2), "lennard_jones": (lennard_jones(), 1.1)}
@@ -139,7 +139,7 @@ def study_oracle(kind, witness, N_list, p_list, pot, partition, F):
         de = difference(e, 1, 1)
         norms = {p: lp_norm_oracle(de, p) for p in dict.fromkeys([*p_list, math.inf])}
         rows += [ConvergenceRow(N=N, epsilon=eps, p=p, error_norm=norms[p]) for p in p_list]
-        bound_C = _telescope(op_k.band)[1]
+        bound_C = _bound_C(op_k.band)  # over every row of the full band
         le_inf = float(np.abs(window_apply(op_k.band, -2, e.values) / eps**2).max())
         de_inf = norms[math.inf]
         checks.append(ConvergenceChecks(

@@ -380,6 +380,19 @@ def test_converge_names_a_repeated_p(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["", " ", ",", " , "])
+def test_converge_refuses_an_empty_p_list(tmp_path, capsys, text):
+    # an empty p_list ran every solve, wrote only the header and exited 0
+    message = r"line 3: bad value for 'p_list': name at least one p"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(f"model=qnl\nN_list=64,128\np_list={text}\n")
+    out = tmp_path / "c.csv"
+    code = run(["converge"], tmp_path, config_text=f"model=qnl\nN_list=64,128\np_list={text}\n", out=out)
+    assert code == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where", ["option", "key"])
 def test_an_out_path_ending_in_dat_is_refused(tmp_path, capsys, where):
     # the gnuplot twin goes to the path with suffix .dat: for such a path it

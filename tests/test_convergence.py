@@ -1213,6 +1213,15 @@ def test_study_names_a_repeated_p():
             )
 
 
+def test_study_refuses_an_empty_p_list():
+    # an empty p_list made every solve and returned no rows and no fits
+    for p_list in ([], (), iter([])):
+        with pytest.raises(ValueError, match=r"p_list must name at least one p"):
+            convergence_study(
+                ModelKind.QNL, default_witness, [64, 128], p_list, POT1, partition=HALF_PART
+            )
+
+
 def accepts_row_sums(action, op) -> bool:
     """False when action(op) refuses the operator for its row sums."""
     try:

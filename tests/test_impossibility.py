@@ -1,6 +1,7 @@
 """Constraint system, exact Farkas certificate, quantified infeasibility."""
 
 import math
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -90,6 +91,33 @@ def test_system_shapes():
     assert np.issubdtype(s4.rhs.dtype, np.integer)
     with pytest.raises(ValueError):
         build_constraint_system(0)
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, "2"])
+def test_build_constraint_system_names_a_non_integer_m(m):
+    build_constraint_system(2)  # cached: 2.0 == 2 must not hit it
+    with pytest.raises(ValueError, match=re.escape(f"m must be an integer, got {m!r}")):
+        build_constraint_system(m)
+    s = build_constraint_system(np.int64(3))
+    assert s.m == 3 and type(s.m) is int
+    assert s.matrix.tobytes() == build_constraint_system(3).matrix.tobytes()
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0])
+def test_certificate_names_a_non_integer_m(m):
+    with pytest.raises(ValueError, match=re.escape(f"m must be an integer, got {m!r}")):
+        certificate(m)
+    cert = certificate(np.int64(3))
+    assert cert == certificate(3) and type(cert.m) is int
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("m", [2.5, 2.0])
+def test_min_residual_names_a_non_integer_m(m, symmetric):
+    with pytest.raises(ValueError, match=re.escape(f"m must be an integer, got {m!r}")):
+        min_residual(m, symmetric=symmetric)
+    got, want = min_residual(np.int64(4), symmetric=symmetric), min_residual(4, symmetric=symmetric)
+    assert got.m == 4 and type(got.m) is int and got.residual == want.residual
 
 
 def test_m1_system_by_hand():

@@ -48,8 +48,11 @@ from qclab.models import (
     _TermGroup,
     _anchor_sets,
     _stencil_row,
+    _band_runs,
+    _bound_C,
+    _row_sums,
     _term_spec,
-    _transpose_gaps,
+    _transpose_gap,
 )
 from qclab.potentials import evaluate
 from qclab.regions import INTERIOR_ATOMISTIC, INTERIOR_CONTINUUM, membership_mask
@@ -197,6 +200,29 @@ def transpose_gaps_roll(band):
     qclab paired the transpose before its wrapped windows."""
     K = (band.shape[1] - 1) // 2
     return [band[:, K + k] - np.roll(band[:, K - k], -k) for k in range(K + 1)]
+
+
+def same_float(got, want) -> bool:
+    """The same float64 bits, or both NaN."""
+    got, want = float(got), float(want)
+    return math.isnan(got) and math.isnan(want) or got.hex() == want.hex()
+
+
+def assert_runs_match_oracles(band):
+    """`_band_runs` of band against the per-row oracles: its runs start at
+    atom 1 and wherever a row differs from the one before (a NaN row is a
+    run of its own), and the transpose gap of its starts and the max |row
+    sum|, max |entry| and bound_C of its run rows have the oracles' bits,
+    NaN exactly where they are NaN."""
+    runs = _band_runs(band)
+    starts = [0] + [i for i in range(1, len(band)) if not np.array_equal(band[i], band[i - 1])]
+    assert runs.starts.tolist() == ([0] if band.strides[0] == 0 else starts)
+    assert np.array_equal(runs.rows, band[starts], equal_nan=True)
+    got, gap = _transpose_gap(band, runs.starts), np.max([np.abs(g).max() for g in transpose_gaps_roll(band)])
+    assert same_float(got, gap), (got, gap)
+    assert same_float(np.abs(_row_sums(runs.rows)).max(), np.abs(_row_sums(band)).max())
+    assert same_float(np.abs(runs.rows).max(), np.abs(band).max())
+    assert same_float(_bound_C(runs.rows), _bound_C(band))
 
 
 def widened_delta(op, reference):
@@ -698,6 +724,19 @@ def test_strain_form_rejections():
         to_strain_form(op)  # nonzero row sums
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_strain_form_refuses_a_nonfinite_ghost(bad):
+    # a NaN ghost entry passed the old test max |ghost| > tol, which is
+    # False for NaN, and got a strain form with bound_C 10.0
+    config = ChainConfig(N=64, F=1.2, R=2)
+    op = assemble_operator(ModelKind.QNL, config, POT1, partition=HALF_PART)
+    ghost = np.zeros(64)
+    ghost[17] = bad
+    with pytest.raises(ValueError, match="operator has a ghost field"):
+        to_strain_form(LinearChainOperator(config, op.kind, op.band, ghost))
+    assert to_strain_form(op).bound_C == 10.0  # the same band with a zero ghost
+
+
 def strain_band_loop(op):
     """Per-(offset, k) reference for the strain band of to_strain_form."""
     N, K = op.config.N, op.half_width
@@ -860,7 +899,7 @@ def test_assembly_matches_scatter_and_row_oracles(N, R, ends, m, F, potential, b
     # indexed scatter, QCF and CUSTOM against the row-by-row builder; a
     # coupled kind raises what classify raises. The windowed reads match
     # their modulo, np.roll and power-table oracles: energies, gradients and
-    # transpose gaps bit for bit, moment sums bit for bit up to width 7 and,
+    # the run summary's facts bit for bit, moment sums bit for bit up to width 7 and,
     # wider, both within (2K+1) eps_mach max_k |delta_k j^p| of the exact sums
     assume(N >= 2 * R + 1)  # the smallest chain of reach R
     ends = sorted(e / 2**16 for e in ends)
@@ -905,8 +944,7 @@ def test_assembly_matches_scatter_and_row_oracles(N, R, ends, m, F, potential, b
             assert energy == total_energy_modulo(kind, config, pot, u, part), kind
             want = energy_gradient_add_at(kind, config, pot, u, part)
             assert energy_gradient(kind, config, pot, u, part).tobytes() == want.tobytes(), kind
-        for gap, want in zip(_transpose_gaps(op.band), transpose_gaps_roll(op.band), strict=True):
-            assert np.broadcast_to(gap, (N,)).tobytes() == want.tobytes(), kind
+        assert_runs_match_oracles(op.band)
         if kind in ENERGY_BASED or kind is ModelKind.CUSTOM:
             assert symmetry_defect(op) == 0.0, kind
 
@@ -1217,6 +1255,56 @@ def test_symmetry_defect_of_a_band_holding_a_nan_is_nan():
             band[row, c] = np.nan
             op = LinearChainOperator(config, ModelKind.CUSTOM, band, np.zeros(32))
             assert math.isnan(symmetry_defect(op)), (row, c)
+
+
+def drawn_run_band(rng, N, K, shape):
+    """An (N, 2K+1) band of the given shape: 'runs' of lengths 1..K+2 from a
+    pool of four rows (half-integers, so gaps tie and cancel), rolled so that
+    a run mostly straddles atoms N and 1; 'single', one row stored N times;
+    'broadcast', one row with row stride 0; 'distinct', normal draws."""
+    W = 2 * K + 1
+    if shape == "distinct":
+        return rng.standard_normal((N, W))
+    pool = rng.integers(-4, 5, (4, W)) * 0.5
+    if shape != "runs":
+        return np.broadcast_to(pool[0], (N, W)) if shape == "broadcast" else np.tile(pool[0], (N, 1))
+    lengths = rng.integers(1, K + 3, N)
+    picks = rng.integers(0, 4, N)
+    picks[1:][picks[1:] == picks[:-1]] += 1  # neighbouring runs mostly differ
+    band = np.repeat(pool[picks % 4], lengths, axis=0)[:N]
+    return np.roll(band, int(rng.integers(0, N)), axis=0)
+
+
+@pytest.mark.parametrize("K", range(1, 10))
+def test_band_runs_match_per_row_oracles(K):
+    rng = np.random.default_rng(700 + K)
+    # N = 1 and K: bands that wrap the ring more than once
+    for N in (1, K, 2 * K + 1, 2 * K + 2, 3 * K + 4, 40 + K):
+        for shape in ("runs", "runs", "runs", "single", "broadcast", "distinct"):
+            for special in (None, np.nan, np.inf, -np.inf):
+                band = drawn_run_band(rng, N, K, shape)
+                if special is not None:
+                    band = np.array(band)
+                    for _ in range(int(rng.integers(1, 3))):
+                        band[rng.integers(0, N), rng.integers(0, 2 * K + 1)] = special
+                with np.errstate(invalid="ignore"):  # inf - inf, as in the oracles
+                    assert_runs_match_oracles(band)
+
+
+def test_a_band_with_an_infinite_pair_is_refused_by_its_row_sums():
+    # the pair A[4, 5] = A[5, 4] = inf has the gap inf - inf, which warns
+    # (an error in tests): the solver and the strain form refuse the band by
+    # its row sums first, and symmetry_defect gives NaN with the warning
+    config = ChainConfig(N=16, F=1.2, R=2)
+    band = np.array(assemble_operator(ModelKind.ATOMISTIC, config, POT1).band)
+    band[3, 3] = band[4, 1] = np.inf
+    op = LinearChainOperator(config, ModelKind.CUSTOM, band, np.zeros(16))
+    with pytest.raises(ValueError, match="does not annihilate constants"):
+        solve_equilibrium(op, np.zeros(16))
+    with pytest.raises(ValueError, match="nonzero row sums"):
+        to_strain_form(op)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert math.isnan(symmetry_defect(op))
 
 
 @pytest.mark.parametrize("F", [0.6, 0.65, 0.7])
