@@ -36,10 +36,11 @@ from .consistency import _rungs, _slope_or_nan, fit_slope
 from .models import (
     LinearChainOperator,
     ModelKind,
-    _band_apply,
     _bound_C,
     _constants_defect,
     _moment_defect,
+    _Runs,
+    _runs_apply,
     _transpose_gap,
     apply_linear,
 )
@@ -120,28 +121,29 @@ def _cyclic_banded(diags, tol):
     return solve
 
 
-def _reduce_forward(d, dn, nrb, left, right, wrap, t1, t2):
+def _reduce_forward(d, dn, nrb, left, right, wrap, t):
     """One level of forward elimination into dn, the kept rows 0, 2, ...: with
     t = nrb d_odd, kept j gains left[j] t[j] and kept j + 1 gains right[j]
     t[j]; on an even ring kept 0 gains wrap t[-1] from across the wrap."""
     o, k = len(nrb), len(dn) - 1
-    de, t = d[0::2], np.multiply(nrb, d[1::2], out=t1[:o])
+    de, t = d[0::2], np.multiply(nrb, d[1::2], out=t[:o])
     dn[o:] = de[o:]
-    np.add(de[:o], np.multiply(left, t, out=t2[:o]), out=dn[:o])
-    dn[1:] += np.multiply(right, t[:k], out=t2[:k])
+    np.multiply(left, t, out=dn[:o])
+    dn[:o] += de[:o]
+    dn[1:] += np.multiply(right, t[:k], out=t[:k])
     if k < o:
         dn[0] += wrap * t[k]
 
 
-def _reduce_back(d, x, nrb, left, right, wrap, t1, t2):
+def _reduce_back(d, x, nrb, left, right, wrap, t):
     """One level of back substitution, in place: the kept rows of d take x,
     and odd row j takes nrb[j] (left[j] x[j] + right[j] x[j + 1] - d[j]); on
     an even ring the last odd row takes wrap x[0] from across the wrap in
     place of its right term."""
     o, k = len(nrb), len(x) - 1
     xo = d[1::2]
-    np.subtract(np.multiply(left, x[:o], out=t1[:o]), xo, out=xo)
-    xo[:k] += np.multiply(right, x[1:], out=t2[:k])
+    np.subtract(np.multiply(left, x[:o], out=t[:o]), xo, out=xo)
+    xo[:k] += np.multiply(right, x[1:], out=t[:k])
     if k < o:
         xo[k] += wrap * x[0]
     xo *= nrb
@@ -171,7 +173,7 @@ def _cyclic_tridiagonal(lower, diag, upper, tol):
     the final ring's determinant below tol max |ring|^(n-1).
     """
     N = len(diag)
-    t1, t2 = np.empty(N // 2), np.empty(N // 2)
+    t1, t2 = np.empty(N // 2), np.empty(N // 2)  # the solves keep only t1 as scratch
     a, b, c = lower, diag, upper
     levels = []
     while len(b) > 2:
@@ -210,12 +212,12 @@ def _cyclic_tridiagonal(lower, diag, upper, tol):
     def solve(rhs, transpose=False):
         d, chain = rhs, []
         for nrb, rows, dn in levels:
-            _reduce_forward(d, dn, nrb, *rows[transpose], t1, t2)
+            _reduce_forward(d, dn, nrb, *rows[transpose], t1)
             chain.append(d)
             d = dn
         d[:] = (ring_inv.T if transpose else ring_inv) @ d
         for (nrb, rows, x), dl in zip(levels[::-1], chain[::-1]):
-            _reduce_back(dl, x, nrb, *rows[not transpose], t1, t2)
+            _reduce_back(dl, x, nrb, *rows[not transpose], t1)
         return rhs
 
     return solve
@@ -262,15 +264,7 @@ def _close_ring(s, ramp):
     return u
 
 
-def _with_next(ufunc, a, x, out):
-    """out_i = ufunc(a_i, x_{(i+1) mod N}): x read through a wrapped window,
-    not a rolled copy."""
-    ufunc(a[:-1], x[1:], out=out[:-1])
-    out[-1] = ufunc(a[-1], x[0])
-    return out
-
-
-def _stress_diagonals(band: np.ndarray) -> list:
+def _stress_diagonals(runs: _Runs) -> list:
     """C of a symmetric, zero-row-sum band A = D^T C D (eps^2 units), as its
     diagonals: C[i, i+k] is diags[Kc + k][i] for k = -Kc..Kc, Kc = max(K - 1, 1).
 
@@ -280,20 +274,30 @@ def _stress_diagonals(band: np.ndarray) -> list:
 
         l_{j-1}[i] = l_j[i] + l_j[i+1] - l_{j+1}[i+1] - b_j[i],  j = K..1.
 
-    The upper diagonals follow by symmetry, C[i, i+j] = l_j[i+j]. Each
-    diagonal is an array of its own, so that a solve keeps alive only the
-    ones it reads; the recursion reads l_j[i+1] through wrapped windows.
+    The upper diagonals follow by symmetry, C[i, i+j] = l_j[i+j]. l_j[i]
+    reads the band rows i..i+K-1-j, so the atoms of a run before its last
+    K - 1 share the values of its first atom, and for j >= 1 so does the
+    first of those K - 1. The recursion therefore runs on each run's first
+    atom and its last K - 1 atoms only, each reading the next one of these.
+    Each diagonal is then repeated over the atoms into an array of its own;
+    a solve keeps only the ones it reads.
     """
-    N, K = band.shape[0], (band.shape[1] - 1) // 2
+    starts, lengths, rows, N = runs
+    K = (rows.shape[1] - 1) // 2
     Kc = max(K - 1, 1)
-    low = [None] * K + [np.zeros(N)] * (Kc + 1 - K)  # low[j] is l_j; l_1 = 0 for K = 1
-    low[K - 1] = -band[:, 0]
+    ends = starts + lengths
+    at = np.sort(np.concatenate([starts, *(np.maximum(starts, ends - j) for j in range(1, K))]))
+    at = at[np.diff(at, prepend=-1) > 0]  # not np.unique, whose first call imports numpy.ma
+    mult, ahead, b = np.diff(at, append=N), np.roll(np.arange(len(at)), -1), rows[runs.of(at)]
+    low = [None] * K + [np.zeros(len(at))] * (Kc + 1 - K)  # low[j] is l_j; l_1 = 0 for K = 1
+    low[K - 1] = -b[:, 0]
     for j in range(K - 1, 0, -1):
-        nxt = _with_next(np.add, low[j], low[j], np.empty(N))
+        nxt = low[j] + low[j][ahead]
         if j + 1 < K:
-            _with_next(np.subtract, nxt, low[j + 1], nxt)
-        nxt -= band[:, K - j]
+            nxt -= low[j + 1][ahead]
+        nxt -= b[:, K - j]
         low[j - 1] = nxt
+    low = [np.repeat(d, mult) for d in low]
     return low[::-1] + [np.roll(low[j], -j) for j in range(1, Kc + 1)]
 
 
@@ -317,7 +321,7 @@ def _stress_lu(op: LinearChainOperator):
     sum(C^-1 1) vanishes.
     """
     N = op.config.N
-    C, g = _factor(_stress_diagonals(op.band), "stress matrix C")
+    C, g = _factor(_stress_diagonals(op.runs), "stress matrix C")
     g_sum, work = float(g.sum()), np.abs(g)  # work: a full-length buffer every solve reuses
     if abs(g_sum) <= math.sqrt(np.finfo(float).eps) * float(work.sum()):
         raise NumericalError(
@@ -340,6 +344,16 @@ def _stress_lu(op: LinearChainOperator):
     return solve, np.ones(N)
 
 
+def _patch_diagonals(runs: _Runs) -> list:
+    """T's diagonals (b_-2, b_1 + 2 b_2, b_2) of the run rows, repeated over
+    each run; one array serves both outer ones where they agree bit for bit
+    (every QCF band), so that T's factorization keeps one column fewer."""
+    rows, lengths = runs.rows, runs.lengths
+    lower = np.repeat(rows[:, 0], lengths)
+    upper = lower if rows[:, 0].tobytes() == rows[:, 4].tobytes() else np.repeat(rows[:, 4], lengths)
+    return [lower, np.repeat(rows[:, 3] + 2.0 * rows[:, 4], lengths), upper]
+
+
 def _patch_lu(op: LinearChainOperator):
     """Factor a zero-row-sum band of half-width 2 that passes the linear
     patch test: every row's first moment -2 b_-2 - b_-1 + b_1 + 2 b_2
@@ -359,14 +373,14 @@ def _patch_lu(op: LinearChainOperator):
     band (one that is not symmetric) fails the patch test and NumericalError
     when T is (numerically) singular.
     """
-    band, rows = op.band, op._runs.rows
+    rows = op.runs.rows
     moment, passes = _moment_defect(rows[:, 3] - rows[:, 1] + 2.0 * (rows[:, 4] - rows[:, 0]), rows)
     if not passes:
         raise ValueError(
             "operator is not symmetric and fails the linear patch test "
             f"(max |first moment| {moment:.1e} in eps^2 stencil units)"
         )
-    T, w = _factor([band[:, 0], band[:, 3] + 2.0 * band[:, 4], band[:, 4]], "patch matrix T", True)
+    T, w = _factor(_patch_diagonals(op.runs), "patch matrix T", True)
     N = op.config.N
     ww = float(w @ w)
     eps2 = op.config.epsilon**2
@@ -395,19 +409,15 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
 
     The band's symmetry picks the factorization: a band of any half-width
     whose transpose gap vanishes relative to its largest entry, as its row
-    sums must (`_moment_defect`; both read off the operator's runs,
-    `_band_runs` and `_transpose_gap`), is solved in stress form through its cyclic C
-    (`_stress_lu`); a band of half-width 2 that is not symmetric but whose
-    rows have zero first moments in patch form through its tridiagonal T
-    (`_patch_lu`). One solve is made, and its residual is checked once
-    against the contract: 1e-10 ||f||_inf, widened to the float64
-    representation floor eps_mach * || |A| |u| ||_inf where the latter is
-    larger (rounding u alone perturbs A u by that much on the finest
-    chains), on the returned mean-zero u. The floor's |A| |u| is the band
-    product of `_band_apply` with magnitudes: |band| is read one column at
-    a time into a product buffer, never formed whole, and the columns are
-    added in order from zeros, as np.abs(band) applied to np.abs(u) adds
-    them.
+    sums must (`_moment_defect`, both read off the operator's runs), is
+    solved in stress form through its cyclic C (`_stress_lu`); a band of
+    half-width 2 that is not symmetric but whose rows have zero first
+    moments in patch form through its tridiagonal T (`_patch_lu`). One solve
+    is made, and its residual is checked once against the contract: 1e-10
+    ||f||_inf, widened to the float64 representation floor eps_mach *
+    || |A| |u| ||_inf where the latter is larger (rounding u alone perturbs
+    A u by that much on the finest chains), on the returned mean-zero u;
+    |A| |u| is the run kernel `_runs_apply` with magnitudes.
 
     Raises ValueError for a right-hand side of another shape than (N,) or
     with a non-finite entry, for an operator with nonzero row sums and for
@@ -430,7 +440,7 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
             "for shift-invariant operators"
         )
     K = op.half_width
-    gap, symmetric = _moment_defect(_transpose_gap(op.band, op._runs.starts), op._runs.rows)
+    gap, symmetric = _moment_defect(_transpose_gap(op.runs), op.runs.rows)
     if symmetric:
         solve, w = _stress_lu(op)
     elif K == 2:
@@ -450,7 +460,7 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
     u -= u.mean()
     resid = apply_linear(op, u)
     resid_inf = float(np.abs(np.subtract(fproj, resid, out=resid), out=resid).max())
-    abs_au = _band_apply(op.band, -K, u, magnitudes=True)  # eps^2 |A| |u|
+    abs_au = _runs_apply(op.runs, -K, u, magnitudes=True)  # eps^2 |A| |u|
     floor = np.finfo(float).eps * float(abs_au.max()) / op.config.epsilon**2
     contract = max(RESIDUAL_RTOL * float(np.abs(fv).max()), 8.0 * floor)
     if not resid_inf <= contract:
@@ -534,7 +544,7 @@ def convergence_study(
             rows.append(ConvergenceRow(N=N, epsilon=eps, p=p, error_norm=norms[p]))
             per_p[p].append((eps, norms[p]))
         # the solve has checked the row sums; every row of a run has one l1 norm
-        bound_C = _bound_C(op_k._runs.rows)
+        bound_C = _bound_C(op_k.runs.rows)
         norm_ok = all(
             norms[p] >= eps ** (1.0 / p) * de_inf * (1.0 - 1e-12)
             for p in p_list

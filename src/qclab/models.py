@@ -16,20 +16,18 @@ small-rational entries for unit moduli); application divides by eps^2. The
 force-based QCF and the parametric interface-stencil model are assembled
 directly from closed-form rows and carry no energy.
 
-Every band is a table of the kind's distinct rows, gathered column by column
-by a per-atom code. A coupled row differs from a pure row only near an
-interface, so the table is small, and the band is O(m) runs of equal rows
-(`_band_runs`, cached on the operator) from which every check of row facts
-(row sums, max |entry|, transpose gaps, first moments, bound_C) reads. An
-energy kind's code has one bit per anchored bond-term group that can reach
-the row; QCF codes each atom's region, and CUSTOM adds a code per block row.
-Translation-invariant kinds (atomistic, continuum) have one row, broadcast
-with row stride 0, so their assembly costs the same at every N. The band
-product, the row codes and the bond arguments read neighbours as windows of
-one `chain.wrap_pad` padding. An anchored bond-term group holds its anchor
-set as a boolean mask: the row codes read the mask through windows, and the
-energy path reads every group's arguments through windows and keeps its
-anchors' by the mask.
+An operator is assembled from a small table of the kind's distinct rows and
+a per-atom code into it, and stores its runs: the atoms where the code
+changes to another row, and each run's row; no (N, 2K+1) band is formed.
+An energy kind's code has one bit per anchored bond-term group that can
+reach the row; QCF codes each atom's region, and CUSTOM adds a code per
+block row. A coupled band is O(m) runs (one for the translation-invariant
+kinds), so every check of row facts (row sums, max |entry|, transpose gaps,
+first moments, bound_C) costs O(runs), and one kernel, `_runs_apply`,
+applies the operator, its magnitudes and its strain form. It, the row codes
+and the bond arguments read neighbours as windows of one `chain.wrap_pad`
+padding; an anchored bond-term group holds its anchor set as a boolean
+mask, read through windows.
 """
 
 from __future__ import annotations
@@ -97,48 +95,88 @@ class InterfaceStencil:
         object.__setattr__(self, "block", blk)
 
 
+class _Runs(NamedTuple):
+    """An operator's runs of identical rows: run j covers the lengths[j]
+    (0-based) atoms from starts[j] (starts[0] = 0), and each of its rows is
+    rows[j] (read-only); they cover the N atoms of the ring."""
+
+    starts: np.ndarray
+    lengths: np.ndarray
+    rows: np.ndarray
+    N: int
+
+    def of(self, atoms):  # the run of each 0-based atom, taken mod N
+        return np.searchsorted(self.starts, atoms % self.N, "right") - 1
+
+
+def _runs(starts: np.ndarray, rows: np.ndarray, N: int) -> _Runs:
+    """The runs of candidate starts and their rows: a candidate whose row is
+    bit for bit the one before (-0.0 is not 0.0; a NaN row is its copy)
+    joins that run."""
+    bits = rows.view(np.uint64)
+    new = np.concatenate(([True], (bits[1:] != bits[:-1]).any(axis=1)))
+    rows, starts = rows[new], starts[new]
+    rows.flags.writeable = False
+    return _Runs(starts, np.concatenate((starts[1:], [N])) - starts, rows, N)
+
+
+def _band_runs(band: np.ndarray) -> _Runs:
+    """The runs of an (N, 2K+1) band by one compare pass, a broadcast band
+    being one run. Raises ValueError for K > N (the ring wrapped twice)."""
+    band = np.asarray(band, dtype=float)
+    N, width = band.shape
+    if width > 2 * N + 1:
+        raise ValueError(f"band of width {width} (offsets {-(width // 2)}..{width // 2}) "
+                         f"wraps the ring of N={N} atoms more than once")
+    starts = np.zeros(1, np.intp) if band.strides[0] == 0 else np.arange(N)
+    return _runs(starts, band[:len(starts)], N)
+
+
+def _band_of(op) -> np.ndarray:
+    """op's (N, width) band, made from its runs: one broadcast row for one
+    run, else column-major; read-only."""
+    starts, lengths, rows, N = op.runs
+    if len(starts) == 1:
+        return np.broadcast_to(rows[0], (N, rows.shape[1]))
+    band = np.repeat(rows.T, lengths, axis=1).T
+    band.flags.writeable = False
+    return band
+
+
 @dataclass(frozen=True)
 class LinearChainOperator:
     """Row-stencil operator (L u)_i = (1/eps^2) sum_k band[i, K+k] u_{i+k} + ghost_i.
 
     band rows are eps^2-scaled and indexed by offset k in -K..K; ghost is the
-    affine term at u = 0 in force units.
-
-    Layout: every consumer reads the band one offset (column) at a time, so
-    band[:, K+k] is contiguous. The band is either column-major (Fortran
-    order) or, for a translation-invariant kind, one stencil row broadcast
-    with row stride 0; any other array is copied to Fortran order here. Band
-    and ghost are read-only.
+    affine term at u = 0 in force units. The operator holds its runs, which
+    every kernel and check reads, and makes `band` from them on first use; a
+    hand-built (N, 2K+1) band passed in place of the runs is converted once
+    (`_band_runs`). Runs, band and ghost are read-only.
     """
 
     config: ChainConfig
     kind: ModelKind
-    band: np.ndarray
+    runs: _Runs
     ghost: np.ndarray
 
     def __post_init__(self):
-        if self.band.strides[0] != 0 and not self.band.flags.f_contiguous:
-            object.__setattr__(self, "band", np.asfortranarray(self.band))
-        self.band.flags.writeable = False
+        if not isinstance(self.runs, _Runs):
+            object.__setattr__(self, "runs", _band_runs(self.runs))
         self.ghost.flags.writeable = False
 
-    @property
-    def _runs(self) -> _Runs:  # computed once, as the band is read-only
-        if "_runs" not in self.__dict__:
-            self.__dict__["_runs"] = _band_runs(self.band)
-        return self.__dict__["_runs"]
+    band = functools.cached_property(_band_of)  # made on first use, then an attribute
 
     @property
     def half_width(self) -> int:
-        return (self.band.shape[1] - 1) // 2
+        return (self.runs.rows.shape[1] - 1) // 2
 
     def row(self, i: int):
         """Offsets and eps^2-unit coefficients of the stencil at atom i (1-based)."""
         K = self.half_width
-        return np.arange(-K, K + 1), self.band[(i - 1) % self.config.N]
+        return np.arange(-K, K + 1), self.runs.rows[self.runs.of(i - 1)]
 
     def row_sums(self) -> np.ndarray:
-        return _row_sums(self.band)
+        return np.repeat(_row_sums(self.runs.rows), self.runs.lengths)
 
     def dense(self) -> np.ndarray:
         """Dense realization including the 1/eps^2 scale (small N only)."""
@@ -154,8 +192,10 @@ class LinearChainOperator:
 
 
 def apply(op: LinearChainOperator, u):
-    """Apply the affine operator: linear part plus ghost field."""
-    out = apply_linear(op, u if isinstance(u, np.ndarray) else u.values) + op.ghost
+    """Apply the affine operator: linear part plus ghost field; u is a
+    PeriodicField or an array-like of N values."""
+    v = u.values if isinstance(u, PeriodicField) else np.asarray(u, dtype=float)
+    out = apply_linear(op, v) + op.ghost
     if isinstance(u, PeriodicField):
         return PeriodicField(u.config, out)
     return out
@@ -163,7 +203,7 @@ def apply(op: LinearChainOperator, u):
 
 def apply_linear(op: LinearChainOperator, v: np.ndarray) -> np.ndarray:
     """Linear part only, on a raw value array."""
-    out = _band_apply(op.band, -op.half_width, v)
+    out = _runs_apply(op.runs, -op.half_width, v)
     out /= op.config.epsilon**2
     return out
 
@@ -177,76 +217,70 @@ def _row_sums(band: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Runs(NamedTuple):
-    starts: np.ndarray  # the (0-based) atoms where a run of equal rows starts
-    rows: np.ndarray    # (runs, 2K+1): each run's row
-
-
-def _band_runs(band: np.ndarray) -> _Runs:
-    """The band's runs of equal rows, from one compare pass: runs start at
-    atom 1 and where a row differs from the one before (a NaN row always);
-    a broadcast band is one run."""
-    if band.strides[0] == 0:
-        starts = np.zeros(1, np.intp)
-    else:
-        new = np.ones(len(band), bool)
-        (band[1:] != band[:-1]).any(axis=1, out=new[1:])
-        starts = np.flatnonzero(new)
-    return _Runs(starts, band[starts])
-
-
 @functools.lru_cache(maxsize=64)
-def _run_pairs(K: int, N: int):  # -j, k - j (mod N, less N) and columns K + k, K - k
+def _run_pairs(K: int):  # atoms s - K..s + K; the pairs' places in them, K - j and
+    # K - j + k for j <= k <= K, and columns K + k and K - k
     j, k = np.array([(j, k) for k in range(K + 1) for j in range(k + 1)]).T
-    return -j % N - N, (k - j) % N - N, K + k, K - k
+    return np.arange(-K, K + 1), K - j, K - j + k, K + k, K - k
 
 
-def _transpose_gap(band: np.ndarray, starts: np.ndarray) -> float:
+def _transpose_gap(runs: _Runs) -> float:
     """max |A[i, i+k] - A[i+k, i]| over k = 0..K (eps^2 units) by one gather
-    of the pairs at i = s - j, j <= k, per run start s: pairs inside a run
-    share the gap at s, so every entry is paired, and a NaN gives a NaN."""
-    rows, partners, ahead, behind = _run_pairs((band.shape[1] - 1) // 2, len(band))
-    s = starts[:, None]
-    return float(np.abs(band[s + rows, ahead] - band[s + partners, behind]).max())
+    of the pairs at i = s - j, j <= k, per run start s, each row looked up by
+    its run: pairs inside a run share the gap at s, so every entry is
+    paired, and a NaN gives a NaN."""
+    window, at, partner, ahead, behind = _run_pairs((runs.rows.shape[1] - 1) // 2)
+    run = runs.of(runs.starts[:, None] + window)
+    return float(np.abs(runs.rows[run[:, at], ahead] - runs.rows[run[:, partner], behind]).max())
 
 
-def _band_apply(band: np.ndarray, first_offset: int, v, magnitudes: bool = False) -> np.ndarray:
-    """Periodic band product: out_i = sum_c band[i, c] v[(i + first_offset + c) mod N],
-    or with magnitudes sum_c |band[i, c]| |v[...]|, eps^2 |A| |v| for an operator.
+# Runs of _LONG_RUN atoms or more are applied one at a time in blocks of at
+# most _BLOCK atoms, whose windows stay in a core's L2 cache across the
+# columns; shorter runs (interface rows) share one gather.
+_LONG_RUN, _BLOCK = 256, 2**15
 
-    v is padded once by `chain.wrap_pad`, so offset first_offset + c reads
-    the contiguous window vp[c : c+N] against the contiguous band column c.
-    The sum starts from zeros and adds the columns in order, which gives the
-    bits of one np.roll per offset. Besides the result, a call allocates
-    two arrays: the padding (of |v| with magnitudes) and one product buffer
-    that every column is multiplied into (|band[:, c]| read into it first),
-    so |band| is never formed whole. At N = 2^18, K = 2 (one Intel Xeon
-    core, best of 30) this takes 6.5 ms on a column-major band (7.4 ms with
-    magnitudes), against 14 ms for the roll loop on a row-major band. Warm,
-    a fresh product per column costs the same 6.6 ms; the buffer saves the
-    pages a call touches. Offsets must lie in -N..N: a band that wraps the
-    ring more than once is refused.
+
+def _runs_apply(runs: _Runs, first_offset: int, v, magnitudes: bool = False) -> np.ndarray:
+    """Periodic band product of runs: out_i = sum_c row_i[c] v[(i + first_offset + c)
+    mod N] with row_i the row of atom i's run, or with magnitudes sum_c
+    |row_i[c]| |v[...]| (eps^2 |A| |v| for an operator).
+
+    v is padded once by `chain.wrap_pad`, so a block a..b-1 of a long run
+    multiplies the window vp[a+c : b+c] by the run's coefficient c into one
+    product buffer; the atoms of short runs are gathered once. Each sum
+    starts from zeros and adds the columns in order: the bits of one np.roll
+    per offset on the band, where a -0.0 coefficient adds as 0.0 does. At
+    N = 2^18 (one Intel Xeon core, best of 40) a QNL or QCF operator takes
+    1.1-1.2 ms (1.0-1.1 with magnitudes), against 2.6-2.8 ms for the
+    column-by-column product of its band that this kernel replaced.
     """
-    N, width = band.shape
+    starts, lengths, rows, N = runs
     if len(v) != N:
         raise ValueError("field length does not match operator size")
-    lo, hi = -first_offset, first_offset + width - 1  # reach behind and ahead
-    if not (0 <= lo <= N and 0 <= hi <= N):
-        raise ValueError(
-            f"band of width {width} (offsets {first_offset}..{hi}) "
-            f"wraps the ring of N={N} atoms more than once"
-        )
-    vp = wrap_pad(v, lo, hi)
+    width = rows.shape[1]
+    vp = wrap_pad(v, -first_offset, first_offset + width - 1)
     if magnitudes:
         np.abs(vp, out=vp)
-    out, prod = np.zeros(N), np.empty(N)
-    for c in range(width):
-        if magnitudes:
-            np.abs(band[:, c], out=prod)
-            prod *= vp[c:c + N]
-        else:
-            np.multiply(band[:, c], vp[c:c + N], out=prod)
-        out += prod
+        rows = np.abs(rows)
+    out = np.zeros(N)
+    long = lengths >= _LONG_RUN
+    if long.any():
+        prod = np.empty(min(_BLOCK, int(lengths.max())))
+        for s, n, row in zip(starts[long].tolist(), lengths[long].tolist(), rows[long].tolist()):
+            for a in range(s, s + n, _BLOCK):
+                o = out[a:min(a + _BLOCK, s + n)]
+                p = prod[:len(o)]
+                for c, x in enumerate(row):
+                    o += np.multiply(vp[a + c:a + c + len(o)], x, out=p)
+    if not long.all():
+        n = lengths[~long]
+        atoms = np.repeat(starts[~long] - np.cumsum(n) + n, n) + np.arange(n.sum())
+        prods = np.repeat(rows[~long].T, n, axis=1)
+        prods *= vp[atoms + np.arange(width)[:, None]]
+        acc = np.zeros(len(atoms))
+        for c in range(width):
+            acc += prods[c]
+        out[atoms] = acc
     return out
 
 
@@ -435,7 +469,9 @@ def assemble_from_moduli(
     """Assemble with explicit per-shell moduli phi''(rF) (and phi'(rF) for the
     ghost term). The resulting band is linear in the moduli, realizing the
     first/second-neighbor decomposition of the coupled operators exactly.
-    The moduli are combined on the kind's row table, then gathered by code.
+    The moduli are combined on the kind's row table, and the operator's runs
+    are read off the per-atom code: no band is formed. Raises ValueError
+    naming the shell of a modulus that is not finite.
     """
     kind = ModelKind(kind)
     N, R = config.N, config.R
@@ -443,6 +479,10 @@ def assemble_from_moduli(
     first = [0.0] * R if first_derivs is None else [float(x) for x in first_derivs]
     if len(second) != R or len(first) != R:
         raise ValueError(f"need one modulus per shell r=1..{R}")
+    for name, moduli in (("phi''(rF)", second), ("phi'(rF)", first)):
+        for r, x in enumerate(moduli, 1):
+            if not math.isfinite(x):
+                raise ValueError(f"modulus {name} of shell r={r} is not finite: {x}")
 
     code = None
     if kind in COUPLED:
@@ -493,10 +533,11 @@ def assemble_from_moduli(
         table = second[0] * _stencil_row(L1_ROW, K) + second[1] * np.array(l2)
         gtable = np.zeros(len(table))
     if code is None:
-        band, ghost = np.broadcast_to(table[0], (N, table.shape[1])), np.full(N, gtable[0])
-    else:
-        band, ghost = np.take(np.ascontiguousarray(table.T), code, axis=1).T, gtable[code]
-    return LinearChainOperator(config, kind, band, ghost)
+        starts, rows, ghost = np.zeros(1, np.intp), table[:1], np.full(N, gtable[0])
+    else:  # a run can start only at atom 1 and where the code changes
+        starts = np.concatenate(([0], (code[1:] != code[:-1]).nonzero()[0] + 1))
+        rows, ghost = table[code[starts]], gtable[code]
+    return LinearChainOperator(config, kind, _runs(starts, rows, N), ghost)
 
 
 def assemble_operator(
@@ -526,38 +567,39 @@ def assemble_operator(
 class StrainFormOperator:
     """Factorization L u = Ltilde D u for shift-invariant, ghost-free operators.
 
-    band holds the coefficients of eps*Ltilde at strain offsets 1-K..K;
-    bound_C is the maximal row l1 norm, giving
+    runs hold the rows of eps*Ltilde at strain offsets 1-K..K, on the
+    operator's run starts, and `band` is made from them on first use, as
+    the operator's is; bound_C is the maximal row l1 norm, giving
     ||L v||_inf <= (bound_C / eps) ||D v||_inf.
     """
 
     config: ChainConfig
-    band: np.ndarray
+    runs: _Runs
     bound_C: float
+
+    band = functools.cached_property(_band_of)
 
     @property
     def offsets(self) -> np.ndarray:
-        K = self.band.shape[1] // 2
+        K = self.runs.rows.shape[1] // 2
         return np.arange(1 - K, K + 1)
 
     def apply_strain(self, du):
         v = du.values if isinstance(du, PeriodicField) else np.asarray(du, float)
-        out = _band_apply(self.band, 1 - self.band.shape[1] // 2, v) / self.config.epsilon
+        out = _runs_apply(self.runs, 1 - self.runs.rows.shape[1] // 2, v)
+        out /= self.config.epsilon
         if isinstance(du, PeriodicField):
             return PeriodicField(du.config, out)
         return out
 
 
 def _telescope(band: np.ndarray) -> np.ndarray:
-    """Strain columns of a zero-row-sum band.
-
-    The coefficient of (Du)_{i+k} collects the stencil weight that
-    telescopes across the bond (i+k-1, i+k): minus the sum of offsets below
-    k for k <= 0, the sum of offsets k..K for k >= 1. Returns the 2K columns
-    as the column-major (N, 2K) strain band, in offset order 1-K..K.
-    """
-    N, K = band.shape[0], (band.shape[1] - 1) // 2
-    strain = np.empty((N, 2 * K), order="F")
+    """Strain rows, column-major in offset order 1-K..K, of zero-row-sum band
+    rows: the coefficient of (Du)_{i+k} collects the stencil weight that
+    telescopes across the bond (i+k-1, i+k), minus the sum of offsets below
+    k for k <= 0, the sum of offsets k..K for k >= 1."""
+    n, K = band.shape[0], (band.shape[1] - 1) // 2
+    strain = np.empty((n, 2 * K), order="F")
     below = above = 0.0  # running sums from the two ends of the stencil
     for c in range(K):
         below = np.subtract(below, band[:, c], out=strain[:, c])  # k = c+1-K
@@ -578,7 +620,7 @@ def _bound_C(band: np.ndarray) -> float:
 def _moment_defect(moments, rows: np.ndarray):
     """(max |moment|, whether it vanishes) for per-row moments of a band,
     sum_k k^p b_k, or its transpose gap, in eps^2 stencil units, where rows
-    are the band's run rows (`_band_runs`). They vanish when max |moment| <=
+    are the operator's run rows (`_Runs`). They vanish when max |moment| <=
     ROW_SUM_RTOL * max |band entry|; a NaN or infinite entry never does."""
     defect = float(np.abs(moments).max())
     scale = max(float(rows.max()), -float(rows.min()))  # max |entry|, no temporary
@@ -588,7 +630,7 @@ def _moment_defect(moments, rows: np.ndarray):
 def _constants_defect(op: LinearChainOperator):
     """(max |row sum|, whether the band annihilates constants), by
     `_moment_defect` of the row sums of the band's run rows."""
-    rows = op._runs.rows
+    rows = op.runs.rows
     return _moment_defect(_row_sums(rows), rows)
 
 
@@ -596,20 +638,22 @@ def to_strain_form(op: LinearChainOperator) -> StrainFormOperator:
     """Rewrite L in terms of backward differences via telescoping.
 
     Requires zero row sums (shift invariance, the solver's test) and a zero
-    ghost field; a NaN ghost entry is refused too. The strain band is
-    column-major, like the operator's.
+    ghost field; a NaN ghost entry is refused too. The strain rows are
+    telescoped from the operator's run rows, on its run starts.
     """
     if not _constants_defect(op)[1]:
         raise ValueError("operator has nonzero row sums; no strain form exists")
     if not np.abs(op.ghost).max() <= STRAIN_FORM_TOL:
         raise ValueError("operator has a ghost field; no strain form exists")
-    return StrainFormOperator(op.config, _telescope(op.band), _bound_C(op._runs.rows))
+    strain = _telescope(op.runs.rows)
+    strain.flags.writeable = False
+    return StrainFormOperator(op.config, op.runs._replace(rows=strain), _bound_C(op.runs.rows))
 
 
 def symmetry_defect(op: LinearChainOperator) -> float:
-    """max |L_ij - L_ji| over the dense realization (computed from the band's
-    runs, `_transpose_gap`); NaN when the band holds a NaN."""
-    return _transpose_gap(op.band, op._runs.starts) / op.config.epsilon**2
+    """max |L_ij - L_ji| over the dense realization (computed from the
+    operator's runs, `_transpose_gap`); NaN when the band holds a NaN."""
+    return _transpose_gap(op.runs) / op.config.epsilon**2
 
 
 def hessian_consistency_check(

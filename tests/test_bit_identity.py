@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 
 from qclab import (
     ChainConfig,
+    InterfaceStencil,
     LinearChainOperator,
     ModelKind,
     PeriodicField,
     RegionPartition,
     apply_linear,
     assemble_operator,
+    classify,
     convergence_study,
     difference,
     harmonic,
@@ -26,6 +28,7 @@ from qclab import (
     lp_norm,
     sample_field,
     solve_equilibrium,
+    symmetry_defect,
 )
 from qclab.chain import wrap_pad
 from qclab.convergence import (
@@ -33,9 +36,21 @@ from qclab.convergence import (
     ConvergenceRow,
     _close_ring,
     _factor,
+    _patch_diagonals,
     _stress_diagonals,
 )
-from qclab.models import COUPLED, _band_apply, _bound_C
+from qclab.models import (
+    COUPLED,
+    ENERGY_BASED,
+    StrainFormOperator,
+    _band_runs,
+    _bound_C,
+    _row_sums,
+    _runs_apply,
+    _telescope,
+)
+from qclab.potentials import evaluate
+from test_models import assembled_add_at, native_rows_reference
 
 HALF_PART = RegionPartition([(0.0, 0.5)], interface_width_m=4, reach=2)
 POTENTIALS = {"harmonic": (harmonic(1.0, 1.0), 1.2), "lennard_jones": (lennard_jones(), 1.1)}
@@ -176,27 +191,148 @@ def drawn_band(rng, N, K, broadcast):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_band_paths_match_their_oracles(N, K, broadcast, seed):
-    # the product buffer of the band apply and of the |A| |u| floor, the
-    # in-place division of apply_linear, the wrapped windows of the stress
-    # recursion and the ramp buffer of the ring closure, over broadcast and
-    # whole bands of half-width 1..9 (K <= N: a band wraps the ring at most once)
+    # the product buffer of the run kernel and of the |A| |u| floor, the
+    # in-place division of apply_linear, the run-wise stress recursion and
+    # the ramp buffer of the ring closure, over broadcast and whole bands of
+    # half-width 1..9 (K <= N: a band wraps the ring at most once)
     K = min(K, N)
     rng = np.random.default_rng(seed)
     band = drawn_band(rng, N, K, broadcast)
     v = rng.standard_normal(N)
     v[rng.random(N) < 0.2] = -0.0
-    assert _band_apply(band, -K, v).tobytes() == window_apply(band, -K, v).tobytes()
-    assert _band_apply(band, -K, v, magnitudes=True).tobytes() == floor_oracle(band, v).tobytes()
+    runs = _band_runs(band)
+    assert _runs_apply(runs, -K, v).tobytes() == window_apply(band, -K, v).tobytes()
+    assert _runs_apply(runs, -K, v, magnitudes=True).tobytes() == floor_oracle(band, v).tobytes()
     config = ChainConfig(N=N, F=1.2, R=1)
     op = LinearChainOperator(config, ModelKind.CUSTOM, band, np.zeros(N))
     want = window_apply(band, -K, v) / config.epsilon**2
     assert apply_linear(op, v).tobytes() == want.tobytes()
-    got = _stress_diagonals(band)
+    got = _stress_diagonals(op.runs)
     assert [d.tobytes() for d in got] == [d.tobytes() for d in stress_diagonals_oracle(band)]
     assert _close_ring(v.copy(), np.empty(N)).tobytes() == close_ring_oracle(v).tobytes()
     field = PeriodicField(config, v)
     for p in (1, 2, 1.0, 2.0, 3.0, 1.5, math.inf):
         assert lp_norm(field, p).hex() == lp_norm_oracle(field, p).hex()
+
+
+def dense_oracle(band, eps):
+    """The dense realization of a band, its columns added in order."""
+    N, K = band.shape[0], (band.shape[1] - 1) // 2
+    A, idx = np.zeros((N, N)), np.arange(N)
+    for k in range(-K, K + 1):
+        A[idx, (idx + k) % N] += band[:, K + k]
+    return A / eps**2
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_runs_match_band_oracles(op, band):
+    """Every path that reads op's runs against the arithmetic it replaced on
+    the whole (N, 2K+1) band, bit for bit, NaN exactly where it is NaN: the
+    operator and magnitude products against `window_apply` and
+    `floor_oracle`, the strain product against `window_apply` of the band's
+    strain columns, row sums, the transpose gap by a gather per offset, the
+    dense realization (N <= 512), and the stress and patch diagonals."""
+    N, K, eps = op.config.N, op.half_width, op.config.epsilon
+    rng = np.random.default_rng(N + 100 * K)
+    v = rng.standard_normal(N)
+    v[rng.random(N) < 0.2] = -0.0
+    assert same_bits(apply_linear(op, v), window_apply(band, -K, v) / eps**2)
+    assert same_bits(_runs_apply(op.runs, -K, v, magnitudes=True), floor_oracle(band, v))
+    strain = StrainFormOperator(op.config, op.runs._replace(rows=_telescope(op.runs.rows)), 0.0)
+    assert same_bits(strain.band, _telescope(band))
+    assert same_bits(strain.apply_strain(v), window_apply(_telescope(band), 1 - K, v) / eps)
+    assert same_bits(op.row_sums(), _row_sums(band))
+    idx = np.arange(N)
+    gaps = [np.abs(band[idx, K + k] - band[(idx + k) % N, K - k]).max() for k in range(-K, K + 1)]
+    assert same_bits(symmetry_defect(op), float(np.max(gaps)) / eps**2)
+    if N <= 512:
+        assert same_bits(op.dense(), dense_oracle(band, eps))
+    got = _stress_diagonals(op.runs)
+    assert [d.tobytes() for d in got] == [d.tobytes() for d in stress_diagonals_oracle(band)]
+    if K == 2:
+        want = [band[:, 0], band[:, 3] + 2.0 * band[:, 4], band[:, 4]]
+        assert all(same_bits(d, w) for d, w in zip(_patch_diagonals(op.runs), want))
+
+
+def admissible_partition(rng, config, n_intervals, m):
+    """n_intervals random atomistic intervals that `classify` admits with
+    blocks of m atoms, or (0, 0.5] where 100 draws find none."""
+    for _ in range(100):
+        ends = np.sort(rng.random(2 * n_intervals))
+        partition = RegionPartition(list(zip(ends[::2], ends[1::2])), interface_width_m=m, reach=2)
+        try:
+            classify(partition, config)
+            return partition
+        except ValueError:
+            continue
+    return RegionPartition([(0.0, 0.5)], interface_width_m=m, reach=2)
+
+
+@settings(max_examples=40)
+@given(
+    N=st.sampled_from([16, 23, 64, 100, 257, 1024, 4096]),
+    n_intervals=st.integers(1, 3),
+    m=st.integers(1, 8),
+    potential=st.sampled_from(sorted(POTENTIALS)),
+    dense_block=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_assembled_runs_match_the_band_oracles(N, n_intervals, m, potential, dense_block, seed):
+    # every kind on random multi-interval geometries, CUSTOM with a diagonal
+    # or a dense block: the runs read off the row codes serve every path
+    # with the bits of the band that the scatter and row-by-row oracles
+    # build, and the band made from them on first use is that band
+    rng = np.random.default_rng(seed)
+    pot, F = POTENTIALS[potential]
+    config = ChainConfig(N=N, F=F, R=2)
+    partition = admissible_partition(rng, config, n_intervals, m)
+    block = rng.integers(-3, 4, (m, m)) * 0.5
+    stencil = InterfaceStencil(m, block + block.T if dense_block else np.diag(np.diag(block)))
+    second = [evaluate(pot, r * F, 2) for r in (1, 2)]
+    first = [evaluate(pot, r * F, 1) for r in (1, 2)]
+    for kind in ModelKind:
+        part = partition if kind in COUPLED else None
+        op = assemble_operator(kind, config, pot, partition=part, stencil=stencil)
+        if kind in ENERGY_BASED:
+            band = assembled_add_at(kind, config, second, first, part)[0]
+        else:
+            band = native_rows_reference(kind, config, second, part, stencil)
+        assert "band" not in op.__dict__, kind  # runs only, until the band is asked for
+        assert_runs_match_band_oracles(op, band)
+        assert np.ascontiguousarray(op.band).tobytes() == band.tobytes(), kind
+
+
+@settings(max_examples=150)
+@given(
+    N=st.integers(3, 48),
+    K=st.integers(1, 48),
+    shape=st.sampled_from(["runs", "distinct", "broadcast"]),
+    nan_rows=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hand_built_runs_match_the_band_oracles(N, K, shape, nan_rows, seed):
+    # hand-built bands of half-width 1..N (K = N: as wide as the ring) with
+    # -0.0 entries, stored whole or as one broadcast row; runs of identical
+    # rows among which one row differs from its neighbours only by the sign
+    # of its zeros; and whole rows or single entries of NaN
+    K = min(K, N)
+    rng = np.random.default_rng(seed)
+    band = drawn_band(rng, N, K, shape == "broadcast")
+    if shape == "runs":
+        band = np.repeat(band[rng.integers(0, N, 4)], rng.multinomial(N, [0.25] * 4), axis=0)
+        i = int(rng.integers(0, N))
+        zeros = band[i] == 0.0
+        band[i, zeros] = -band[i, zeros]
+    if shape != "broadcast":
+        for _ in range(nan_rows):
+            i = int(rng.integers(0, N))
+            band[i, rng.integers(0, 2 * K + 1) if rng.random() < 0.5 else slice(None)] = np.nan
+    op = LinearChainOperator(ChainConfig(N=N, F=1.2, R=1), ModelKind.CUSTOM, band, np.zeros(N))
+    assert_runs_match_band_oracles(op, band)
 
 
 @pytest.mark.parametrize("potential", sorted(POTENTIALS))

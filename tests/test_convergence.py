@@ -964,7 +964,7 @@ def test_wide_symmetric_bands_take_the_stress_route(N, band, ends, potential, se
     # the kernel follows C's true width: gbtrf when a diagonal beyond +-1 is
     # nonzero (atomistic chains, and dense blocks of m >= 4 on most
     # geometries), the ring when the trim leaves C tridiagonal
-    diags = _stress_diagonals(op.band)
+    diags = _stress_diagonals(op.runs)
     wide = any(d.any() for d in diags[:len(diags) // 2 - 1])
     assert wide or kind is not ModelKind.ATOMISTIC
     assert routes == ["stress"] + ["gbtrf"] * wide and checks == [N]
@@ -977,7 +977,7 @@ def test_wide_symmetric_bands_take_the_stress_route(N, band, ends, potential, se
         tol = 4.0 * residual_contract(op, want, f) / c  # as for the R = 2 kinds
         assert lp_norm(difference(PeriodicField(config, u - want), 1, 1), math.inf) <= tol
     if N <= 64:  # C rebuilds the band: A[i, j] = C[i, j] - C[i, j+1] - C[i+1, j] + C[i+1, j+1]
-        diags = _stress_diagonals(op.band)
+        diags = _stress_diagonals(op.runs)
         Kc = (len(diags) - 1) // 2
         idx = np.arange(N)
         dense = np.zeros((N, N))
@@ -1004,7 +1004,7 @@ def test_wide_stress_path_pivots_through_indefinite_stress_matrices(monkeypatch)
         A = D.T @ C @ D
         band = np.stack([A[idx, (idx + k) % N] for k in range(-Kc - 1, Kc + 2)], axis=1)
         op = LinearChainOperator(config, ModelKind.ATOMISTIC, band, np.zeros(N))
-        rebuilt = _stress_diagonals(op.band)
+        rebuilt = _stress_diagonals(op.runs)
         for k in range(-Kc, Kc + 1):
             assert np.abs(rebuilt[Kc + k] - C[idx, (idx + k) % N]).max() <= 1e-13 * np.abs(C).max()
         v = rng.standard_normal(N)
@@ -1096,7 +1096,7 @@ def test_folded_storage_matches_scatter_reference(random_geometry):
         # F = 1.3 stretches every Lennard-Jones modulus negative
         for F, R, kind in itertools.product((1.1, 1.3), (3, 4), (ModelKind.ATOMISTIC, ModelKind.CONTINUUM)):
             ops.append(assemble_operator(kind, ChainConfig(N=N, F=F, R=R), pot))
-        bands += [np.array(_stress_diagonals(op.band)) for op in ops]
+        bands += [np.array(_stress_diagonals(op.runs)) for op in ops]
     # bands as wide as the ring or wider, which the fold wraps more than once
     for N in (3, 4, 5, 8):
         for K in (1, 3, N, N + 2):
@@ -1193,6 +1193,19 @@ def test_study_rows_and_checks_match_per_rung_reference(potential):
             ghost_free = LinearChainOperator(config, kind, op_k.band, np.zeros(N))
             assert checks.bound_C == to_strain_form(ghost_free).bound_C
             assert checks.de_inf == lp_norm(de, math.inf)
+
+
+def test_study_never_builds_a_band(monkeypatch):
+    # every rung of a study reads its operators' runs: assembly, the solve,
+    # the |A| |u| floor, L e and bound_C; none asks for the (N, 2K+1) band
+    def refuse(op):
+        raise AssertionError(f"a {op.kind.value} band was built")
+
+    monkeypatch.setattr(LinearChainOperator, "band", property(refuse))
+    for kind in ("qnl", "qcf", "qce", "continuum"):
+        table = convergence_study(kind, default_witness, [64, 128, 1024], (1.0, math.inf), POT1,
+                                  partition=HALF_PART)
+        assert all(c.chain_ok and c.norm_equiv_ok for c in table.checks)
 
 
 def test_study_names_an_N_list_that_does_not_increase():

@@ -44,13 +44,13 @@ from qclab.models import (
     COUPLED,
     ENERGY_BASED,
     L1_ROW,
-    _band_apply,
     _TermGroup,
     _anchor_sets,
-    _stencil_row,
     _band_runs,
     _bound_C,
     _row_sums,
+    _runs_apply,
+    _stencil_row,
     _term_spec,
     _transpose_gap,
 )
@@ -208,17 +208,18 @@ def same_float(got, want) -> bool:
     return math.isnan(got) and math.isnan(want) or got.hex() == want.hex()
 
 
-def assert_runs_match_oracles(band):
-    """`_band_runs` of band against the per-row oracles: its runs start at
-    atom 1 and wherever a row differs from the one before (a NaN row is a
-    run of its own), and the transpose gap of its starts and the max |row
-    sum|, max |entry| and bound_C of its run rows have the oracles' bits,
-    NaN exactly where they are NaN."""
-    runs = _band_runs(band)
-    starts = [0] + [i for i in range(1, len(band)) if not np.array_equal(band[i], band[i - 1])]
-    assert runs.starts.tolist() == ([0] if band.strides[0] == 0 else starts)
-    assert np.array_equal(runs.rows, band[starts], equal_nan=True)
-    got, gap = _transpose_gap(band, runs.starts), np.max([np.abs(g).max() for g in transpose_gaps_roll(band)])
+def assert_runs_match_oracles(band, runs=None):
+    """Runs of band, `_band_runs` unless given, against the per-row oracles:
+    they start at atom 1 and wherever a row differs bit for bit from the one
+    before, and the transpose gap looked up by run and the max |row sum|,
+    max |entry| and bound_C of the run rows have the oracles' bits, NaN
+    exactly where they are NaN."""
+    runs = _band_runs(band) if runs is None else runs
+    starts = [0] + [i for i in range(1, len(band)) if band[i].tobytes() != band[i - 1].tobytes()]
+    assert runs.starts.tolist() == starts and runs.N == len(band)
+    assert runs.lengths.tolist() == np.diff(starts + [len(band)]).tolist()
+    assert runs.rows.tobytes() == band[starts].tobytes()
+    got, gap = _transpose_gap(runs), np.max([np.abs(g).max() for g in transpose_gaps_roll(band)])
     assert same_float(got, gap), (got, gap)
     assert same_float(np.abs(_row_sums(runs.rows)).max(), np.abs(_row_sums(band)).max())
     assert same_float(np.abs(runs.rows).max(), np.abs(band).max())
@@ -433,6 +434,23 @@ def test_moduli_decomposition_recombines():
         )
 
 
+@pytest.mark.parametrize("kind", [ModelKind.ATOMISTIC, ModelKind.QNL, ModelKind.QCF, ModelKind.CUSTOM],
+                         ids=lambda k: k.value)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_assembly_names_a_modulus_that_is_not_finite(kind, bad):
+    # a non-finite phi'' or phi' would assemble a band of NaN (one run per
+    # code, which a NaN row does not split), refused later as a band that
+    # does not annihilate constants; it is refused here, by its shell
+    config = ChainConfig(N=32, F=1.2, R=2)
+    part = HALF_PART if kind in COUPLED else None
+    stencil = InterfaceStencil(4, np.zeros((4, 4))) if kind is ModelKind.CUSTOM else None
+    for second, first, name, r in (([bad, 1.0], None, "phi''(rF)", 1), ([1.0, bad], None, "phi''(rF)", 2),
+                                   ([1.0, 1.0], [0.0, bad], "phi'(rF)", 2)):
+        want = re.escape(f"modulus {name} of shell r={r} is not finite: {bad}")
+        with pytest.raises(ValueError, match=want):
+            assemble_from_moduli(kind, config, second, first, partition=part, stencil=stencil)
+
+
 # ---------------------------------------------------------------------------
 # application
 
@@ -497,7 +515,7 @@ def test_abs_band_apply_matches_dense_oracle(kind):
         stencil=InterfaceStencil(4, b + b.T) if kind is ModelKind.CUSTOM else None,
     )
     u = rng.standard_normal(64)
-    got = _band_apply(np.abs(op.band), -op.half_width, np.abs(u)) / config.epsilon**2
+    got = _runs_apply(op.runs, -op.half_width, u, magnitudes=True) / config.epsilon**2
     want = np.abs(op.dense()) @ np.abs(u)
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
@@ -509,6 +527,19 @@ def test_apply_wraps_field_type():
     out = apply(op, u)
     assert isinstance(out, PeriodicField)
     assert out.config is config
+
+
+def test_apply_takes_an_array_like_field():
+    # a list is read as the values it holds, as apply_strain reads one
+    config = ChainConfig(N=16, F=1.2, R=2)
+    op = assemble_operator(ModelKind.QNL, config, POT1, partition=HALF_PART)
+    values = np.sin(2 * np.pi * config.positions())
+    out = apply(op, values.tolist())
+    assert isinstance(out, np.ndarray)
+    assert out.tobytes() == apply(op, values).tobytes()
+    assert apply(op, [0.0] * 16).tobytes() == apply(op, np.zeros(16)).tobytes()
+    with pytest.raises(ValueError, match="field length does not match operator size"):
+        apply(op, [0.0] * 15)
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +930,7 @@ def test_assembly_matches_scatter_and_row_oracles(N, R, ends, m, F, potential, b
     # indexed scatter, QCF and CUSTOM against the row-by-row builder; a
     # coupled kind raises what classify raises. The windowed reads match
     # their modulo, np.roll and power-table oracles: energies, gradients and
-    # the run summary's facts bit for bit, moment sums bit for bit up to width 7 and,
+    # the runs' facts bit for bit, moment sums bit for bit up to width 7 and,
     # wider, both within (2K+1) eps_mach max_k |delta_k j^p| of the exact sums
     assume(N >= 2 * R + 1)  # the smallest chain of reach R
     ends = sorted(e / 2**16 for e in ends)
@@ -935,16 +966,22 @@ def test_assembly_matches_scatter_and_row_oracles(N, R, ends, m, F, potential, b
         else:
             band = native_rows_reference(kind, config, second, part, stencil)
             ghost = np.zeros(N)
+        # the runs read off the row codes are the oracle band's runs, and the
+        # band made from them on first use is the oracle band: one broadcast
+        # row for one run (every invariant kind), else column-major
+        assert_runs_match_oracles(band, op.runs)
+        assert coupled or len(op.runs.starts) == 1, kind
         assert np.ascontiguousarray(op.band).tobytes() == band.tobytes(), kind
         assert op.ghost.tobytes() == ghost.tobytes(), kind
-        assert (op.band.strides[0] == 0) == (not coupled) and not op.band.flags.writeable
+        one_run = len(op.runs.starts) == 1
+        assert op.band.strides[0] == 0 if one_run else op.band.flags.f_contiguous
+        assert not op.band.flags.writeable and not op.runs.rows.flags.writeable
 
         if kind in ENERGY_BASED:
             energy = total_energy(kind, config, pot, u, part)
             assert energy == total_energy_modulo(kind, config, pot, u, part), kind
             want = energy_gradient_add_at(kind, config, pot, u, part)
             assert energy_gradient(kind, config, pot, u, part).tobytes() == want.tobytes(), kind
-        assert_runs_match_oracles(op.band)
         if kind in ENERGY_BASED or kind is ModelKind.CUSTOM:
             assert symmetry_defect(op) == 0.0, kind
 
@@ -974,12 +1011,34 @@ def test_assembly_matches_scatter_and_row_oracles(N, R, ends, m, F, potential, b
 
 @pytest.mark.parametrize("kind", [ModelKind.ATOMISTIC, ModelKind.CONTINUUM])
 def test_invariant_kinds_store_one_broadcast_row(kind):
+    # one run, whose band is made on first use as the run's row broadcast
     op = assemble_operator(kind, ChainConfig(N=64, F=1.2, R=2), POT1)
+    assert op.runs.starts.tolist() == [0] and op.runs.rows.shape == (1, 5)
+    assert "band" not in op.__dict__
     assert op.band.shape == (64, 5)
     assert op.band.strides[0] == 0
-    assert not op.band.flags.writeable
+    assert not op.band.flags.writeable and not op.runs.rows.flags.writeable
+    assert op.band is op.band  # made once
     with pytest.raises(ValueError):
         op.band[3, 2] = 0.0
+
+
+@pytest.mark.parametrize("kind", [ModelKind.QNL, ModelKind.QCF], ids=lambda k: k.value)
+def test_coupled_assembly_peaks_below_three_columns(kind):
+    # tracemalloc peak of assembly at N = 2^16, in band columns of 8N bytes:
+    # 2.1 (the ghost, the membership mask and its positions). Assembly reads
+    # the runs off the row codes, so no (N, 5) band is formed; gathering
+    # one, as assembly did before, peaked at 6.4-6.5
+    config = ChainConfig(N=2**16, F=1.2, R=2)
+    classify.cache_clear()  # classify's work is part of the peak
+    tracemalloc.start()
+    try:
+        op = assemble_operator(kind, config, POT1, partition=HALF_PART)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * config.N
+    assert "band" not in op.__dict__
 
 
 def test_invariant_assembly_peak_memory():
@@ -998,12 +1057,15 @@ def test_invariant_assembly_peak_memory():
                          ids=lambda k: k.value)
 def test_warm_solve_peaks_below_its_ceiling(kind):
     # tracemalloc peak of a warm solve at N = 2^16, in band columns of 8N
-    # bytes: 11, 11 and 9, one column under each ceiling. No temporary as
-    # large as the band is formed (the |A| |u| floor reads |band| a column at
-    # a time), the factorization is freed before the residual check, and the
-    # ring's levels reuse their diagonals. Solves that formed np.abs(band)
-    # and kept the factorization through the check peaked at 15, 20 and 17.
-    ceiling = {ModelKind.ATOMISTIC: 12, ModelKind.QNL: 12, ModelKind.QCF: 10}[kind]
+    # bytes: 10.5, 10.5 and 9.5, under one column below each ceiling. No
+    # temporary as large as a band is formed (the |A| |u| floor reads |row|
+    # of each run), the factorization is freed before the residual check,
+    # the ring's levels reuse their diagonals and keep one half-length
+    # scratch array, and one array serves both outer diagonals of QCF's T.
+    # Solves that formed np.abs(band) and kept the factorization through the
+    # check peaked at 15, 20 and 17; with a second scratch array, and T's
+    # outer diagonals read from a stored band, at 11, 11 and 9.
+    ceiling = {ModelKind.ATOMISTIC: 11, ModelKind.QNL: 11, ModelKind.QCF: 10}[kind]
     config = ChainConfig(N=2**16, F=1.2, R=2)
     op = assemble_operator(kind, config, POT1, partition=HALF_PART if kind in COUPLED else None)
     f = np.sin(2.0 * np.pi * config.positions())
@@ -1028,7 +1090,8 @@ def test_broadcast_band_consumers_match_contiguous_copy():
         LinearChainOperator(config, o.kind, np.ascontiguousarray(o.band), o.ghost.copy())
         for o in (op, ref)
     )
-    assert op_copy.band.strides[0] != 0
+    # the copy stored whole is found to be one run, as the broadcast row is
+    assert op_copy.runs.starts.tolist() == [0] and op_copy.runs.rows.tobytes() == op.runs.rows.tobytes()
 
     def same(a, b):
         a, b = np.asarray(a), np.asarray(b)
@@ -1036,7 +1099,7 @@ def test_broadcast_band_consumers_match_contiguous_copy():
 
     u = np.random.default_rng(3).standard_normal(64)
     assert same(op.dense(), op_copy.dense())
-    assert same(_band_apply(op.band, -2, u), _band_apply(op_copy.band, -2, u))
+    assert same(apply_linear(op, u), apply_linear(op_copy, u))
     sf, sf_copy = to_strain_form(op), to_strain_form(op_copy)
     assert same(sf.band, sf_copy.band) and sf.bound_C == sf_copy.bound_C
     assert symmetry_defect(op) == symmetry_defect(op_copy)
@@ -1047,7 +1110,7 @@ def test_broadcast_band_consumers_match_contiguous_copy():
 
 
 # ---------------------------------------------------------------------------
-# band layout and the padded-window kernel
+# band layout and the run kernel
 
 
 def roll_band_apply(band, first_offset, v):
@@ -1072,23 +1135,44 @@ def smallest_admitted(kind, R, partition, stencil=None):
     raise AssertionError(f"no admissible chain for {kind.value}")
 
 
-def test_band_kernel_matches_roll_reference_on_every_layout():
+def test_band_kernel_matches_roll_reference_on_every_layout(monkeypatch):
+    # the run kernel on the runs of every band layout, rows of -0.0 entries
+    # and runs of identical rows among them, with its split between long
+    # runs (in blocks) and short runs (one gather) as it is, and moved to
+    # either end: every run long, in blocks of 3 atoms, and every run short
+    for long_run, block, sizes in ((256, 2**15, (3, 4, 5, 8, 17, 64)), (1, 3, (3, 5, 8, 17)),
+                                   (10**9, 1, (3, 5, 8, 17))):
+        monkeypatch.setattr("qclab.models._LONG_RUN", long_run)
+        monkeypatch.setattr("qclab.models._BLOCK", block)
+        check_run_kernel_on_every_layout(sizes)
+
+
+def check_run_kernel_on_every_layout(sizes):
     rng = np.random.default_rng(29)
-    for N in (3, 4, 5, 8, 17, 64):
+    for N in sizes:
         v = rng.standard_normal(N)
+        v[rng.random(N) < 0.2] = -0.0
         for K in range(1, N + 1):  # up to a band that wraps the ring exactly once
             for width, first in ((2 * K + 1, -K), (2 * K, 1 - K)):  # operator, strain
                 band = rng.standard_normal((N, width))
                 band[rng.random((N, width)) < 0.2] = -0.0
                 row = rng.standard_normal(width)
+                repeated = np.repeat(band[rng.integers(0, N, 4)], rng.multinomial(N, [0.25] * 4), axis=0)
+                # zeros of both signs only: a sum of -0.0 products is +0.0 from zeros
+                signed_zeros = np.where(rng.random((N, width)) < 0.7, -0.0, 0.0)
                 layouts = (
                     np.ascontiguousarray(band),
                     np.asfortranarray(band),
                     np.broadcast_to(row, (N, width)),
+                    repeated,
+                    signed_zeros,
                 )
                 for b in layouts:
+                    runs = _band_runs(b)
                     want = roll_band_apply(b, first, v)
-                    assert _band_apply(b, first, v).tobytes() == want.tobytes()
+                    assert _runs_apply(runs, first, v).tobytes() == want.tobytes()
+                    want = roll_band_apply(np.abs(b), first, np.abs(v))
+                    assert _runs_apply(runs, first, v, magnitudes=True).tobytes() == want.tobytes()
 
 
 def test_band_kernel_matches_roll_reference_on_assembled_operators(random_geometry):
@@ -1117,15 +1201,25 @@ def test_band_kernel_matches_roll_reference_on_assembled_operators(random_geomet
         want = roll_band_apply(op.band, -K, v) / op.config.epsilon**2
         assert apply_linear(op, v).tobytes() == want.tobytes()
         if op.kind is not ModelKind.QCE:  # every other kind has a strain form
-            sband = to_strain_form(op).band
-            assert _band_apply(sband, 1 - K, v).tobytes() == roll_band_apply(sband, 1 - K, v).tobytes()
+            sf = to_strain_form(op)
+            want = roll_band_apply(sf.band, 1 - K, v) / op.config.epsilon
+            assert sf.apply_strain(v).tobytes() == want.tobytes()
 
 
 def test_band_kernel_refuses_a_band_that_wraps_twice():
+    # an operator whose band is wider than the ring is refused when it is
+    # built, so no check answers for aliased offsets: the N = 3, K = 4 band
+    # of the 1D Laplacian, and a zero band of K = 5 on 4 atoms
+    laplacian = np.zeros((3, 9))
+    laplacian[:, 3:6] = [-1.0, 2.0, -1.0]
+    with pytest.raises(ValueError, match=r"width 9 \(offsets -4\.\.4\) wraps the ring of N=3 atoms more"):
+        LinearChainOperator(ChainConfig(N=3, F=1.2, R=1), ModelKind.CUSTOM, laplacian, np.zeros(3))
     with pytest.raises(ValueError, match=r"width 11 \(offsets -5\.\.5\) wraps the ring of N=4"):
-        _band_apply(np.zeros((4, 11)), -5, np.zeros(4))
-    with pytest.raises(ValueError, match=r"width 12 \(offsets -5\.\.6\) wraps the ring of N=5"):
-        _band_apply(np.zeros((5, 12)), -5, np.zeros(5))
+        LinearChainOperator(ChainConfig(N=4, F=1.2, R=1), ModelKind.CUSTOM, np.zeros((4, 11)), np.zeros(4))
+    # as wide as the ring is admitted, and every check answers for it
+    op = LinearChainOperator(ChainConfig(N=3, F=1.2, R=1), ModelKind.CUSTOM, laplacian[:, 1:8], np.zeros(3))
+    assert symmetry_defect(op) == 0.0 and to_strain_form(op).bound_C == 2.0
+    assert apply_linear(op, np.ones(3)).tobytes() == np.zeros(3).tobytes()
     # a custom block wider than a chain without interfaces is refused when
     # it is assembled, before any band exists to apply
     config = ChainConfig(N=5, F=1.2, R=2)
@@ -1153,25 +1247,46 @@ def test_operator_bands_are_column_major_or_broadcast(random_geometry):
     for kind in (ModelKind.ATOMISTIC, ModelKind.CONTINUUM):
         ops.append(assemble_operator(kind, config3, pot))
         ops.append(assemble_from_moduli(kind, config3, rng.normal(size=3), rng.normal(size=3)))
+    # the band made from an operator's runs on first use, and its strain
+    # form's: one broadcast row for one run (every invariant kind), else
+    # column-major, and read-only
     for op in ops:
-        if op.kind in COUPLED:
-            assert op.band.flags.f_contiguous, op.kind
-        else:
-            assert op.band.strides[0] == 0, op.kind
+        one_run = len(op.runs.starts) == 1
+        assert op.kind in COUPLED or one_run, op.kind
+        assert op.band.strides[0] == 0 if one_run else op.band.flags.f_contiguous, op.kind
         assert not op.band.flags.writeable and not op.ghost.flags.writeable
         if op.kind is not ModelKind.QCE:
-            assert to_strain_form(op).band.flags.f_contiguous
+            sf = to_strain_form(op)
+            assert np.array_equal(sf.runs.starts, op.runs.starts)
+            assert sf.band.strides[0] == 0 if one_run else sf.band.flags.f_contiguous, op.kind
+            assert not sf.band.flags.writeable
 
 
 def test_hand_built_band_is_stored_column_major():
+    # a hand-built band, in any layout, is converted to runs once; the band
+    # made from them on first use holds its bits, column-major or, for one
+    # run, one broadcast row, and read-only; the caller's array is left as
+    # it was
     config = ChainConfig(N=16, F=1.2, R=2)
     band = np.random.default_rng(47).standard_normal((16, 5))
-    op = LinearChainOperator(config, ModelKind.CUSTOM, band, np.zeros(16))
-    assert op.band.flags.f_contiguous and not op.band.flags.writeable
-    assert op.band.tobytes() == band.tobytes()
-    # a column-major or broadcast band is kept as it is
-    for kept in (np.asfortranarray(band), np.broadcast_to(band[0], (16, 5))):
-        assert LinearChainOperator(config, ModelKind.CUSTOM, kept, np.zeros(16)).band is kept
+    band[5:9] = band[4]  # one run of five identical rows
+    band[9, 2] = -0.0
+    band[10] = band[9]
+    band[10, 2] = 0.0  # equal to row 9, but not bit for bit
+    for given in (band, np.asfortranarray(band), band.tolist()):
+        op = LinearChainOperator(config, ModelKind.CUSTOM, given, np.zeros(16))
+        assert op.runs.starts.tolist() == [0, 1, 2, 3, 4, *range(9, 16)]
+        assert op.runs.rows.tobytes() == band[op.runs.starts].tobytes()
+        assert op.band.flags.f_contiguous and not op.band.flags.writeable
+        assert op.band.tobytes() == band.tobytes()
+    assert band.flags.writeable
+    for one_run in (np.broadcast_to(band[0], (16, 5)), np.tile(band[0], (16, 1))):
+        op = LinearChainOperator(config, ModelKind.CUSTOM, one_run, np.zeros(16))
+        assert op.runs.starts.tolist() == [0] and op.band.strides[0] == 0
+        assert op.band.tobytes() == np.ascontiguousarray(one_run).tobytes()
+    # an integer band is read as floats
+    laplacian = LinearChainOperator(config, ModelKind.CUSTOM, np.tile([0, -1, 2, -1, 0], (16, 1)), np.zeros(16))
+    assert laplacian.runs.rows.dtype == float and symmetry_defect(laplacian) == 0.0
 
 
 def test_symmetry_defect_matches_gather_reference(random_geometry):
@@ -1278,10 +1393,15 @@ def drawn_run_band(rng, N, K, shape):
 @pytest.mark.parametrize("K", range(1, 10))
 def test_band_runs_match_per_row_oracles(K):
     rng = np.random.default_rng(700 + K)
-    # N = 1 and K: bands that wrap the ring more than once
+    # N = K: a band as wide as the ring; N = 1 < K: one wider, refused
     for N in (1, K, 2 * K + 1, 2 * K + 2, 3 * K + 4, 40 + K):
+        if K > N:
+            with pytest.raises(ValueError, match=f"wraps the ring of N={N} atoms more than once"):
+                _band_runs(drawn_run_band(rng, N, K, "distinct"))
+            continue
         for shape in ("runs", "runs", "runs", "single", "broadcast", "distinct"):
-            for special in (None, np.nan, np.inf, -np.inf):
+            # -0.0 makes a row differ, bit for bit, from its equal neighbours
+            for special in (None, np.nan, np.inf, -np.inf, -0.0):
                 band = drawn_run_band(rng, N, K, shape)
                 if special is not None:
                     band = np.array(band)
