@@ -57,7 +57,8 @@ class ChainConfig:
 
     def positions(self) -> np.ndarray:
         """Reference positions i/N for i = 1..N (in (0, 1])."""
-        return np.arange(1, self.N + 1) / self.N
+        # divided in place: one array, with the bits of np.arange(1, N + 1) / N
+        return np.divide(x := np.arange(1.0, self.N + 1.0), self.N, out=x)
 
 
 class PeriodicField:
@@ -76,6 +77,15 @@ class PeriodicField:
         v.flags.writeable = False
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _adopt(cls, config: ChainConfig, v: np.ndarray) -> "PeriodicField":
+        """The field of v itself (float, shape (N,), held by no one else), made read-only."""
+        field = object.__new__(cls)
+        v.flags.writeable = False
+        object.__setattr__(field, "config", config)
+        object.__setattr__(field, "values", v)
+        return field
 
     def __setattr__(self, name, value):
         raise AttributeError("PeriodicField is immutable")
@@ -122,7 +132,7 @@ def difference(u: PeriodicField, r: int, order: int) -> PeriodicField:
     order 1: backward (D_r u)_i = (u_i - u_{i-r}) / (r eps)
     order 2: centered (D_r^2 u)_i = (u_{i+r} - 2 u_i + u_{i-r}) / (r eps)^2
     """
-    N = u.config.N
+    N, r, order = u.config.N, _integer("r", r), _integer("order", order)
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     if 2 * r > N:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chain import ChainConfig, PeriodicField, sample_field
+from .chain import ChainConfig, PeriodicField
 from .models import LinearChainOperator, ModelKind, apply, apply_linear, assemble_operator
 from .potentials import PairPotential
 from .regions import RegionPartition
@@ -85,7 +85,8 @@ def _moment_sums(op: LinearChainOperator, reference: LinearChainOperator, exact:
     sums, atoms = np.zeros((3, N), object if exact else float), np.arange(1, N + 1)
     for k in range(-K, K + 1):
         d, j = column(op, k) - column(reference, k), atoms + k
-        sums += (d, d * j, d * (j * j))
+        for row, term in zip(sums, (d, d * j, d * (j * j))):  # in place: no (3, N) temporary
+            row += term
     return np.stack(sums, axis=1)
 
 
@@ -120,12 +121,12 @@ class SweepResult:
 def fit_slope(points) -> tuple:
     """Least-squares line through (log x, log y): (slope, intercept, r_squared).
 
-    Requires at least two strictly positive points. A constant y gives slope 0
-    with r_squared reported as 1 (the fit is exact).
+    Requires at least two strictly positive points with distinct x. A
+    constant y gives slope 0 with r_squared reported as 1 (the fit is exact).
     """
     pts = list(points)
-    if len(pts) < 2:
-        raise ValueError("need at least two points to fit a slope")
+    if len({x for x, _ in pts}) < 2:  # polyfit would fail inside LAPACK
+        raise ValueError("slope fit needs at least two distinct x")
     if any(x <= 0 or y <= 0 for x, y in pts):
         raise ValueError("slope fit needs strictly positive coordinates")
     lx = np.log([x for x, _ in pts])
@@ -157,15 +158,17 @@ def _ladder(N_list) -> list:
 
 
 def _rungs(kind: ModelKind, f, N_list, potential, partition, F):
-    """The rungs of a sweep or a study: (config, u = f sampled, L^kind, L^a u)
-    per chain size, L^a u being linear (the atomistic ghost is +0.0). Raises
-    ValueError, on the first step, for an N_list not strictly increasing."""
+    """The rungs of a sweep or a study: (config, u = f sampled, only read, L^kind,
+    L^a u) per chain size, L^a u being linear (the atomistic ghost is +0.0). Raises
+    ValueError, on the first step, for an N_list not strictly increasing or a bad u."""
     for N in _ladder(N_list):
         config = ChainConfig(N=N, F=F, R=2)
-        u = sample_field(f, config)
+        u = np.asarray(f(config.positions()), dtype=float)
+        if u.shape != (N,):
+            raise ValueError(f"expected {N} values, got shape {u.shape}")
         op_kind = assemble_operator(kind, config, potential, partition=partition)
         # L^a is not kept alive through the caller's work on the rung
-        La_u = apply_linear(assemble_operator(ModelKind.ATOMISTIC, config, potential), u.values)
+        La_u = apply_linear(assemble_operator(ModelKind.ATOMISTIC, config, potential), u)
         yield config, u, op_kind, La_u
 
 
@@ -183,7 +186,7 @@ def consistency_sweep(
     kind = ModelKind(kind)
     pts = []
     for config, u, op_kind, La_u in _rungs(kind, f, N_list, potential, partition, F):
-        resid = apply(op_kind, u).values - La_u
+        resid = apply(op_kind, u) - La_u
         pts.append((config.N, float(np.abs(resid).max())))
     slope, _, r2 = _slope_or_nan([(1.0 / N, r) for N, r in pts])
     return SweepResult(kind=kind, points=tuple(pts), exponent=slope, r_squared=r2)

@@ -244,7 +244,7 @@ def _factor(diags, name, transpose=False):
     else:  # no transposed solve: only T asks for one, and T is tridiagonal
         solve = _cyclic_banded(diags, root_eps * scale)
         g = solve and solve(np.ones(len(diags[1])))
-    if solve is None or float(np.abs(g).max()) * scale > 1.0 / root_eps:
+    if solve is None or max(float(g.max()), -float(g.min())) * scale > 1.0 / root_eps:
         raise NumericalError(f"{name} is (numerically) singular and cannot be factored")
     return solve, g
 
@@ -279,8 +279,9 @@ def _stress_diagonals(runs: _Runs) -> list:
     K - 1 share the values of its first atom, and for j >= 1 so does the
     first of those K - 1. The recursion therefore runs on each run's first
     atom and its last K - 1 atoms only, each reading the next one of these.
-    Each diagonal is then repeated over the atoms into an array of its own;
-    a solve keeps only the ones it reads.
+    Each lower diagonal l_j is then repeated over the atoms, and over its
+    first j atoms once more, into one array of which the upper diagonal j
+    is a view; a solve keeps only the arrays it reads.
     """
     starts, lengths, rows, N = runs
     K = (rows.shape[1] - 1) // 2
@@ -297,8 +298,10 @@ def _stress_diagonals(runs: _Runs) -> list:
             nxt -= low[j + 1][ahead]
         nxt -= b[:, K - j]
         low[j - 1] = nxt
-    low = [np.repeat(d, mult) for d in low]
-    return low[::-1] + [np.roll(low[j], -j) for j in range(1, Kc + 1)]
+    # l_j over the atoms, then its values at atoms 0..j-1 again: C[i, i+j] = l_j[i+j]
+    low = [np.repeat(np.concatenate((d, d)), np.concatenate((mult, np.clip(j - at, 0, mult))))
+           for j, d in enumerate(low)]
+    return [d[:N] for d in low[::-1]] + [low[j][j:] for j in range(1, Kc + 1)]
 
 
 def _stress_lu(op: LinearChainOperator):
@@ -316,14 +319,15 @@ def _stress_lu(op: LinearChainOperator):
     Lennard-Jones chains.
 
     Returns (solve, w) with w = 1: solve(r) is the u with A u = r - mean(r).
-    Raises NumericalError when C is (numerically) singular, and when C is
-    regular but A's kernel is larger than the constants, i.e. when
-    sum(C^-1 1) vanishes.
+    The solve reads no ghost (it may be broadcast) and makes its scratch
+    after the kernel. Raises NumericalError when C is (numerically) singular,
+    and when C is regular but A's kernel is larger than the constants, i.e.
+    when sum(C^-1 1) vanishes.
     """
     N = op.config.N
     C, g = _factor(_stress_diagonals(op.runs), "stress matrix C")
-    g_sum, work = float(g.sum()), np.abs(g)  # work: a full-length buffer every solve reuses
-    if abs(g_sum) <= math.sqrt(np.finfo(float).eps) * float(work.sum()):
+    g_sum, w = float(g.sum()), np.abs(g)  # |g|, then the left-null vector 1
+    if abs(g_sum) <= math.sqrt(np.finfo(float).eps) * float(w.sum()):
         raise NumericalError(
             "operator is singular: its kernel is larger than the constants "
             f"(sum of C^-1 1 is {g_sum:.1e})"
@@ -338,10 +342,12 @@ def _stress_lu(op: LinearChainOperator):
         np.cumsum(sigma[1:], out=sigma[1:])
         sigma *= -eps2
         t = C(sigma)
-        t -= np.multiply(g, t.sum() / g_sum, out=work)
+        work = np.multiply(g, t.sum() / g_sum)  # made after the kernel has run
+        t -= work
         return _close_ring(t, work)
 
-    return solve, np.ones(N)
+    w.fill(1.0)
+    return solve, w
 
 
 def _patch_diagonals(runs: _Runs) -> list:
@@ -417,7 +423,8 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
     ||f||_inf, widened to the float64 representation floor eps_mach *
     || |A| |u| ||_inf where the latter is larger (rounding u alone perturbs
     A u by that much on the finest chains), on the returned mean-zero u;
-    |A| |u| is the run kernel `_runs_apply` with magnitudes.
+    one `_runs_apply` pass sums A u and |A| |u| from the same products. The
+    ghost is not read (it may be broadcast); u is returned without a copy.
 
     Raises ValueError for a right-hand side of another shape than (N,) or
     with a non-finite entry, for an operator with nonzero row sums and for
@@ -429,7 +436,8 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
     N = op.config.N
     if fv.shape != (N,):
         raise ValueError(f"right-hand side has shape {fv.shape}, expected ({N},)")
-    if not np.isfinite(fv).all():
+    f_inf = abs(max(float(fv.max()), -float(fv.min())))  # max |f|; NaN or inf if not finite
+    if not math.isfinite(f_inf):
         i = int(np.argmin(np.isfinite(fv)))
         raise ValueError(f"right-hand side is not finite at atom {i + 1}: {fv[i]}")
     defect, annihilates = _constants_defect(op)
@@ -458,17 +466,17 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
     u = solve(fproj)
     del solve
     u -= u.mean()
-    resid = apply_linear(op, u)
+    resid, abs_au = _runs_apply(op.runs, -K, u, floor=True)  # eps^2 A u and eps^2 |A| |u|
+    resid /= op.config.epsilon**2  # as apply_linear divides
     resid_inf = float(np.abs(np.subtract(fproj, resid, out=resid), out=resid).max())
-    abs_au = _runs_apply(op.runs, -K, u, magnitudes=True)  # eps^2 |A| |u|
     floor = np.finfo(float).eps * float(abs_au.max()) / op.config.epsilon**2
-    contract = max(RESIDUAL_RTOL * float(np.abs(fv).max()), 8.0 * floor)
+    contract = max(RESIDUAL_RTOL * f_inf, 8.0 * floor)
     if not resid_inf <= contract:
         raise NumericalError(
             f"equilibrium residual {resid_inf:.3e} exceeds its contract {contract:.3e} "
             f"(max of {RESIDUAL_RTOL:.0e} * ||f|| and the float64 floor)"
         )
-    return PeriodicField(op.config, u)
+    return PeriodicField._adopt(op.config, u)
 
 
 @dataclass(frozen=True)
@@ -531,7 +539,7 @@ def convergence_study(
         # the rung's own La_u holds f, then e, then the p-th powers of |D e|;
         # |D e| goes to the array of L e once ||L e||_inf is read
         u_qc = solve_equilibrium(op_k, np.subtract(La_u, op_k.ghost, out=La_u))
-        e = np.subtract(u.values, u_qc.values, out=La_u)
+        e = np.subtract(u, u_qc.values, out=La_u)
         de = apply_linear(op_k, e)
         le_inf = float(np.abs(de, out=de).max())
         np.subtract(e[1:], e[:-1], out=de[1:])  # (D e)_i = (e_i - e_{i-1}) / eps

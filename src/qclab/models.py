@@ -24,10 +24,10 @@ reach the row; QCF codes each atom's region, and CUSTOM adds a code per
 block row. A coupled band is O(m) runs (one for the translation-invariant
 kinds), so every check of row facts (row sums, max |entry|, transpose gaps,
 first moments, bound_C) costs O(runs), and one kernel, `_runs_apply`,
-applies the operator, its magnitudes and its strain form. It, the row codes
-and the bond arguments read neighbours as windows of one `chain.wrap_pad`
-padding; an anchored bond-term group holds its anchor set as a boolean
-mask, read through windows.
+applies the operator (and sums its products' magnitudes on request) and its
+strain form. It, the row codes and the bond arguments read neighbours as
+windows of one `chain.wrap_pad` padding; an anchored bond-term group holds
+its anchor set as a boolean mask, read through windows.
 """
 
 from __future__ import annotations
@@ -151,7 +151,8 @@ class LinearChainOperator:
     affine term at u = 0 in force units. The operator holds its runs, which
     every kernel and check reads, and makes `band` from them on first use; a
     hand-built (N, 2K+1) band passed in place of the runs is converted once
-    (`_band_runs`). Runs, band and ghost are read-only.
+    (`_band_runs`). Runs, band and ghost are read-only; assembly stores a
+    ghost of one value (every kind but QCE with phi'(rF) != 0) broadcast.
     """
 
     config: ChainConfig
@@ -240,10 +241,12 @@ def _transpose_gap(runs: _Runs) -> float:
 _LONG_RUN, _BLOCK = 256, 2**15
 
 
-def _runs_apply(runs: _Runs, first_offset: int, v, magnitudes: bool = False) -> np.ndarray:
+def _runs_apply(runs: _Runs, first_offset: int, v, floor: bool = False):
     """Periodic band product of runs: out_i = sum_c row_i[c] v[(i + first_offset + c)
-    mod N] with row_i the row of atom i's run, or with magnitudes sum_c
-    |row_i[c]| |v[...]| (eps^2 |A| |v| for an operator).
+    mod N] with row_i the row of atom i's run; with floor, (out, mag) where
+    mag_i = sum_c |row_i[c] v[...]| (eps^2 |A| |v| for an operator) is summed
+    from the same products, since |x v| is |x| |v| bit for bit in IEEE
+    arithmetic.
 
     v is padded once by `chain.wrap_pad`, so a block a..b-1 of a long run
     multiplies the window vp[a+c : b+c] by the run's coefficient c into one
@@ -251,37 +254,38 @@ def _runs_apply(runs: _Runs, first_offset: int, v, magnitudes: bool = False) -> 
     starts from zeros and adds the columns in order: the bits of one np.roll
     per offset on the band, where a -0.0 coefficient adds as 0.0 does. At
     N = 2^18 (one Intel Xeon core, best of 40) a QNL or QCF operator takes
-    1.1-1.2 ms (1.0-1.1 with magnitudes), against 2.6-2.8 ms for the
-    column-by-column product of its band that this kernel replaced.
+    1.1-1.2 ms, against 2.6-2.8 ms for the column-by-column product of its
+    band that this kernel replaced.
     """
     starts, lengths, rows, N = runs
     if len(v) != N:
         raise ValueError("field length does not match operator size")
     width = rows.shape[1]
     vp = wrap_pad(v, -first_offset, first_offset + width - 1)
-    if magnitudes:
-        np.abs(vp, out=vp)
-        rows = np.abs(rows)
-    out = np.zeros(N)
+    out, mag = np.zeros(N), (np.zeros(N) if floor else None)
     long = lengths >= _LONG_RUN
     if long.any():
         prod = np.empty(min(_BLOCK, int(lengths.max())))
         for s, n, row in zip(starts[long].tolist(), lengths[long].tolist(), rows[long].tolist()):
             for a in range(s, s + n, _BLOCK):
-                o = out[a:min(a + _BLOCK, s + n)]
-                p = prod[:len(o)]
+                b = min(a + _BLOCK, s + n)
+                o, p, m = out[a:b], prod[:b - a], mag[a:b] if floor else None
                 for c, x in enumerate(row):
-                    o += np.multiply(vp[a + c:a + c + len(o)], x, out=p)
+                    o += np.multiply(vp[a + c:b + c], x, out=p)
+                    if floor:
+                        m += np.abs(p, out=p)
     if not long.all():
         n = lengths[~long]
         atoms = np.repeat(starts[~long] - np.cumsum(n) + n, n) + np.arange(n.sum())
         prods = np.repeat(rows[~long].T, n, axis=1)
         prods *= vp[atoms + np.arange(width)[:, None]]
-        acc = np.zeros(len(atoms))
-        for c in range(width):
-            acc += prods[c]
-        out[atoms] = acc
-    return out
+        for total in (out, mag)[:1 + floor]:
+            acc = np.zeros(len(atoms))
+            for c in range(width):
+                acc += prods[c]
+            total[atoms] = acc
+            np.abs(prods, out=prods)
+    return (out, mag) if floor else out
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +488,13 @@ def assemble_from_moduli(
             if not math.isfinite(x):
                 raise ValueError(f"modulus {name} of shell r={r} is not finite: {x}")
 
-    code = None
+    code = np.zeros(1, np.uint8)  # one row for every atom, unless the kind codes its atoms
     if kind in COUPLED:
         regions = classify(_coupled_partition(kind, config, partition), config)
         code = regions.in_atomistic.view(np.uint8)
     if kind in ENERGY_BASED:
         bits, bands, gweights = _energy_tables(kind, R)
-        code = _row_codes(kind, bits, regions.in_atomistic) if bits else None
+        code = _row_codes(kind, bits, regions.in_atomistic) if bits else code
         table, gtable = np.zeros(bands.shape[1:]), np.zeros(gweights.shape[1:])
         for r in range(R):
             table += second[r] * bands[r]
@@ -532,12 +536,11 @@ def assemble_from_moduli(
             code[regions.blocks - 1] = np.arange(2, m + 2) + m * ac[:, None]
         table = second[0] * _stencil_row(L1_ROW, K) + second[1] * np.array(l2)
         gtable = np.zeros(len(table))
-    if code is None:
-        starts, rows, ghost = np.zeros(1, np.intp), table[:1], np.full(N, gtable[0])
-    else:  # a run can start only at atom 1 and where the code changes
-        starts = np.concatenate(([0], (code[1:] != code[:-1]).nonzero()[0] + 1))
-        rows, ghost = table[code[starts]], gtable[code]
-    return LinearChainOperator(config, kind, _runs(starts, rows, N), ghost)
+    # a run can start only at atom 1 and where the code changes
+    starts = np.concatenate(([0], (code[1:] != code[:-1]).nonzero()[0] + 1))
+    gbits = gtable[code[starts]].view(np.uint64)  # one ghost value, bit for bit: broadcast
+    ghost = np.broadcast_to(gtable[code[0]], (N,)) if (gbits == gbits[0]).all() else gtable[code]
+    return LinearChainOperator(config, kind, _runs(starts, table[code[starts]], N), ghost)
 
 
 def assemble_operator(

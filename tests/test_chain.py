@@ -136,6 +136,16 @@ def test_difference_rejects_overlapping_stencil():
         difference(u, 1, 3)
 
 
+def test_difference_names_a_non_integer_r_or_order():
+    # refused by name, as ChainConfig refuses N and R; 2.0 is never truncated
+    u = PeriodicField(cfg(8), np.arange(8.0))
+    for r, order, name, value in ((2.0, 1, "r", 2.0), (2.5, 1, "r", 2.5), ("2", 1, "r", "2"),
+                                  (1, 2.0, "order", 2.0), (1, 1.5, "order", 1.5)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            difference(u, r, order)
+    assert difference(u, np.int64(2), np.int32(2)) == difference(u, 2, 2)
+
+
 def test_difference_linearity():
     rng = np.random.default_rng(7)
     c = cfg(32)

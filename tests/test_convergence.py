@@ -18,6 +18,7 @@ from qclab import (
     apply_linear,
     assemble_operator,
     classify,
+    consistency_sweep,
     convergence_study,
     default_witness,
     difference,
@@ -159,6 +160,19 @@ def refusal_route(call, match):
     return route
 
 
+def count_kernel_calls(patch) -> list:
+    """Spy on the solver's run kernel: each call appends (len(v), floor). The
+    residual check is one call that sums A u and |A| |u| together."""
+    calls, kernel = [], convergence._runs_apply
+
+    def counted(runs, first_offset, v, floor=False):
+        calls.append((len(v), floor))
+        return kernel(runs, first_offset, v, floor)
+
+    patch.setattr(convergence, "_runs_apply", counted)
+    return calls
+
+
 def residual_contract(op, u, f):
     """max(1e-10 ||f||, 8 eps_mach || |A| |u| ||), the bound solve_equilibrium keeps."""
     abs_op = LinearChainOperator(op.config, op.kind, np.abs(op.band), np.zeros(op.config.N))
@@ -185,6 +199,15 @@ def test_fit_slope_rejects_degenerate_input():
         fit_slope([(0.5, 1.0), (0.25, -1.0)])
     with pytest.raises(ValueError):
         fit_slope([(0.0, 1.0), (0.25, 1.0)])
+
+
+def test_fit_slope_refuses_equal_x_before_lapack(capfd):
+    # a ValueError first: no LAPACK message on stderr and no RuntimeWarning
+    # (an error under this suite's filterwarnings)
+    for pts in ([(1, 1), (1, 2)], [(0.5, 1.0), (0.5, 2.0), (0.5, 3.0)]):
+        with pytest.raises(ValueError, match="needs at least two distinct x"):
+            fit_slope(pts)
+    assert capfd.readouterr().err == ""
 
 
 def test_ladders_without_a_slope_fit_to_nan():
@@ -708,15 +731,9 @@ def test_qcf_solve_keeps_the_contract_without_refinement(N, potential, monkeypat
     op = assemble_operator(ModelKind.QCF, config, pot, partition=HALF_PART)
     op_a = assemble_operator(ModelKind.ATOMISTIC, config, pot)
     f = apply_linear(op_a, sample_field(default_witness, config).values) - op.ghost
-    checks = []
-
-    def counted(op_, v):
-        checks.append(len(v))
-        return apply_linear(op_, v)
-
-    monkeypatch.setattr(convergence, "apply_linear", counted)
+    checks = count_kernel_calls(monkeypatch)
     u = solve_equilibrium(op, f).values
-    assert checks == [N]  # one residual check
+    assert checks == [(N, True)]  # one residual check, its floor from the same pass
     w = _patch_lu(op)[1]
     fproj = f - (w @ f) / (w @ w) * w
     # with a wide margin: one solve lands at 0.06-0.08 of the contract
@@ -941,15 +958,11 @@ def test_wide_symmetric_bands_take_the_stress_route(N, band, ends, potential, se
         config = ChainConfig(N=N, F=F, R=width)
         op = assemble_operator(kind, config, pot)
     f = np.random.default_rng(seed).standard_normal(N)
-    routes, checks = [], []
+    routes = []
 
     def stress(op_):
         routes.append("stress")
         return _stress_lu(op_)
-
-    def counted(op_, v):
-        checks.append(len(v))
-        return apply_linear(op_, v)
 
     def banded(*args):
         routes.append("gbtrf")
@@ -959,7 +972,7 @@ def test_wide_symmetric_bands_take_the_stress_route(N, band, ends, potential, se
         patch.setattr(convergence, "_stress_lu", stress)
         patch.setattr(convergence, "_patch_lu", forbid("the patch path"))
         patch.setattr(convergence, "_cyclic_banded", banded)
-        patch.setattr(convergence, "apply_linear", counted)
+        checks = count_kernel_calls(patch)
         u = solve_equilibrium(op, f).values
     # the kernel follows C's true width: gbtrf when a diagonal beyond +-1 is
     # nonzero (atomistic chains, and dense blocks of m >= 4 on most
@@ -967,7 +980,7 @@ def test_wide_symmetric_bands_take_the_stress_route(N, band, ends, potential, se
     diags = _stress_diagonals(op.runs)
     wide = any(d.any() for d in diags[:len(diags) // 2 - 1])
     assert wide or kind is not ModelKind.ATOMISTIC
-    assert routes == ["stress"] + ["gbtrf"] * wide and checks == [N]
+    assert routes == ["stress"] + ["gbtrf"] * wide and checks == [(N, True)]
     fproj = f - f.mean()
     assert abs(u.mean()) <= 1e-12 * np.abs(u).max()
     assert np.abs(apply_linear(op, u) - fproj).max() <= residual_contract(op, u, f)
@@ -1206,6 +1219,32 @@ def test_study_never_builds_a_band(monkeypatch):
         table = convergence_study(kind, default_witness, [64, 128, 1024], (1.0, math.inf), POT1,
                                   partition=HALF_PART)
         assert all(c.chain_ok and c.norm_equiv_ok for c in table.checks)
+
+
+def test_study_and_sweep_only_read_the_witness_samples():
+    # the rungs take the witness's array as it is, without a copy into a
+    # field: a sample the witness keeps is neither written nor frozen, and
+    # the rows are those of a witness that returns a fresh array each time
+    kept = {}
+
+    def keeping(x):
+        return kept.setdefault(len(x), default_witness(x))
+
+    for run in (
+        lambda f: convergence_study(ModelKind.QNL, f, [64, 128], (1.0, math.inf), POT1,
+                                    partition=HALF_PART),
+        lambda f: consistency_sweep(ModelKind.QCE, f, [64, 128], POT1, partition=HALF_PART),
+    ):
+        got = run(keeping)
+        assert all(v.flags.writeable for v in kept.values())
+        assert all(v.tobytes() == default_witness(np.arange(1, N + 1) / N).tobytes()
+                   for N, v in kept.items())
+        assert got == run(default_witness)
+    for bad in (lambda x: x[:-1], lambda x: 0.5):
+        for run in (convergence_study, consistency_sweep):
+            args = (ModelKind.QNL, bad, [64], *([(1.0,)] if run is convergence_study else []), POT1)
+            with pytest.raises(ValueError, match="expected 64 values, got shape"):
+                run(*args, partition=HALF_PART)
 
 
 def test_study_names_an_N_list_that_does_not_increase():
