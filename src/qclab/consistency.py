@@ -9,6 +9,7 @@ log-log exponent of residual versus eps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ def _column(o: LinearChainOperator, k: int):
     return o.band[:, c] if 0 <= c < o.band.shape[1] else np.zeros(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentReport:
     """Per-row residuals sum_j (L - L^a)_{ij} p(j) for p in {1, j, j^2}.
 
@@ -121,14 +122,14 @@ class SweepResult:
 def fit_slope(points) -> tuple:
     """Least-squares line through (log x, log y): (slope, intercept, r_squared).
 
-    Requires at least two strictly positive points with distinct x. A
-    constant y gives slope 0 with r_squared reported as 1 (the fit is exact).
+    Requires at least two strictly positive, finite points with distinct x.
+    A constant y gives slope 0 with r_squared reported as 1 (the fit is exact).
     """
     pts = list(points)
     if len({x for x, _ in pts}) < 2:  # polyfit would fail inside LAPACK
         raise ValueError("slope fit needs at least two distinct x")
-    if any(x <= 0 or y <= 0 for x, y in pts):
-        raise ValueError("slope fit needs strictly positive coordinates")
+    if not _positive(pts):
+        raise ValueError("slope fit needs strictly positive, finite coordinates")
     lx = np.log([x for x, _ in pts])
     ly = np.log([y for _, y in pts])
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -139,12 +140,19 @@ def fit_slope(points) -> tuple:
     return float(slope), float(intercept), r2
 
 
+def _positive(pts) -> bool:
+    """Whether every coordinate of the points is positive and finite (a NaN
+    is neither)."""
+    return all(0.0 < c < math.inf for pt in pts for c in pt)
+
+
 def _slope_or_nan(points) -> tuple:
     """`fit_slope` of a ladder's points, or (nan, nan, nan) where the ladder
     has no slope: fewer than two points, or a coordinate that is not
-    positive, as every residual of a partition without an interface is 0."""
+    positive and finite, as every residual of a partition without an
+    interface is 0."""
     pts = list(points)
-    if len(pts) < 2 or not all(x > 0 and y > 0 for x, y in pts):
+    if len(pts) < 2 or not _positive(pts):
         return (float("nan"),) * 3
     return fit_slope(pts)
 
@@ -160,12 +168,16 @@ def _ladder(N_list) -> list:
 def _rungs(kind: ModelKind, f, N_list, potential, partition, F):
     """The rungs of a sweep or a study: (config, u = f sampled, only read, L^kind,
     L^a u) per chain size, L^a u being linear (the atomistic ghost is +0.0). Raises
-    ValueError, on the first step, for an N_list not strictly increasing or a bad u."""
+    ValueError, on the first step, for an N_list not strictly increasing or a bad u:
+    one of another shape, or one not finite, naming its first such atom and x."""
     for N in _ladder(N_list):
         config = ChainConfig(N=N, F=F, R=2)
         u = np.asarray(f(config.positions()), dtype=float)
         if u.shape != (N,):
             raise ValueError(f"expected {N} values, got shape {u.shape}")
+        if not math.isfinite(max(float(u.max()), -float(u.min()))):  # NaN or inf if not finite
+            i = int(np.argmin(np.isfinite(u)))
+            raise ValueError(f"witness is not finite at atom {i + 1} (x = {(i + 1) / N!r}): {u[i]}")
         op_kind = assemble_operator(kind, config, potential, partition=partition)
         # L^a is not kept alive through the caller's work on the rung
         La_u = apply_linear(assemble_operator(ModelKind.ATOMISTIC, config, potential), u)

@@ -41,6 +41,7 @@ from .models import (
     _moment_defect,
     _Runs,
     _runs_apply,
+    _telescope,
     _transpose_gap,
     apply_linear,
 )
@@ -466,7 +467,7 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
     u = solve(fproj)
     del solve
     u -= u.mean()
-    resid, abs_au = _runs_apply(op.runs, -K, u, floor=True)  # eps^2 A u and eps^2 |A| |u|
+    resid, abs_au = _runs_apply(op.runs, u, floor=True)  # eps^2 A u and eps^2 |A| |u|
     resid /= op.config.epsilon**2  # as apply_linear divides
     resid_inf = float(np.abs(np.subtract(fproj, resid, out=resid), out=resid).max())
     floor = np.finfo(float).eps * float(abs_au.max()) / op.config.epsilon**2
@@ -552,7 +553,7 @@ def convergence_study(
             rows.append(ConvergenceRow(N=N, epsilon=eps, p=p, error_norm=norms[p]))
             per_p[p].append((eps, norms[p]))
         # the solve has checked the row sums; every row of a run has one l1 norm
-        bound_C = _bound_C(op_k.runs.rows)
+        bound_C = _bound_C(_telescope(op_k.runs.rows))
         norm_ok = all(
             norms[p] >= eps ** (1.0 / p) * de_inf * (1.0 - 1e-12)
             for p in p_list

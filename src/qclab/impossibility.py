@@ -45,7 +45,7 @@ def pair_index(m: int):
     return list(zip((k + 1).tolist(), (l + 1).tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSystem:
     """Integer system  matrix . x = rhs  over the symmetric block unknowns.
 
@@ -200,7 +200,7 @@ def certificate(m: int) -> Certificate:
     return Certificate(m=m, weights=tuple(w), value=value, weight_norm_sq=norm_sq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinResidualResult:
     m: int
     residual: float

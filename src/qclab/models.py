@@ -73,7 +73,7 @@ STRAIN_FORM_TOL = 1e-12
 ROW_SUM_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterfaceStencil:
     """Symmetric m x m block of second-neighbor interface coefficients."""
 
@@ -143,7 +143,7 @@ def _band_of(op) -> np.ndarray:
     return band
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearChainOperator:
     """Row-stencil operator (L u)_i = (1/eps^2) sum_k band[i, K+k] u_{i+k} + ghost_i.
 
@@ -204,7 +204,7 @@ def apply(op: LinearChainOperator, u):
 
 def apply_linear(op: LinearChainOperator, v: np.ndarray) -> np.ndarray:
     """Linear part only, on a raw value array."""
-    out = _runs_apply(op.runs, -op.half_width, v)
+    out = _runs_apply(op.runs, v)
     out /= op.config.epsilon**2
     return out
 
@@ -241,9 +241,10 @@ def _transpose_gap(runs: _Runs) -> float:
 _LONG_RUN, _BLOCK = 256, 2**15
 
 
-def _runs_apply(runs: _Runs, first_offset: int, v, floor: bool = False):
-    """Periodic band product of runs: out_i = sum_c row_i[c] v[(i + first_offset + c)
-    mod N] with row_i the row of atom i's run; with floor, (out, mag) where
+def _runs_apply(runs: _Runs, v, floor: bool = False):
+    """Periodic band product of runs: out_i = sum_c row_i[c] v[(i - h + c) mod N],
+    row_i the row of atom i's run and h = (width - 1) // 2: K for an operator's
+    2K + 1 columns, K - 1 for a strain form's 2K. With floor, (out, mag) where
     mag_i = sum_c |row_i[c] v[...]| (eps^2 |A| |v| for an operator) is summed
     from the same products, since |x v| is |x| |v| bit for bit in IEEE
     arithmetic.
@@ -261,7 +262,8 @@ def _runs_apply(runs: _Runs, first_offset: int, v, floor: bool = False):
     if len(v) != N:
         raise ValueError("field length does not match operator size")
     width = rows.shape[1]
-    vp = wrap_pad(v, -first_offset, first_offset + width - 1)
+    h = (width - 1) // 2
+    vp = wrap_pad(v, h, width - 1 - h)
     out, mag = np.zeros(N), (np.zeros(N) if floor else None)
     long = lengths >= _LONG_RUN
     if long.any():
@@ -343,12 +345,13 @@ def _anchor_sets(kind: ModelKind, mask) -> dict:
     return {"P": pair, "L": ~pair}
 
 
-def _bond_arguments(kind, config: ChainConfig, potential, u: PeriodicField, partition):
+def _bond_terms(kind, config: ChainConfig, potential, u: PeriodicField, partition, order):
     """Each bond-term group of an energy-based kind with its anchor mask (None
-    for every atom) and its anchors' arguments rF + g.u/eps. Every group reads
-    one window per pattern offset of u padded by R wrapped values and keeps
-    its anchors' arguments by the mask. Raises ValueError for a field of
-    another size, and naming the first singular bond argument."""
+    for every atom) and phi^(order) of its anchors' arguments rF + g.u/eps by
+    one `evaluate`. Every group reads one window per pattern offset of u padded
+    by R wrapped values and keeps its anchors' arguments by the mask. Raises
+    ValueError for a field of another size, and naming the first singular
+    argument by its group and atom where evaluate refuses; other errors pass."""
     kind = ModelKind(kind)
     if kind not in ENERGY_BASED:
         raise ValueError(f"{kind.value} does not derive from an energy")
@@ -368,15 +371,19 @@ def _bond_arguments(kind, config: ChainConfig, potential, u: PeriodicField, part
         at = sets.get(g.anchors)
         if at is not None:
             args = args[at]
-        bad = np.flatnonzero(singular(potential, args))
-        if bad.size:
+        try:
+            phi = evaluate(potential, args, order)
+        except ValueError:
+            bad = np.flatnonzero(singular(potential, args))
+            if not bad.size:
+                raise
             first = bad[0]
             atom = first if at is None else np.flatnonzero(at)[first]
             raise ValueError(
                 f"{potential.kind} is singular at bond argument s = {float(args[first])!r}: "
                 f"{kind.value} bond of shell r={g.shell} anchored at atom {atom + 1}"
-            )
-        yield g, at, args
+            ) from None
+        yield g, at, phi
 
 
 def total_energy(
@@ -389,8 +396,8 @@ def total_energy(
     """Scaled total energy sum_terms w * eps * phi(rF + strain)."""
     eps = config.epsilon
     total = 0.0
-    for g, _, args in _bond_arguments(kind, config, potential, u, partition):
-        total += g.weight * eps * float(np.sum(evaluate(potential, args, 0)))
+    for g, _, phi in _bond_terms(kind, config, potential, u, partition, 0):
+        total += g.weight * eps * float(np.sum(phi))
     return total
 
 
@@ -404,8 +411,7 @@ def energy_gradient(
     """Scaled gradient (1/eps) dE/du as a raw array; at u = 0 this is the ghost field."""
     N = config.N
     grad = np.zeros(N)
-    for g, at, args in _bond_arguments(kind, config, potential, u, partition):
-        dphi = np.asarray(evaluate(potential, args, 1))
+    for g, at, dphi in _bond_terms(kind, config, potential, u, partition, 1):
         if at is not None:  # the anchors' derivatives in a zero field
             dphi, anchored = np.zeros(N), dphi
             dphi[at] = anchored
@@ -554,9 +560,8 @@ def assemble_operator(
     ghost field (1/eps) grad E(0). QCF/custom are assembled from their
     defining rows and have zero ghost."""
     kind = ModelKind(kind)
-    shells = range(1, config.R + 1)
-    second = [evaluate(potential, r * config.F, 2) for r in shells]
-    first = [evaluate(potential, r * config.F, 1) for r in shells]
+    rF = np.arange(1, config.R + 1) * config.F  # the shells' bond lengths at u = 0
+    second, first = evaluate(potential, rF, 2), evaluate(potential, rF, 1)
     return assemble_from_moduli(
         kind, config, second, first, partition=partition, stencil=stencil
     )
@@ -566,30 +571,22 @@ def assemble_operator(
 # strain form and diagnostics
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrainFormOperator:
     """Factorization L u = Ltilde D u for shift-invariant, ghost-free operators.
 
-    runs hold the rows of eps*Ltilde at strain offsets 1-K..K, on the
-    operator's run starts, and `band` is made from them on first use, as
-    the operator's is; bound_C is the maximal row l1 norm, giving
-    ||L v||_inf <= (bound_C / eps) ||D v||_inf.
+    runs hold the 2K-column rows of eps*Ltilde at strain offsets 1-K..K, on
+    the operator's run starts (`_band_of` makes their band); bound_C is the
+    maximal row l1 norm, giving ||L v||_inf <= (bound_C / eps) ||D v||_inf.
     """
 
     config: ChainConfig
     runs: _Runs
     bound_C: float
 
-    band = functools.cached_property(_band_of)
-
-    @property
-    def offsets(self) -> np.ndarray:
-        K = self.runs.rows.shape[1] // 2
-        return np.arange(1 - K, K + 1)
-
     def apply_strain(self, du):
         v = du.values if isinstance(du, PeriodicField) else np.asarray(du, float)
-        out = _runs_apply(self.runs, 1 - self.runs.rows.shape[1] // 2, v)
+        out = _runs_apply(self.runs, v)
         out /= self.config.epsilon
         if isinstance(du, PeriodicField):
             return PeriodicField(du.config, out)
@@ -610,10 +607,9 @@ def _telescope(band: np.ndarray) -> np.ndarray:
     return strain
 
 
-def _bound_C(band: np.ndarray) -> float:
-    """bound_C, the largest row l1 norm of the band's strain rows, summed
-    column by column as in row_sums; the run rows give the band's."""
-    strain = _telescope(band)
+def _bound_C(strain: np.ndarray) -> float:
+    """bound_C, the largest row l1 norm of strain rows (`_telescope`'s), summed
+    column by column as in row_sums; an operator's run rows give its band's."""
     row_l1, magnitude = np.abs(strain[:, 0]), np.empty(len(strain))
     for j in range(1, strain.shape[1]):
         row_l1 += np.abs(strain[:, j], out=magnitude)
@@ -642,7 +638,7 @@ def to_strain_form(op: LinearChainOperator) -> StrainFormOperator:
 
     Requires zero row sums (shift invariance, the solver's test) and a zero
     ghost field; a NaN ghost entry is refused too. The strain rows are
-    telescoped from the operator's run rows, on its run starts.
+    telescoped once, from the run rows on the run starts; bound_C reads them.
     """
     if not _constants_defect(op)[1]:
         raise ValueError("operator has nonzero row sums; no strain form exists")
@@ -650,7 +646,7 @@ def to_strain_form(op: LinearChainOperator) -> StrainFormOperator:
         raise ValueError("operator has a ghost field; no strain form exists")
     strain = _telescope(op.runs.rows)
     strain.flags.writeable = False
-    return StrainFormOperator(op.config, op.runs._replace(rows=strain), _bound_C(op.runs.rows))
+    return StrainFormOperator(op.config, op.runs._replace(rows=strain), _bound_C(strain))
 
 
 def symmetry_defect(op: LinearChainOperator) -> float:

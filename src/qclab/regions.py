@@ -67,7 +67,7 @@ def validate(partition: RegionPartition) -> list:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomLabels:
     """Per-atom classification plus the region membership mask, the
     boundaries it was derived from and the m-block of each boundary: row j of
@@ -131,7 +131,7 @@ def classify(partition: RegionPartition, config: ChainConfig) -> AtomLabels:
     N, reach, m = config.N, partition.reach, partition.interface_width_m
     mask = membership_mask(partition, config)
     boundaries = tuple(region_boundaries(mask))
-    labels = np.where(mask, INTERIOR_ATOMISTIC, INTERIOR_CONTINUUM).astype(np.int8)
+    labels = np.where(mask, np.int8(INTERIOR_ATOMISTIC), np.int8(INTERIOR_CONTINUUM))
     B = len(boundaries)
     need = B // 2 * (m + 4 * reach)
     if N < need:

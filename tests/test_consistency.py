@@ -190,6 +190,22 @@ def test_sweep_over_a_ladder_without_a_slope_reports_nan(kind, N_list):
     assert np.isnan(res.exponent) and np.isnan(res.r_squared)
 
 
+def test_sweep_names_the_first_non_finite_witness_sample():
+    # the sweep used to return nan residuals and a nan exponent; an infinite
+    # sample is refused too, on the rung where it first appears
+    def nan_beyond(x):
+        return np.where(x > 0.7, np.nan, default_witness(x))
+
+    with pytest.raises(ValueError, match=r"^witness is not finite at atom 45 \(x = 0\.703125\): nan$"):
+        consistency_sweep(ModelKind.QNL, nan_beyond, [64, 128], POT1, partition=HALF_PART)
+
+    def inf_at_last_atom(x):
+        return np.where(x == 1.0, -np.inf, default_witness(x)) if len(x) > 64 else default_witness(x)
+
+    with pytest.raises(ValueError, match=r"^witness is not finite at atom 128 \(x = 1\.0\): -inf$"):
+        consistency_sweep(ModelKind.CONTINUUM, inf_at_last_atom, [64, 128], POT1)
+
+
 def test_sweep_names_an_N_list_that_does_not_increase():
     for N_list in ([64, 64], [128, 64]):
         with pytest.raises(ValueError, match=rf"strictly increasing, got \[{N_list[0]}, {N_list[1]}\]"):

@@ -165,9 +165,9 @@ def count_kernel_calls(patch) -> list:
     residual check is one call that sums A u and |A| |u| together."""
     calls, kernel = [], convergence._runs_apply
 
-    def counted(runs, first_offset, v, floor=False):
+    def counted(runs, v, floor=False):
         calls.append((len(v), floor))
-        return kernel(runs, first_offset, v, floor)
+        return kernel(runs, v, floor)
 
     patch.setattr(convergence, "_runs_apply", counted)
     return calls
@@ -207,6 +207,18 @@ def test_fit_slope_refuses_equal_x_before_lapack(capfd):
     for pts in ([(1, 1), (1, 2)], [(0.5, 1.0), (0.5, 2.0), (0.5, 3.0)]):
         with pytest.raises(ValueError, match="needs at least two distinct x"):
             fit_slope(pts)
+    assert capfd.readouterr().err == ""
+
+
+def test_fit_slope_refuses_non_finite_points(capfd):
+    # a NaN came out as a nan fit, an inf as a RuntimeWarning and a NaN x as
+    # a LAPACK message on stderr before a LinAlgError; each is refused by the
+    # positivity check, and a ladder holding one has no slope
+    for bad in ((1.0, math.nan), (1.0, math.inf), (math.nan, 1.0), (math.inf, 1.0)):
+        pts = [(0.5, 2.0), bad]
+        with pytest.raises(ValueError, match="strictly positive, finite coordinates"):
+            fit_slope(pts)
+        assert all(math.isnan(v) for v in _slope_or_nan(pts))
     assert capfd.readouterr().err == ""
 
 
@@ -1245,6 +1257,14 @@ def test_study_and_sweep_only_read_the_witness_samples():
             args = (ModelKind.QNL, bad, [64], *([(1.0,)] if run is convergence_study else []), POT1)
             with pytest.raises(ValueError, match="expected 64 values, got shape"):
                 run(*args, partition=HALF_PART)
+
+
+def test_study_names_the_first_non_finite_witness_sample():
+    # the study used to report "right-hand side is not finite at atom 1", the
+    # first atom that L^a spread the NaN of atom 45 (x = 45/64) to
+    with pytest.raises(ValueError, match=r"^witness is not finite at atom 45 \(x = 0\.703125\): nan$"):
+        convergence_study(ModelKind.QNL, lambda x: np.where(x > 0.7, np.nan, default_witness(x)),
+                          [64, 128], [1.0], POT1, partition=HALF_PART)
 
 
 def test_study_names_an_N_list_that_does_not_increase():
