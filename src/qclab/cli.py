@@ -29,7 +29,7 @@ from .consistency import (
 )
 from .convergence import NumericalError, convergence_study
 from .impossibility import CertificateError, certificate, min_residual
-from .models import COUPLED, ENERGY_BASED, ModelKind, assemble_operator, total_energy
+from .models import COUPLED, ENERGY_BASED, ModelKind, _ghost_sup, assemble_operator, total_energy
 from .potentials import harmonic, lennard_jones
 from .regions import RegionPartition
 from . import acceptance
@@ -237,7 +237,6 @@ def cmd_energy(cfg: RunConfig, args) -> int:
 
 def cmd_stencil(cfg: RunConfig, args) -> int:
     op, config = _assemble(cfg)
-    K = op.half_width
     rows = []
     for i in range(1, config.N + 1):
         offsets, coeffs = op.row(i)
@@ -246,7 +245,7 @@ def cmd_stencil(cfg: RunConfig, args) -> int:
                 rows.append((i, int(off), c, op.ghost[i - 1]))
     _emit(cfg.out, ("atom", "offset", "coeff", "ghost"), rows)
     _report(args, f"{cfg.model}: {len(rows)} nonzero stencil entries, "
-                  f"ghost sup {float(np.abs(op.ghost).max())!r}")
+                  f"ghost sup {_ghost_sup(op.ghost)!r}")
     return 0
 
 

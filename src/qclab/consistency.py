@@ -16,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .chain import ChainConfig, PeriodicField
-from .models import LinearChainOperator, ModelKind, apply, apply_linear, assemble_operator
+from .models import LinearChainOperator, ModelKind, _ghost_sup, apply, apply_linear
+from .models import assemble_operator
 from .potentials import PairPotential
 from .regions import RegionPartition
 
@@ -83,10 +84,12 @@ def _moment_sums(op: LinearChainOperator, reference: LinearChainOperator, exact:
         col = _column(o, k)
         return np.vectorize(Fraction, otypes=[object])(col) if exact else col
 
-    sums, atoms = np.zeros((3, N), object if exact else float), np.arange(1, N + 1)
+    sums = np.zeros((3, N), object if exact else float)
+    # j = i + k of rows i = 1..N is the window from K + k (floats: exact below 2^53)
+    j2 = (j := np.arange(1 - K, N + 1 + K, dtype=int if exact else float)) * j
     for k in range(-K, K + 1):
-        d, j = column(op, k) - column(reference, k), atoms + k
-        for row, term in zip(sums, (d, d * j, d * (j * j))):  # in place: no (3, N) temporary
+        d, w = column(op, k) - column(reference, k), slice(K + k, K + k + N)
+        for row, term in zip(sums, (d, d * j[w], d * j2[w])):  # in place: no (3, N) temporary
             row += term
     return np.stack(sums, axis=1)
 
@@ -104,8 +107,7 @@ def ghost_force(
 ):
     """Ghost field (scaled force at u = 0) and its sup norm."""
     op = assemble_operator(kind, config, potential, partition=partition)
-    field = PeriodicField(config, op.ghost)
-    return field, float(np.abs(op.ghost).max())
+    return PeriodicField(config, op.ghost), _ghost_sup(op.ghost)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .chain import ChainConfig, PeriodicField, wrap_pad
 from .potentials import PairPotential, evaluate, singular
-from .regions import RegionPartition, classify, membership_mask
+from .regions import RegionPartition, _membership, classify
 
 
 class ModelKind(str, Enum):
@@ -152,7 +152,7 @@ class LinearChainOperator:
     every kernel and check reads, and makes `band` from them on first use; a
     hand-built (N, 2K+1) band passed in place of the runs is converted once
     (`_band_runs`). Runs, band and ghost are read-only; assembly stores a
-    ghost of one value (every kind but QCE with phi'(rF) != 0) broadcast.
+    ghost of one value (every kind but QCE with phi'(rF) != 0) as a stride-0 view.
     """
 
     config: ChainConfig
@@ -190,6 +190,11 @@ class LinearChainOperator:
         for k in range(-K, K + 1):
             A[idx, (idx + k) % N] += self.band[:, K + k]
         return A / self.config.epsilon**2
+
+
+def _ghost_sup(ghost: np.ndarray) -> float:
+    """max |ghost| (NaN for a NaN), read off its one entry when it is stride 0."""
+    return float(np.abs(ghost[:1] if ghost.strides == (0,) else ghost).max())
 
 
 def apply(op: LinearChainOperator, u):
@@ -341,7 +346,7 @@ def _anchor_sets(kind: ModelKind, mask) -> dict:
     (i-2, i) is atomistic, P, an end in A, or local, L)."""
     if kind is ModelKind.QCE:
         return {"A": mask, "C": ~mask}
-    pair = mask | np.roll(mask, 2)  # rolled: membership of atom i-2
+    pair = mask | wrap_pad(mask, 2, 0)[:len(mask)]  # membership of atom i-2
     return {"P": pair, "L": ~pair}
 
 
@@ -351,16 +356,20 @@ def _bond_terms(kind, config: ChainConfig, potential, u: PeriodicField, partitio
     one `evaluate`. Every group reads one window per pattern offset of u padded
     by R wrapped values and keeps its anchors' arguments by the mask. Raises
     ValueError for a field of another size, and naming the first singular
-    argument by its group and atom where evaluate refuses; other errors pass."""
+    argument by its group and atom where evaluate refuses, and a non-finite
+    field by its first such atom; other errors pass."""
     kind = ModelKind(kind)
     if kind not in ENERGY_BASED:
         raise ValueError(f"{kind.value} does not derive from an energy")
     N, R = config.N, config.R
     if len(u.values) != N:
         raise ValueError(f"field has {len(u.values)} values but the chain has N={N} atoms")
+    if not math.isfinite(max(float(u.values.max()), -float(u.values.min()))):  # NaN or inf
+        i = int(np.argmin(np.isfinite(u.values)))
+        raise ValueError(f"field is not finite at atom {i + 1}: {u.values[i]}")
     sets = {}
     if kind in COUPLED:
-        mask = membership_mask(_coupled_partition(kind, config, partition), config)
+        mask = _membership(_coupled_partition(kind, config, partition), config)
         sets = _anchor_sets(kind, mask)
     vp = wrap_pad(u.values, R, R)
     for g in _term_spec(kind, R):
@@ -481,10 +490,10 @@ def assemble_from_moduli(
     first/second-neighbor decomposition of the coupled operators exactly.
     The moduli are combined on the kind's row table, and the operator's runs
     are read off the per-atom code: no band is formed. Raises ValueError
-    naming the shell of a modulus that is not finite.
-    """
+    naming the shell of a modulus that is not finite. Equal assemblies of the
+    latest geometry are fresh operators on shared read-only runs (`_assembled`)."""
     kind = ModelKind(kind)
-    N, R = config.N, config.R
+    R = config.R
     second = [float(x) for x in second_derivs]
     first = [0.0] * R if first_derivs is None else [float(x) for x in first_derivs]
     if len(second) != R or len(first) != R:
@@ -493,38 +502,31 @@ def assemble_from_moduli(
         for r, x in enumerate(moduli, 1):
             if not math.isfinite(x):
                 raise ValueError(f"modulus {name} of shell r={r} is not finite: {x}")
+    moduli = np.array(second + first).tobytes()  # keyed by bits: -0.0 is not 0.0
+    read = (partition if kind in COUPLED else None, stencil if kind is ModelKind.CUSTOM else None)
+    return LinearChainOperator(config, kind, *_assembled(kind, config, *read, moduli))
 
-    code = np.zeros(1, np.uint8)  # one row for every atom, unless the kind codes its atoms
-    if kind in COUPLED:
-        regions = classify(_coupled_partition(kind, config, partition), config)
-        code = regions.in_atomistic.view(np.uint8)
+
+@functools.lru_cache(maxsize=2 * len(ModelKind))
+def _row_table(kind: ModelKind, R: int, stencil, moduli: bytes):
+    """The kind's rows and eps * ghosts at moduli (bytes of phi''(rF), phi'(rF)), read-only."""
+    second, first = np.frombuffer(moduli).reshape(2, R).tolist()
     if kind in ENERGY_BASED:
-        bits, bands, gweights = _energy_tables(kind, R)
-        code = _row_codes(kind, bits, regions.in_atomistic) if bits else code
+        _, bands, gweights = _energy_tables(kind, R)
         table, gtable = np.zeros(bands.shape[1:]), np.zeros(gweights.shape[1:])
         for r in range(R):
             table += second[r] * bands[r]
             gtable += first[r] * gweights[r]
-        gtable /= config.epsilon
     else:
         # QCF and CUSTOM: L1 everywhere plus the native L2 row of each atom's
         # region (code 0 continuum, 1 atomistic); CUSTOM widens the band and
-        # codes each block row beside a CA cut, then beside an AC cut.
-        K = 2
-        if kind is ModelKind.CUSTOM:
-            if stencil is None:
-                raise ValueError("custom model requires an InterfaceStencil")
-            m = partition.interface_width_m
-            if stencil.m != m:
-                raise ValueError(f"stencil block is {stencil.m}x{stencil.m} but partition has m={m}")
-            K = max(2, m + 1)
-            if K > N:  # only without interfaces: classify fits every block in the ring
-                raise ValueError(f"custom block of width m={m} needs a band of half-width {K}, "
-                                 f"which wraps the ring of N={N} atoms more than once")
+        # adds a row per block row beside a CA cut, then beside an AC cut.
+        K = 2 if stencil is None else max(2, stencil.m + 1)
         l2 = [_stencil_row(CONT_L2, K), _stencil_row(ATOM_L2, K)]
         if kind is ModelKind.CUSTOM:
             # block row i reads continuum values at j < 1, the block at
             # 1 <= j <= m and atomistic values at j > m (j = -1 .. m+2)
+            m = stencil.m
             i, js = np.arange(1, m + 1)[:, None], np.arange(-1, m + 3)
             coeffs = np.where(js < 1, l2[0][K + js - i], l2[1][K + js - i])
             coeffs[:, 2:m + 2] = stencil.block
@@ -535,18 +537,49 @@ def assemble_from_moduli(
             if m == 1:  # codes 4 (CA) and 5 (AC): the continuum atom before the block
                 # reads the atomistic atom after it as that one reads it back
                 l2 += [l2[0] + _stencil_row({0: 1, 2: -1}, K)[::d] for d in (1, -1)]
-            code = code.astype(np.min_scalar_type(len(l2) - 1))
-            ac = np.array([cut == "AC" for _, cut in regions.boundaries], dtype=bool)
-            if m == 1:  # the continuum neighbour sits before a CA block, after an AC one
-                code[(regions.blocks[:, 0] - 1 + np.where(ac, 1, -1)) % N] = 4 + ac
-            code[regions.blocks - 1] = np.arange(2, m + 2) + m * ac[:, None]
         table = second[0] * _stencil_row(L1_ROW, K) + second[1] * np.array(l2)
         gtable = np.zeros(len(table))
-    # a run can start only at atom 1 and where the code changes
-    starts = np.concatenate(([0], (code[1:] != code[:-1]).nonzero()[0] + 1))
-    gbits = gtable[code[starts]].view(np.uint64)  # one ghost value, bit for bit: broadcast
-    ghost = np.broadcast_to(gtable[code[0]], (N,)) if (gbits == gbits[0]).all() else gtable[code]
-    return LinearChainOperator(config, kind, _runs(starts, table[code[starts]], N), ghost)
+    table.flags.writeable = gtable.flags.writeable = False
+    return table, gtable
+
+
+@functools.lru_cache(maxsize=len(ModelKind))
+def _assembled(kind: ModelKind, config: ChainConfig, partition, stencil, moduli: bytes):
+    """`assemble_from_moduli`'s runs and ghost, read-only, kept for the latest geometry."""
+    N = config.N
+    code = np.zeros(1, np.uint8)  # one row for every atom, unless the kind codes its atoms
+    if kind in COUPLED:
+        regions = classify(_coupled_partition(kind, config, partition), config)
+        code = regions.in_atomistic.view(np.uint8)
+    if kind is ModelKind.CUSTOM:
+        if stencil is None:
+            raise ValueError("custom model requires an InterfaceStencil")
+        m = partition.interface_width_m
+        if stencil.m != m:
+            raise ValueError(f"stencil block is {stencil.m}x{stencil.m} but partition has m={m}")
+        if max(2, m + 1) > N:  # only without interfaces: classify fits every block in the ring
+            raise ValueError(f"custom block of width m={m} needs a band of half-width {m + 1}, "
+                             f"which wraps the ring of N={N} atoms more than once")
+    table, gtable = _row_table(kind, config.R, stencil, moduli)
+    gtable = gtable / config.epsilon
+    if kind in ENERGY_BASED:
+        bits = _energy_tables(kind, config.R)[0]
+        code = _row_codes(kind, bits, regions.in_atomistic) if bits else code
+    elif kind is ModelKind.CUSTOM:  # each block row beside a CA cut, then beside an AC cut
+        code = code.astype(np.min_scalar_type(len(table) - 1))
+        ac = np.array([cut == "AC" for _, cut in regions.boundaries], dtype=bool)
+        if m == 1:  # the continuum neighbour sits before a CA block, after an AC one
+            code[(regions.blocks[:, 0] - 1 + np.where(ac, 1, -1)) % N] = 4 + ac
+        code[regions.blocks - 1] = np.arange(2, m + 2) + m * ac[:, None]
+    if len(code) == 1:  # one row: one run and one ghost value, with no code or run search
+        runs, one = _Runs(np.zeros(1, np.intp), np.full(1, N), table[:1], N), True
+    else:  # a run can start only at atom 1 and where the code changes
+        starts = np.concatenate(([0], (code[1:] != code[:-1]).nonzero()[0] + 1))
+        runs, gbits = _runs(starts, table[code[starts]], N), gtable[code[starts]].view(np.uint64)
+        one = (gbits == gbits[0]).all()  # one ghost value, bit for bit: a stride-0 view of it
+    ghost = np.ndarray((N,), float, gtable, 8 * int(code[0]), (0,)) if one else gtable[code]
+    ghost.flags.writeable = runs.starts.flags.writeable = runs.lengths.flags.writeable = False
+    return runs, ghost
 
 
 def assemble_operator(
@@ -562,9 +595,7 @@ def assemble_operator(
     kind = ModelKind(kind)
     rF = np.arange(1, config.R + 1) * config.F  # the shells' bond lengths at u = 0
     second, first = evaluate(potential, rF, 2), evaluate(potential, rF, 1)
-    return assemble_from_moduli(
-        kind, config, second, first, partition=partition, stencil=stencil
-    )
+    return assemble_from_moduli(kind, config, second, first, partition=partition, stencil=stencil)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +673,7 @@ def to_strain_form(op: LinearChainOperator) -> StrainFormOperator:
     """
     if not _constants_defect(op)[1]:
         raise ValueError("operator has nonzero row sums; no strain form exists")
-    if not np.abs(op.ghost).max() <= STRAIN_FORM_TOL:
+    if not _ghost_sup(op.ghost) <= STRAIN_FORM_TOL:
         raise ValueError("operator has a ghost field; no strain form exists")
     strain = _telescope(op.runs.rows)
     strain.flags.writeable = False

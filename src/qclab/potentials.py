@@ -23,6 +23,8 @@ class PairPotential:
     s0: float = 1.0
 
     def __post_init__(self):
+        if self.kind not in (HARMONIC, LENNARD_JONES):
+            raise ValueError(f"unknown potential kind {self.kind!r}")
         for name in ("k", "s0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

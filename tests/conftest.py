@@ -1,15 +1,16 @@
 """Shared fixtures: seeded random multi-interval geometries, the block-atom
 oracle and the environment of a subprocess that imports qclab from this
-checkout. Every property test runs under one hypothesis profile:
-derandomized, with no example database and no deadline, so each run draws
-the same examples. The caches hypothesis keeps besides go to a temporary
-directory that is removed at exit, so a run writes no .hypothesis/
-directory."""
+checkout. Every test starts with qclab's caches empty. Every property test
+runs under one hypothesis profile: derandomized, with no example database
+and no deadline, so each run draws the same examples. The caches hypothesis
+keeps besides go to a temporary directory that is removed at exit, so a run
+writes no .hypothesis/ directory."""
 
 import atexit
 import math
 import os
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -65,6 +66,19 @@ def draw_geometry(rng, N: int, potential: str, n_intervals: int):
             continue
         return config, pot, partition
     raise RuntimeError(f"no admissible geometry with {n_intervals} intervals at N={N}")
+
+
+@pytest.fixture(autouse=True)
+def empty_qclab_caches():
+    """Clear every cache of every loaded qclab module (classify, the shared
+    membership mask, the assembly memo and row tables, build_constraint_system
+    and the static tables) before each test, so that no test passes or fails
+    by what an earlier one left cached."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "qclab" or name.startswith("qclab.")):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ from qclab import (
     PeriodicField,
     RegionPartition,
     apply_linear,
+    assemble_from_moduli,
     assemble_operator,
     classify,
     convergence_study,
@@ -308,6 +309,50 @@ def test_assembled_runs_match_the_band_oracles(N, n_intervals, m, potential, den
         assert "band" not in op.__dict__, kind  # runs only, until the band is asked for
         assert_runs_match_band_oracles(op, band)
         assert np.ascontiguousarray(op.band).tobytes() == band.tobytes(), kind
+
+
+@settings(max_examples=40)
+@given(
+    N=st.sampled_from([16, 23, 64, 100, 257, 1024, 4096]),
+    n_intervals=st.integers(1, 3),
+    m=st.integers(1, 8),
+    potential=st.sampled_from(sorted(POTENTIALS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_memoized_assembly_matches_the_uncached_oracles(N, n_intervals, m, potential, seed):
+    # every kind on random 1-3 interval geometries, at the potential's moduli
+    # and at moduli of -0.0, then +0.0, then -0.0 again: the first call of
+    # each assembles (a one-row kind without the code and run search), the
+    # second is served by the memo, and both give the runs, lengths, rows and
+    # ghost of the run search over the oracle band, byte for byte. A QCF or
+    # CUSTOM band of -0.0 moduli keeps -0.0 entries, so a memo that took
+    # -0.0 for 0.0 would serve the wrong bits
+    rng = np.random.default_rng(seed)
+    pot, F = POTENTIALS[potential]
+    config = ChainConfig(N=N, F=F, R=2)
+    partition = admissible_partition(rng, config, n_intervals, m)
+    block = rng.integers(-3, 4, (m, m)) * 0.5
+    stencil = InterfaceStencil(m, block + block.T)
+    moduli = [[[evaluate(pot, r * F, order) for r in (1, 2)] for order in (2, 1)]]
+    moduli += [[[z, z], [z, z]] for z in (-0.0, 0.0, -0.0)]
+    for kind in ModelKind:
+        part = partition if kind in COUPLED else None
+        oracles = []
+        for second, first in moduli:
+            if kind in ENERGY_BASED:
+                band, ghost = assembled_add_at(kind, config, second, first, part)
+            else:
+                band = native_rows_reference(kind, config, second, part, stencil)
+                ghost = np.zeros(N)
+            want = _band_runs(np.ascontiguousarray(band))
+            oracles.append(want.rows.tobytes())
+            for _ in range(2):
+                op = assemble_from_moduli(kind, config, second, first, partition=part,
+                                          stencil=stencil)
+                for got, expected in zip(op.runs[:3], want[:3]):
+                    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+                assert op.runs.N == N and op.ghost.tobytes() == ghost.tobytes(), kind
+        assert kind in ENERGY_BASED or oracles[1] != oracles[2], kind
 
 
 @settings(max_examples=150)

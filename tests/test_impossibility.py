@@ -299,8 +299,7 @@ def test_certify_builds_each_symmetric_system_once(tmp_path, monkeypatch):
         builds[m, "symmetric" if n_unknowns == m * (m + 1) // 2 else "free"] += 1
         return equations(m, n_unknowns, column)
 
-    monkeypatch.setattr(imp, "_equations", counted)
-    imp.build_constraint_system.cache_clear()
+    monkeypatch.setattr(imp, "_equations", counted)  # the system cache starts empty
     cfg = tmp_path / "certify.cfg"
     cfg.write_text("m_min=1\nm_max=8\n")
     assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0

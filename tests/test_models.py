@@ -51,9 +51,11 @@ from qclab.models import (
     L1_ROW,
     _TermGroup,
     _anchor_sets,
+    _assembled,
     _band_of,
     _band_runs,
     _bound_C,
+    _ghost_sup,
     _row_sums,
     _runs_apply,
     _stencil_row,
@@ -1038,7 +1040,7 @@ def test_coupled_assembly_peaks_below_three_columns(kind):
     # the runs off the row codes, so no (N, 5) band is formed; gathering
     # one, as assembly did before, peaked at 6.4-6.5
     config = ChainConfig(N=2**16, F=1.2, R=2)
-    classify.cache_clear()  # classify's work is part of the peak
+    # the caches start empty (tests/conftest.py), so classify's work is part of the peak
     tracemalloc.start()
     try:
         op = assemble_operator(kind, config, POT1, partition=HALF_PART)
@@ -1395,9 +1397,82 @@ def test_other_evaluate_errors_reach_the_energy_unchanged(kind):
     config = ChainConfig(N=32, F=1.1, R=2)
     field = sample_field(default_witness, config)
     part = None if kind is ModelKind.ATOMISTIC else HALF_PART
+    pot = harmonic(1.0, 1.0)
+    object.__setattr__(pot, "kind", "morse")  # past the constructor, which refuses it
     for fn in (total_energy, energy_gradient):
         with pytest.raises(ValueError, match=r"^unknown potential kind 'morse'$"):
-            fn(kind, config, PairPotential("morse"), field, partition=part)
+            fn(kind, config, pot, field, partition=part)
+
+
+@pytest.mark.parametrize("potential", sorted(POTENTIALS))
+@pytest.mark.parametrize("kind", sorted(ENERGY_BASED, key=lambda k: k.value), ids=lambda k: k.value)
+def test_energy_paths_name_the_first_non_finite_atom(kind, potential):
+    # a NaN at atom 10 and an inf at atom 20 (then an inf alone) gave a nan
+    # energy and a gradient with NaN entries, silently
+    pot, F = POTENTIALS[potential]
+    config = ChainConfig(N=32, F=F, R=2)
+    part = HALF_PART if kind in COUPLED else None
+    for bad in ({10: math.nan, 20: -math.inf}, {20: -math.inf}):
+        u = np.zeros(32)
+        u[np.array(list(bad)) - 1] = list(bad.values())
+        first = min(bad)
+        for fn in (total_energy, energy_gradient):
+            with pytest.raises(ValueError, match=rf"^field is not finite at atom {first}: "
+                                                 rf"{re.escape(str(bad[first]))}$"):
+                fn(kind, config, pot, PeriodicField(config, u), partition=part)
+
+
+@pytest.mark.parametrize("potential", sorted(POTENTIALS))
+def test_equal_assemblies_are_fresh_operators_on_shared_read_only_runs(potential):
+    # the second assembly of a geometry's kind reads the memo: a new operator
+    # (its own identity and band) around the same read-only runs and ghost
+    pot, F = POTENTIALS[potential]
+    config = ChainConfig(N=64, F=F, R=2)
+    stencil = InterfaceStencil(4, np.eye(4))
+    for kind in ModelKind:
+        part = HALF_PART if kind in COUPLED else None
+        a, b = (assemble_operator(kind, config, pot, partition=part, stencil=stencil)
+                for _ in range(2))
+        assert a is not b and a.runs is b.runs and a.ghost is b.ghost, kind
+        assert not any(x.flags.writeable for x in (*a.runs[:3], a.ghost)), kind
+        assert a.band is a.band and "band" not in b.__dict__, kind
+        with pytest.raises(ValueError, match="read-only"):
+            a.runs.starts[0] = 1
+
+
+def test_assembly_memo_holds_one_geometry():
+    # two potentials and two sizes of every kind: the memo keeps the latest
+    # geometry's kinds, len(ModelKind) entries at most
+    assert _assembled.cache_info().maxsize == len(ModelKind)
+    stencil = InterfaceStencil(4, np.eye(4))
+    for N in (64, 128):
+        for pot, F in POTENTIALS.values():
+            config = ChainConfig(N=N, F=F, R=2)
+            for kind in ModelKind:
+                part = HALF_PART if kind in COUPLED else None
+                assemble_operator(kind, config, pot, partition=part, stencil=stencil)
+                assert _assembled.cache_info().currsize <= len(ModelKind)
+    assert _assembled.cache_info().currsize == len(ModelKind)
+
+
+@pytest.mark.parametrize("potential", sorted(POTENTIALS))
+def test_ghost_force_reads_the_assembled_ghost(potential, random_geometry):
+    # the field is the assembled ghost byte for byte, whether ghost_force
+    # assembles first or reads the memo, and its sup has the bits of
+    # np.abs(ghost).max(); a stride-0 ghost's sup is read off its one entry
+    rng = np.random.default_rng(7)
+    for n_intervals in (1, 2, 3):
+        config, pot, partition = random_geometry(rng, 256, potential, n_intervals)
+        for kind in (ModelKind.QCE, ModelKind.QNL, ModelKind.QCF, ModelKind.ATOMISTIC):
+            part = partition if kind in COUPLED else None
+            field, sup = ghost_force(kind, config, pot, partition=part)
+            ghost = assemble_operator(kind, config, pot, partition=part).ghost
+            assert field.values.tobytes() == ghost.tobytes(), kind
+            assert sup.hex() == float(np.abs(ghost).max()).hex(), kind
+            assert ghost_force(kind, config, pot, partition=part)[1].hex() == sup.hex(), kind
+    for value in (-3.5, math.nan):
+        one = np.ndarray((5,), float, np.array([value]), 0, (0,))
+        assert _ghost_sup(one).hex() == float(np.abs(np.full(5, value)).max()).hex()
 
 
 def test_value_types_holding_arrays_compare_by_identity():

@@ -58,8 +58,15 @@ def test_lennard_jones_rejects_nonpositive_separation():
 def test_evaluate_rejects_bad_order_and_kind():
     with pytest.raises(ValueError):
         evaluate(harmonic(), 1.0, 3)
-    with pytest.raises(ValueError):
-        evaluate(PairPotential("morse"), 1.0, 0)
+    pot = harmonic()
+    object.__setattr__(pot, "kind", "morse")  # past the constructor, which refuses it
+    with pytest.raises(ValueError, match="^unknown potential kind 'morse'$"):
+        evaluate(pot, 1.0, 0)
+
+
+def test_unknown_kind_is_refused_where_made():
+    with pytest.raises(ValueError, match="^unknown potential kind 'morse'$"):
+        PairPotential("morse")
 
 
 def test_evaluate_vectorized():

@@ -93,6 +93,17 @@ def test_membership_uses_half_open_intervals():
     assert mask[7] and not mask[8] and not mask[15]
 
 
+def test_membership_mask_is_fresh_and_writeable():
+    # classify and the energy path share one read-only mask per geometry;
+    # the public mask is a new writeable array on every call
+    part, config = RegionPartition([(0.0, 0.5)]), ChainConfig(N=16, F=1.0)
+    shared = classify(part, config).in_atomistic
+    a, b = membership_mask(part, config), membership_mask(part, config)
+    assert a is not b and a is not shared and a.flags.writeable and not shared.flags.writeable
+    a[:] = ~a
+    assert np.array_equal(b, shared) and classify(part, config).in_atomistic is shared
+
+
 def test_block_atoms_orientations():
     # (0, 0.5] at N = 16 cuts AC between atoms 8|9 and CA between 16|1:
     # ceil(m/2) atoms on the atomistic side, block index 1 at the continuum end
