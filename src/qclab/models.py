@@ -507,26 +507,43 @@ def assemble_from_moduli(
     return LinearChainOperator(config, kind, *_assembled(kind, config, *read, moduli))
 
 
-@functools.lru_cache(maxsize=2 * len(ModelKind))
-def _row_table(kind: ModelKind, R: int, stencil, moduli: bytes):
-    """The kind's rows and eps * ghosts at moduli (bytes of phi''(rF), phi'(rF)), read-only."""
+@functools.lru_cache(maxsize=len(ModelKind))
+def _assembled(kind: ModelKind, config: ChainConfig, partition, stencil, moduli: bytes):
+    """`assemble_from_moduli`'s runs and ghost at moduli (the bytes of
+    phi''(rF), then phi'(rF)), read-only, kept for the latest geometry."""
+    N, R = config.N, config.R
     second, first = np.frombuffer(moduli).reshape(2, R).tolist()
+    code = np.zeros(1, np.uint8)  # one row for every atom, unless the kind codes its atoms
+    if kind in COUPLED:
+        regions = classify(_coupled_partition(kind, config, partition), config)
+        code = regions.in_atomistic.view(np.uint8)
     if kind in ENERGY_BASED:
-        _, bands, gweights = _energy_tables(kind, R)
+        bits, bands, gweights = _energy_tables(kind, R)
+        code = _row_codes(kind, bits, regions.in_atomistic) if bits else code
         table, gtable = np.zeros(bands.shape[1:]), np.zeros(gweights.shape[1:])
         for r in range(R):
             table += second[r] * bands[r]
             gtable += first[r] * gweights[r]
+        gtable /= config.epsilon
     else:
         # QCF and CUSTOM: L1 everywhere plus the native L2 row of each atom's
         # region (code 0 continuum, 1 atomistic); CUSTOM widens the band and
-        # adds a row per block row beside a CA cut, then beside an AC cut.
-        K = 2 if stencil is None else max(2, stencil.m + 1)
+        # codes each block row beside a CA cut, then beside an AC cut.
+        K = 2
+        if kind is ModelKind.CUSTOM:
+            if stencil is None:
+                raise ValueError("custom model requires an InterfaceStencil")
+            m = partition.interface_width_m
+            if stencil.m != m:
+                raise ValueError(f"stencil block is {stencil.m}x{stencil.m} but partition has m={m}")
+            K = max(2, m + 1)
+            if K > N:  # only without interfaces: classify fits every block in the ring
+                raise ValueError(f"custom block of width m={m} needs a band of half-width {K}, "
+                                 f"which wraps the ring of N={N} atoms more than once")
         l2 = [_stencil_row(CONT_L2, K), _stencil_row(ATOM_L2, K)]
         if kind is ModelKind.CUSTOM:
             # block row i reads continuum values at j < 1, the block at
             # 1 <= j <= m and atomistic values at j > m (j = -1 .. m+2)
-            m = stencil.m
             i, js = np.arange(1, m + 1)[:, None], np.arange(-1, m + 3)
             coeffs = np.where(js < 1, l2[0][K + js - i], l2[1][K + js - i])
             coeffs[:, 2:m + 2] = stencil.block
@@ -537,46 +554,17 @@ def _row_table(kind: ModelKind, R: int, stencil, moduli: bytes):
             if m == 1:  # codes 4 (CA) and 5 (AC): the continuum atom before the block
                 # reads the atomistic atom after it as that one reads it back
                 l2 += [l2[0] + _stencil_row({0: 1, 2: -1}, K)[::d] for d in (1, -1)]
+            code = code.astype(np.min_scalar_type(len(l2) - 1))
+            ac = np.array([cut == "AC" for _, cut in regions.boundaries], dtype=bool)
+            if m == 1:  # the continuum neighbour sits before a CA block, after an AC one
+                code[(regions.blocks[:, 0] - 1 + np.where(ac, 1, -1)) % N] = 4 + ac
+            code[regions.blocks - 1] = np.arange(2, m + 2) + m * ac[:, None]
         table = second[0] * _stencil_row(L1_ROW, K) + second[1] * np.array(l2)
         gtable = np.zeros(len(table))
-    table.flags.writeable = gtable.flags.writeable = False
-    return table, gtable
-
-
-@functools.lru_cache(maxsize=len(ModelKind))
-def _assembled(kind: ModelKind, config: ChainConfig, partition, stencil, moduli: bytes):
-    """`assemble_from_moduli`'s runs and ghost, read-only, kept for the latest geometry."""
-    N = config.N
-    code = np.zeros(1, np.uint8)  # one row for every atom, unless the kind codes its atoms
-    if kind in COUPLED:
-        regions = classify(_coupled_partition(kind, config, partition), config)
-        code = regions.in_atomistic.view(np.uint8)
-    if kind is ModelKind.CUSTOM:
-        if stencil is None:
-            raise ValueError("custom model requires an InterfaceStencil")
-        m = partition.interface_width_m
-        if stencil.m != m:
-            raise ValueError(f"stencil block is {stencil.m}x{stencil.m} but partition has m={m}")
-        if max(2, m + 1) > N:  # only without interfaces: classify fits every block in the ring
-            raise ValueError(f"custom block of width m={m} needs a band of half-width {m + 1}, "
-                             f"which wraps the ring of N={N} atoms more than once")
-    table, gtable = _row_table(kind, config.R, stencil, moduli)
-    gtable = gtable / config.epsilon
-    if kind in ENERGY_BASED:
-        bits = _energy_tables(kind, config.R)[0]
-        code = _row_codes(kind, bits, regions.in_atomistic) if bits else code
-    elif kind is ModelKind.CUSTOM:  # each block row beside a CA cut, then beside an AC cut
-        code = code.astype(np.min_scalar_type(len(table) - 1))
-        ac = np.array([cut == "AC" for _, cut in regions.boundaries], dtype=bool)
-        if m == 1:  # the continuum neighbour sits before a CA block, after an AC one
-            code[(regions.blocks[:, 0] - 1 + np.where(ac, 1, -1)) % N] = 4 + ac
-        code[regions.blocks - 1] = np.arange(2, m + 2) + m * ac[:, None]
-    if len(code) == 1:  # one row: one run and one ghost value, with no code or run search
-        runs, one = _Runs(np.zeros(1, np.intp), np.full(1, N), table[:1], N), True
-    else:  # a run can start only at atom 1 and where the code changes
-        starts = np.concatenate(([0], (code[1:] != code[:-1]).nonzero()[0] + 1))
-        runs, gbits = _runs(starts, table[code[starts]], N), gtable[code[starts]].view(np.uint64)
-        one = (gbits == gbits[0]).all()  # one ghost value, bit for bit: a stride-0 view of it
+    # a run can start only at atom 1 and where the code changes
+    starts = np.concatenate(([0], (code[1:] != code[:-1]).nonzero()[0] + 1))
+    runs, gbits = _runs(starts, table[code[starts]], N), gtable[code[starts]].view(np.uint64)
+    one = (gbits == gbits[0]).all()  # one ghost value, bit for bit: a stride-0 view of it
     ghost = np.ndarray((N,), float, gtable, 8 * int(code[0]), (0,)) if one else gtable[code]
     ghost.flags.writeable = runs.starts.flags.writeable = runs.lengths.flags.writeable = False
     return runs, ghost

@@ -71,9 +71,9 @@ def draw_geometry(rng, N: int, potential: str, n_intervals: int):
 @pytest.fixture(autouse=True)
 def empty_qclab_caches():
     """Clear every cache of every loaded qclab module (classify, the shared
-    membership mask, the assembly memo and row tables, build_constraint_system
-    and the static tables) before each test, so that no test passes or fails
-    by what an earlier one left cached."""
+    membership mask, the assembly memo, build_constraint_system and the
+    static tables) before each test, so that no test passes or fails by what
+    an earlier one left cached."""
     for name, module in list(sys.modules.items()):
         if module is not None and (name == "qclab" or name.startswith("qclab.")):
             for value in vars(module).values():

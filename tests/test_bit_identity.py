@@ -322,11 +322,10 @@ def test_assembled_runs_match_the_band_oracles(N, n_intervals, m, potential, den
 def test_memoized_assembly_matches_the_uncached_oracles(N, n_intervals, m, potential, seed):
     # every kind on random 1-3 interval geometries, at the potential's moduli
     # and at moduli of -0.0, then +0.0, then -0.0 again: the first call of
-    # each assembles (a one-row kind without the code and run search), the
-    # second is served by the memo, and both give the runs, lengths, rows and
-    # ghost of the run search over the oracle band, byte for byte. A QCF or
-    # CUSTOM band of -0.0 moduli keeps -0.0 entries, so a memo that took
-    # -0.0 for 0.0 would serve the wrong bits
+    # each assembles, the second is served by the memo, and both give the
+    # runs, lengths, rows and ghost of the run search over the oracle band,
+    # byte for byte. A QCF or CUSTOM band of -0.0 moduli keeps -0.0 entries,
+    # so a memo that took -0.0 for 0.0 would serve the wrong bits
     rng = np.random.default_rng(seed)
     pot, F = POTENTIALS[potential]
     config = ChainConfig(N=N, F=F, R=2)
