@@ -29,7 +29,7 @@ from .consistency import (
 )
 from .convergence import NumericalError, convergence_study
 from .impossibility import CertificateError, certificate, min_residual
-from .models import COUPLED, ENERGY_BASED, ModelKind, _ghost_sup, assemble_operator, total_energy
+from .models import COUPLED, ENERGY_BASED, ModelKind, assemble_operator, total_energy
 from .potentials import harmonic, lennard_jones
 from .regions import RegionPartition
 from . import acceptance
@@ -87,12 +87,12 @@ def _parse_p(text: str) -> float:
 def parse_config(text: str) -> RunConfig:
     """Parse a key=value document (one per line, # comments) into a RunConfig.
 
-    Unknown keys, malformed numbers and inadmissible values are hard errors,
-    all reported together in input order.
+    Unknown or repeated keys, malformed numbers and inadmissible values are
+    hard errors, all reported together in input order.
     """
     cfg = RunConfig()
     known = {f.name for f in fields(RunConfig)}
-    errors = []
+    errors, seen = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -105,6 +105,10 @@ def parse_config(text: str) -> RunConfig:
         if key not in known:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
+        if key in seen:
+            errors.append(f"line {lineno}: key {key!r} repeats line {seen[key]}")
+            continue
+        seen[key] = lineno
         try:
             if key in ("k", "s0", "F", "phase", "amplitude"):
                 number = float(value)
@@ -245,7 +249,7 @@ def cmd_stencil(cfg: RunConfig, args) -> int:
                 rows.append((i, int(off), c, op.ghost[i - 1]))
     _emit(cfg.out, ("atom", "offset", "coeff", "ghost"), rows)
     _report(args, f"{cfg.model}: {len(rows)} nonzero stencil entries, "
-                  f"ghost sup {_ghost_sup(op.ghost)!r}")
+                  f"ghost sup {float(np.abs(op.ghost).max())!r}")
     return 0
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chain import ChainConfig, PeriodicField
-from .models import LinearChainOperator, ModelKind, _ghost_sup, apply, apply_linear
+from .models import LinearChainOperator, ModelKind, apply, apply_linear
 from .models import assemble_operator
 from .potentials import PairPotential
 from .regions import RegionPartition
@@ -73,9 +73,11 @@ def _moment_sums(op: LinearChainOperator, reference: LinearChainOperator, exact:
     op's band minus the reference's (0 where the narrower has no column), added
     column by column over k = -K..K as `_row_sums` adds. With exact, each entry
     becomes the Fraction it holds (lossless for a float) and so does every
-    product and sum: the float sums up to their own rounding, exactly for integer stencils."""
-    if op.config.N != reference.config.N:
-        raise ValueError("operators live on different chain sizes")
+    product and sum: the float sums up to their own rounding, exactly for integer stencils.
+    Raises ValueError for a reference on another chain (N, F or R), naming both."""
+    if op.config != reference.config:
+        what = "chain sizes" if op.config.N != reference.config.N else "chains"
+        raise ValueError(f"operators live on different {what}: {op.config} and {reference.config}")
     N, K = op.config.N, max(op.half_width, reference.half_width)
     if N < 2 * (2 * K + 2):
         raise ValueError("chain too short for unwrapped moment tests")
@@ -107,7 +109,7 @@ def ghost_force(
 ):
     """Ghost field (scaled force at u = 0) and its sup norm."""
     op = assemble_operator(kind, config, potential, partition=partition)
-    return PeriodicField(config, op.ghost), _ghost_sup(op.ghost)
+    return PeriodicField(config, op.ghost), float(np.abs(op.ghost).max())
 
 
 @dataclass(frozen=True)

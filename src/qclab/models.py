@@ -42,7 +42,7 @@ import numpy as np
 
 from .chain import ChainConfig, PeriodicField, wrap_pad
 from .potentials import PairPotential, evaluate, singular
-from .regions import RegionPartition, _membership, classify
+from .regions import RegionPartition, classify, membership_mask
 
 
 class ModelKind(str, Enum):
@@ -192,11 +192,6 @@ class LinearChainOperator:
         return A / self.config.epsilon**2
 
 
-def _ghost_sup(ghost: np.ndarray) -> float:
-    """max |ghost| (NaN for a NaN), read off its one entry when it is stride 0."""
-    return float(np.abs(ghost[:1] if ghost.strides == (0,) else ghost).max())
-
-
 def apply(op: LinearChainOperator, u):
     """Apply the affine operator: linear part plus ghost field; u is a
     PeriodicField or an array-like of N values."""
@@ -240,10 +235,9 @@ def _transpose_gap(runs: _Runs) -> float:
     return float(np.abs(runs.rows[run[:, at], ahead] - runs.rows[run[:, partner], behind]).max())
 
 
-# Runs of _LONG_RUN atoms or more are applied one at a time in blocks of at
-# most _BLOCK atoms, whose windows stay in a core's L2 cache across the
-# columns; shorter runs (interface rows) share one gather.
-_LONG_RUN, _BLOCK = 256, 2**15
+# Runs of _LONG_RUN atoms or more are applied one at a time; shorter runs
+# (interface rows) share one gather.
+_LONG_RUN = 256
 
 
 def _runs_apply(runs: _Runs, v, floor: bool = False):
@@ -254,14 +248,11 @@ def _runs_apply(runs: _Runs, v, floor: bool = False):
     from the same products, since |x v| is |x| |v| bit for bit in IEEE
     arithmetic.
 
-    v is padded once by `chain.wrap_pad`, so a block a..b-1 of a long run
-    multiplies the window vp[a+c : b+c] by the run's coefficient c into one
-    product buffer; the atoms of short runs are gathered once. Each sum
-    starts from zeros and adds the columns in order: the bits of one np.roll
-    per offset on the band, where a -0.0 coefficient adds as 0.0 does. At
-    N = 2^18 (one Intel Xeon core, best of 40) a QNL or QCF operator takes
-    1.1-1.2 ms, against 2.6-2.8 ms for the column-by-column product of its
-    band that this kernel replaced.
+    v is padded once by `chain.wrap_pad`, so a long run s..s+n-1 multiplies
+    the window vp[s+c : s+n+c] by the run's coefficient c into one product
+    buffer; the atoms of short runs are gathered once. Each sum starts from
+    zeros and adds the columns in order: the bits of one np.roll per offset
+    on the band, where a -0.0 coefficient adds as 0.0 does.
     """
     starts, lengths, rows, N = runs
     if len(v) != N:
@@ -272,15 +263,13 @@ def _runs_apply(runs: _Runs, v, floor: bool = False):
     out, mag = np.zeros(N), (np.zeros(N) if floor else None)
     long = lengths >= _LONG_RUN
     if long.any():
-        prod = np.empty(min(_BLOCK, int(lengths.max())))
+        prod = np.empty(int(lengths.max()))
         for s, n, row in zip(starts[long].tolist(), lengths[long].tolist(), rows[long].tolist()):
-            for a in range(s, s + n, _BLOCK):
-                b = min(a + _BLOCK, s + n)
-                o, p, m = out[a:b], prod[:b - a], mag[a:b] if floor else None
-                for c, x in enumerate(row):
-                    o += np.multiply(vp[a + c:b + c], x, out=p)
-                    if floor:
-                        m += np.abs(p, out=p)
+            o, p, m = out[s:s + n], prod[:n], mag[s:s + n] if floor else None
+            for c, x in enumerate(row):
+                o += np.multiply(vp[s + c:s + n + c], x, out=p)
+                if floor:
+                    m += np.abs(p, out=p)
     if not long.all():
         n = lengths[~long]
         atoms = np.repeat(starts[~long] - np.cumsum(n) + n, n) + np.arange(n.sum())
@@ -318,8 +307,8 @@ def _coupled_partition(kind: ModelKind, config: ChainConfig, partition):
 
 @functools.lru_cache(maxsize=None)
 def _term_spec(kind: ModelKind, R: int) -> tuple:
-    """Bond-term groups of an energy-based kind, anchored on every atom (None)
-    or on a set of `_anchor_sets`, named."""
+    """Bond-term groups of an energy-based kind (its callers refuse any
+    other), anchored on every atom (None) or on a set of `_anchor_sets`, named."""
     G = _TermGroup
     if kind is ModelKind.ATOMISTIC:
         return tuple(G(r, None, ((0, 1.0), (-r, -1.0)), 1.0) for r in range(1, R + 1))
@@ -332,13 +321,11 @@ def _term_spec(kind: ModelKind, R: int) -> tuple:
             G(r, "A", ((0, 1.0), (-r, -1.0)), 0.5), G(r, "A", ((r, 1.0), (0, -1.0)), 0.5),
             G(r, "C", ((0, fr), (-1, -fr)), 0.5), G(r, "C", ((1, fr), (0, -fr)), 0.5),
         ))
-    if kind is ModelKind.QNL:
-        # First neighbors atomistic everywhere; the second-neighbor pair
-        # (i-2, i) is an atomistic bond when either endpoint is in A, else it
-        # is split into the two overlapping nearest-neighbor halves.
-        return (G(1, None, ((0, 1.0), (-1, -1.0)), 1.0), G(2, "P", ((0, 1.0), (-2, -1.0)), 1.0),
-                G(2, "L", ((-1, 2.0), (-2, -2.0)), 0.5), G(2, "L", ((0, 2.0), (-1, -2.0)), 0.5))
-    raise ValueError(f"{kind.value} does not derive from an energy")
+    # QNL: first neighbors atomistic everywhere; the second-neighbor pair
+    # (i-2, i) is an atomistic bond when either endpoint is in A, else it is
+    # split into the two overlapping nearest-neighbor halves.
+    return (G(1, None, ((0, 1.0), (-1, -1.0)), 1.0), G(2, "P", ((0, 1.0), (-2, -1.0)), 1.0),
+            G(2, "L", ((-1, 2.0), (-2, -2.0)), 0.5), G(2, "L", ((0, 2.0), (-1, -2.0)), 0.5))
 
 
 def _anchor_sets(kind: ModelKind, mask) -> dict:
@@ -369,7 +356,7 @@ def _bond_terms(kind, config: ChainConfig, potential, u: PeriodicField, partitio
         raise ValueError(f"field is not finite at atom {i + 1}: {u.values[i]}")
     sets = {}
     if kind in COUPLED:
-        mask = _membership(_coupled_partition(kind, config, partition), config)
+        mask = membership_mask(_coupled_partition(kind, config, partition), config)
         sets = _anchor_sets(kind, mask)
     vp = wrap_pad(u.values, R, R)
     for g in _term_spec(kind, R):
@@ -661,7 +648,7 @@ def to_strain_form(op: LinearChainOperator) -> StrainFormOperator:
     """
     if not _constants_defect(op)[1]:
         raise ValueError("operator has nonzero row sums; no strain form exists")
-    if not _ghost_sup(op.ghost) <= STRAIN_FORM_TOL:
+    if not float(np.abs(op.ghost).max()) <= STRAIN_FORM_TOL:
         raise ValueError("operator has a ghost field; no strain form exists")
     strain = _telescope(op.runs.rows)
     strain.flags.writeable = False

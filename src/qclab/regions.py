@@ -105,14 +105,6 @@ def membership_mask(partition: RegionPartition, config: ChainConfig) -> np.ndarr
     return mask
 
 
-@functools.lru_cache(maxsize=1)
-def _membership(partition: RegionPartition, config: ChainConfig) -> np.ndarray:
-    """The latest geometry's `membership_mask`, read-only, shared by `classify` and energies."""
-    mask = membership_mask(partition, config)
-    mask.flags.writeable = False
-    return mask
-
-
 def region_boundaries(mask: np.ndarray) -> list:
     """Boundaries of the membership mask as (b, orientation) pairs.
 
@@ -137,7 +129,7 @@ def classify(partition: RegionPartition, config: ChainConfig) -> AtomLabels:
     The latest result is kept, read-only, for the next kind assembled on the
     geometry."""
     N, reach, m = config.N, partition.reach, partition.interface_width_m
-    mask = _membership(partition, config)
+    mask = membership_mask(partition, config)
     boundaries = tuple(region_boundaries(mask))
     labels = np.where(mask, np.int8(INTERIOR_ATOMISTIC), np.int8(INTERIOR_CONTINUUM))
     B = len(boundaries)
@@ -164,5 +156,5 @@ def classify(partition: RegionPartition, config: ChainConfig) -> AtomLabels:
     labels[(cuts[:, None] + np.arange(1 - reach, reach + 1)) % N] = INTERFACE
     raw = cuts[:, None] + 1 - left[:, None] + np.arange(m)  # an AC block runs backwards
     blocks = np.where(ac[:, None], raw[:, ::-1], raw) % N + 1
-    labels.flags.writeable = blocks.flags.writeable = False
+    labels.flags.writeable = mask.flags.writeable = blocks.flags.writeable = False
     return AtomLabels(config, labels, mask, boundaries, blocks)

@@ -77,6 +77,43 @@ def test_bad_model_and_witness_rejected():
         parse_config("witness=poly\n")
 
 
+@pytest.mark.parametrize("text, want", [
+    ("N=64\nN=128\n", "line 2: key 'N' repeats line 1"),
+    ("model=qnl\n# N=32\nF=1.1\n\nmodel=qce\n", "line 5: key 'model' repeats line 1"),
+    ("p_list=1,2\nN=64\np_list=inf\n", "line 3: key 'p_list' repeats line 1"),
+], ids=["N", "model", "p_list"])
+def test_repeated_key_is_named_with_both_lines(text, want):
+    # the last value won silently, as a repeated p is refused within p_list
+    with pytest.raises(ConfigError, match=re.escape(want)):
+        parse_config(text)
+
+
+def test_repeated_key_is_reported_with_the_other_errors():
+    with pytest.raises(ConfigError) as info:
+        parse_config("N=64\nF=x\nN=128\nN=256\nmodle=qnl\n")
+    assert str(info.value) == (
+        "line 2: bad value for 'F': could not convert string to float: 'x'; "
+        "line 3: key 'N' repeats line 1; line 4: key 'N' repeats line 1; "
+        "line 5: unknown key 'modle'"
+    )
+
+
+def test_line_without_equals_is_named():
+    with pytest.raises(ConfigError, match=re.escape("line 2: expected key=value, got 'N 64'")):
+        parse_config("model=qnl\nN 64\n")
+
+
+def test_unknown_potential_is_named():
+    with pytest.raises(ConfigError, match=re.escape("unknown potential 'morse'")):
+        parse_config("potential=morse\n")
+
+
+def test_interval_without_colon_is_named():
+    with pytest.raises(ConfigError, match=re.escape(
+            "line 1: bad value for 'partition': interval '0.75' is not of the form a:b")):
+        parse_config("partition=0:0.25;0.75\n")
+
+
 def test_exact_flag_parsing():
     assert parse_config("exact=true\n").exact is True
     with pytest.raises(ConfigError):
@@ -288,6 +325,27 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     code = run(["converge"], tmp_path, config_text="model=qnl\nN_list=64,128\n")
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_moments_exact_mode_fails_on_a_floating_deviation(tmp_path, capsys, monkeypatch):
+    # one exact sum moved by 1: the floats no longer agree, and the run
+    # exits 3 with the deviation
+    import qclab.cli as cli
+
+    exact_sums = cli._moment_sums
+
+    def perturbed(op, ref, exact):
+        sums = exact_sums(op, ref, exact)
+        sums[32, 2] += 1
+        return sums
+
+    monkeypatch.setattr(cli, "_moment_sums", perturbed)
+    code = run(["moments", "--exact", "--report"], tmp_path, config_text="model=qnl\nN=64\n")
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "exact rational recomputation agrees: False (worst deviation 1.00e+00)" in captured.out
+    assert captured.err == ("numerical failure: floating moment residuals deviate "
+                            "from exact arithmetic by 1.00e+00\n")
 
 
 def test_moments_exact_mode_lennard_jones(tmp_path, capsys):

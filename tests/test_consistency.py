@@ -1,5 +1,6 @@
 """Moment tests, ghost-force experiments, smooth-field consistency sweeps."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -120,6 +121,25 @@ def test_moment_rejects_mismatched_sizes():
     op, _ = ops(ModelKind.ATOMISTIC, 32)
     _, ref = ops(ModelKind.ATOMISTIC, 64)
     with pytest.raises(ValueError):
+        moment_residuals(op, ref)
+
+
+@pytest.mark.parametrize("op_config, ref_config, what", [
+    (ChainConfig(N=64, F=1.2, R=3), ChainConfig(N=64, F=1.2, R=2), "chains"),
+    (ChainConfig(N=64, F=1.1, R=2), ChainConfig(N=64, F=1.2, R=2), "chains"),
+    (ChainConfig(N=32, F=1.1, R=3), ChainConfig(N=64, F=1.2, R=2), "chain sizes"),
+], ids=["R", "F", "N"])
+def test_moment_rejects_a_reference_on_another_chain(op_config, ref_config, what):
+    # the same N but another cutoff or stretch: the rows of two chains were
+    # subtracted (max |j^2 moment| 18 on every row for R = 3 against R = 2)
+    pot = harmonic(1.0, 1.0) if op_config.R == 3 else lennard_jones()
+    op = assemble_operator(ModelKind.ATOMISTIC, op_config, pot)
+    ref = assemble_operator(ModelKind.ATOMISTIC, ref_config, POT1)
+    want = f"operators live on different {what}: {op_config} and {ref_config}"
+    for exact in (False, True):
+        with pytest.raises(ValueError, match=re.escape(want)):
+            _moment_sums(op, ref, exact)
+    with pytest.raises(ValueError, match=re.escape(want)):
         moment_residuals(op, ref)
 
 

@@ -368,6 +368,12 @@ def test_unsymmetric_relaxation_is_feasible():
     assert result.stencil.shape == (4, 4)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_unsymmetric_relaxation_refuses_a_block_without_atoms(m):
+    with pytest.raises(ValueError, match=f"m must be positive, got {m}$"):
+        min_residual(m, symmetric=False)
+
+
 def test_qcf_witness_zeroes_all_equations_exactly():
     for m in (4, 5, 8):
         block = qcf_witness_block(m)

@@ -55,7 +55,6 @@ from qclab.models import (
     _band_of,
     _band_runs,
     _bound_C,
-    _ghost_sup,
     _row_sums,
     _runs_apply,
     _stencil_row,
@@ -460,6 +459,20 @@ def test_assembly_names_a_modulus_that_is_not_finite(kind, bad):
             assemble_from_moduli(kind, config, second, first, partition=part, stencil=stencil)
 
 
+def test_assembly_refuses_a_modulus_count_other_than_the_shells():
+    config = ChainConfig(N=32, F=1.2, R=2)
+    for second, first in (([1.0], None), ([1.0, 1.0, 1.0], None), ([1.0, 1.0], [0.0])):
+        with pytest.raises(ValueError, match=re.escape("need one modulus per shell r=1..2")):
+            assemble_from_moduli(ModelKind.ATOMISTIC, config, second, first)
+
+
+def test_dense_realization_refuses_a_long_chain():
+    config = ChainConfig(N=4097, F=1.2, R=2)
+    op = assemble_operator(ModelKind.ATOMISTIC, config, POT1)
+    with pytest.raises(ValueError, match="dense realization refused for N=4097 > 4096"):
+        op.dense()
+
+
 # ---------------------------------------------------------------------------
 # application
 
@@ -696,6 +709,12 @@ def test_hessian_check_rejects_force_based():
         hessian_consistency_check(ModelKind.QCF, config, POT1, partition=HALF_PART)
 
 
+def test_hessian_check_refuses_a_long_chain():
+    config = ChainConfig(N=513, F=1.2, R=2)
+    with pytest.raises(ValueError, match="hessian check is a dense diagnostic; use N <= 512"):
+        hessian_consistency_check(ModelKind.ATOMISTIC, config, POT1)
+
+
 # ---------------------------------------------------------------------------
 # strain form
 
@@ -846,6 +865,18 @@ def test_custom_requires_matching_block():
         )
     with pytest.raises(ValueError):
         InterfaceStencil(2, np.array([[1.0, 2.0], [2.1, 1.0]]))  # not symmetric
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3), (2, 2), (16,)])
+def test_interface_stencil_refuses_a_block_of_another_shape(shape):
+    with pytest.raises(ValueError, match=re.escape(f"expected a 4x4 block, got {shape}")):
+        InterfaceStencil(4, np.zeros(shape))
+
+
+def test_custom_requires_a_stencil():
+    config = ChainConfig(N=64, F=1.2, R=2)
+    with pytest.raises(ValueError, match="custom model requires an InterfaceStencil"):
+        assemble_operator(ModelKind.CUSTOM, config, POT1, partition=HALF_PART)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -1219,12 +1250,11 @@ def smallest_admitted(kind, R, partition, stencil=None):
 def test_band_kernel_matches_roll_reference_on_every_layout(monkeypatch):
     # the run kernel on the runs of every band layout, rows of -0.0 entries
     # and runs of identical rows among them, with its split between long
-    # runs (in blocks) and short runs (one gather) as it is, and moved to
-    # either end: every run long, in blocks of 3 atoms, and every run short
-    for long_run, block, sizes in ((256, 2**15, (3, 4, 5, 8, 17, 64)), (1, 3, (3, 5, 8, 17)),
-                                   (10**9, 1, (3, 5, 8, 17))):
+    # runs (one window per column) and short runs (one gather) as it is, and
+    # moved to either end: every run long and every run short
+    for long_run, sizes in ((256, (3, 4, 5, 8, 17, 64)), (1, (3, 5, 8, 17)),
+                            (10**9, (3, 5, 8, 17))):
         monkeypatch.setattr("qclab.models._LONG_RUN", long_run)
-        monkeypatch.setattr("qclab.models._BLOCK", block)
         check_run_kernel_on_every_layout(sizes)
 
 
@@ -1460,7 +1490,7 @@ def test_assembly_memo_holds_one_geometry():
 def test_ghost_force_reads_the_assembled_ghost(potential, random_geometry):
     # the field is the assembled ghost byte for byte, whether ghost_force
     # assembles first or reads the memo, and its sup has the bits of
-    # np.abs(ghost).max(); a stride-0 ghost's sup is read off its one entry
+    # np.abs(ghost).max()
     rng = np.random.default_rng(7)
     for n_intervals in (1, 2, 3):
         config, pot, partition = random_geometry(rng, 256, potential, n_intervals)
@@ -1471,9 +1501,6 @@ def test_ghost_force_reads_the_assembled_ghost(potential, random_geometry):
             assert field.values.tobytes() == ghost.tobytes(), kind
             assert sup.hex() == float(np.abs(ghost).max()).hex(), kind
             assert ghost_force(kind, config, pot, partition=part)[1].hex() == sup.hex(), kind
-    for value in (-3.5, math.nan):
-        one = np.ndarray((5,), float, np.array([value]), 0, (0,))
-        assert _ghost_sup(one).hex() == float(np.abs(np.full(5, value)).max()).hex()
 
 
 def test_value_types_holding_arrays_compare_by_identity():

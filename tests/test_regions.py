@@ -94,8 +94,8 @@ def test_membership_uses_half_open_intervals():
 
 
 def test_membership_mask_is_fresh_and_writeable():
-    # classify and the energy path share one read-only mask per geometry;
-    # the public mask is a new writeable array on every call
+    # classify keeps a read-only mask per geometry; the public mask is a
+    # new writeable array on every call
     part, config = RegionPartition([(0.0, 0.5)]), ChainConfig(N=16, F=1.0)
     shared = classify(part, config).in_atomistic
     a, b = membership_mask(part, config), membership_mask(part, config)
