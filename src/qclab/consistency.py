@@ -1,10 +1,11 @@
 """Consistency of coupled operators against the atomistic reference.
 
 Three instruments: row-wise polynomial moment residuals (the tests against
-u_j = 1, j, j^2, evaluated with unwrapped absolute indices because those test
-vectors are local, infinite-chain statements), ghost-force extraction, and
-smooth-field residual sweeps over a ladder of chain sizes with a fitted
-log-log exponent of residual versus eps.
+u_j = 1, j, j^2 in unwrapped absolute indices, as those test vectors are
+local, infinite-chain statements; row i's residual is a polynomial in i whose
+coefficients, the offset moments M_0..M_2, are read once per run), ghost-force
+extraction, and smooth-field residual sweeps over a ladder of chain sizes
+with a fitted log-log exponent of residual versus eps.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .chain import ChainConfig, PeriodicField
 from .models import LinearChainOperator, ModelKind, apply, apply_linear
-from .models import assemble_operator
+from .models import _run_moments, assemble_operator
 from .potentials import PairPotential
 from .regions import RegionPartition
 
@@ -28,19 +29,13 @@ def default_witness(x, phase=0.3):
     return np.sin(2.0 * np.pi * np.asarray(x) + phase)
 
 
-def _column(o: LinearChainOperator, k: int):
-    """Band column of offset k as stored (a broadcast column is read as it is),
-    or a zero where the band is narrower."""
-    c = o.half_width + k
-    return o.band[:, c] if 0 <= c < o.band.shape[1] else np.zeros(1)
-
-
 @dataclass(frozen=True, eq=False)
 class MomentReport:
     """Per-row residuals sum_j (L - L^a)_{ij} p(j) for p in {1, j, j^2}.
 
     residuals has shape (N, 3), columns ordered by the power of j, values in
-    eps^2-scaled stencil units; row i uses absolute indices j = i + offset.
+    eps^2-scaled stencil units; row i uses absolute indices j = i + offset,
+    summed through its run's offset moments (`_moment_sums`).
     """
 
     config: ChainConfig
@@ -49,18 +44,19 @@ class MomentReport:
     reference: LinearChainOperator = field(repr=False)
 
     def max_abs(self, power: int) -> float:
+        """max |residual| of the power-p column, p in {0, 1, 2}."""
+        if power not in (0, 1, 2):
+            raise ValueError(f"moment power must be 0, 1 or 2, got {power!r}")
         return float(np.abs(self.residuals[:, power]).max())
 
     def scale(self) -> np.ndarray:
         """(N, 3) sizes of the residuals' terms, max_k |delta_ik| (i + K)^p: the
         power-p sum rounds to a small multiple of eps_mach times it, however
         far along the chain row i lies."""
-        N, K = self.config.N, max(self.op.half_width, self.reference.half_width)
-        delta = np.zeros(N)
-        for k in range(-K, K + 1):
-            np.maximum(delta, np.abs(_column(self.op, k) - _column(self.reference, k)), out=delta)
-        reach = np.arange(1.0 + K, N + 1.0 + K)
-        return delta[:, None] * np.stack([np.ones(N), reach, reach * reach], axis=1)
+        delta, lengths = _delta_runs(self.op, self.reference)
+        size = np.repeat(np.abs(delta).max(axis=1), lengths)
+        reach = np.arange(1.0, self.config.N + 1.0) + (delta.shape[1] - 1) // 2  # i + K
+        return size[:, None] * reach[:, None] ** np.arange(3)
 
     def nonzero_rows(self, tol: float = 1e-11) -> np.ndarray:
         """1-based atoms where any of the three residuals exceeds tol times its
@@ -68,32 +64,36 @@ class MomentReport:
         return np.nonzero((np.abs(self.residuals) > tol * self.scale()).any(axis=1))[0] + 1
 
 
-def _moment_sums(op: LinearChainOperator, reference: LinearChainOperator, exact: bool):
-    """sum_k delta_ik (i+k)^p for p = 0, 1, 2 as an (N, 3) array, delta being
-    op's band minus the reference's (0 where the narrower has no column), added
-    column by column over k = -K..K as `_row_sums` adds. With exact, each entry
-    becomes the Fraction it holds (lossless for a float) and so does every
-    product and sum: the float sums up to their own rounding, exactly for integer stencils.
-    Raises ValueError for a reference on another chain (N, F or R), naming both."""
+def _delta_runs(op: LinearChainOperator, reference: LinearChainOperator, exact: bool = False):
+    """op's rows minus the reference's, zero-padded to the wider half-width, at
+    both run starts (a shared start twice, first as an empty run), and the runs'
+    lengths; with exact, as the Fractions the rows hold. Raises ValueError for
+    a short chain, or a reference on another chain (N, F or R), naming both."""
     if op.config != reference.config:
         what = "chain sizes" if op.config.N != reference.config.N else "chains"
         raise ValueError(f"operators live on different {what}: {op.config} and {reference.config}")
     N, K = op.config.N, max(op.half_width, reference.half_width)
     if N < 2 * (2 * K + 2):
         raise ValueError("chain too short for unwrapped moment tests")
+    starts = np.sort(np.concatenate((op.runs.starts, reference.runs.starts)))
+    rows = np.zeros((2, len(starts), 2 * K + 1))
+    for side, o in zip(rows, (op, reference)):
+        side[:, K - o.half_width:K + o.half_width + 1] = o.runs.rows[o.runs.of(starts)]
+    if exact:
+        rows = np.vectorize(Fraction, otypes=[object])(rows)
+    return rows[0] - rows[1], np.diff(starts, append=N)
 
-    def column(o: LinearChainOperator, k: int):
-        col = _column(o, k)
-        return np.vectorize(Fraction, otypes=[object])(col) if exact else col
 
-    sums = np.zeros((3, N), object if exact else float)
-    # j = i + k of rows i = 1..N is the window from K + k (floats: exact below 2^53)
-    j2 = (j := np.arange(1 - K, N + 1 + K, dtype=int if exact else float)) * j
-    for k in range(-K, K + 1):
-        d, w = column(op, k) - column(reference, k), slice(K + k, K + k + N)
-        for row, term in zip(sums, (d, d * j[w], d * j2[w])):  # in place: no (3, N) temporary
-            row += term
-    return np.stack(sums, axis=1)
+def _moment_sums(op: LinearChainOperator, reference: LinearChainOperator, exact: bool):
+    """sum_k delta_ik (i+k)^p for p = 0, 1, 2 as an (N, 3) array, delta being
+    op's band minus the reference's (0 where the narrower has no column): M_0,
+    i M_0 + M_1 and i^2 M_0 + 2 i M_1 + M_2 of each run's delta row
+    (`_delta_runs`, `_run_moments`), which round within a few eps_mach of
+    `MomentReport.scale`, or are exact with exact. Raises as `_delta_runs`."""
+    delta, lengths = _delta_runs(op, reference, exact)
+    m0, m1, m2 = np.repeat(_run_moments(delta, 2), lengths, axis=1)
+    i = np.arange(1, op.config.N + 1, dtype=object if exact else float)
+    return np.stack([m0, i * m0 + m1, i * i * m0 + 2 * i * m1 + m2], axis=1)
 
 
 def moment_residuals(op: LinearChainOperator, reference: LinearChainOperator) -> MomentReport:

@@ -39,6 +39,7 @@ from .models import (
     _bound_C,
     _constants_defect,
     _moment_defect,
+    _run_moments,
     _Runs,
     _runs_apply,
     _telescope,
@@ -363,9 +364,8 @@ def _patch_diagonals(runs: _Runs) -> list:
 
 def _patch_lu(op: LinearChainOperator):
     """Factor a zero-row-sum band of half-width 2 that passes the linear
-    patch test: every row's first moment -2 b_-2 - b_-1 + b_1 + 2 b_2
-    vanishes, relative to the largest entry (`_moment_defect` of the run
-    rows).
+    patch test: every run row's first moment M_1 = -2 b_-2 - b_-1 + b_1 + 2 b_2
+    vanishes relative to the largest entry (`_moment_defect`).
 
     Such a band is A = T Delta / eps^2, with (Delta u)_i = u_{i-1} - 2 u_i +
     u_{i+1} and T the cyclic tridiagonal matrix whose row i is
@@ -381,7 +381,7 @@ def _patch_lu(op: LinearChainOperator):
     when T is (numerically) singular.
     """
     rows = op.runs.rows
-    moment, passes = _moment_defect(rows[:, 3] - rows[:, 1] + 2.0 * (rows[:, 4] - rows[:, 0]), rows)
+    moment, passes = _moment_defect(_run_moments(rows, 1)[1], rows)
     if not passes:
         raise ValueError(
             "operator is not symmetric and fails the linear patch test "

@@ -163,6 +163,12 @@ class LinearChainOperator:
     def __post_init__(self):
         if not isinstance(self.runs, _Runs):
             object.__setattr__(self, "runs", _band_runs(self.runs))
+        N, shape = self.config.N, (self.runs.N, self.runs.rows.shape[1])
+        if shape[0] != N or shape[1] % 2 == 0:
+            raise ValueError(f"band of shape {shape} does not fit the chain: expected ({N}, 2K+1)")
+        if self.ghost.shape != (N,):
+            raise ValueError(f"ghost of shape {self.ghost.shape} does not fit the chain: "
+                             f"expected ({N},)")
         self.ghost.flags.writeable = False
 
     band = functools.cached_property(_band_of)  # made on first use, then an attribute
@@ -177,7 +183,7 @@ class LinearChainOperator:
         return np.arange(-K, K + 1), self.runs.rows[self.runs.of(i - 1)]
 
     def row_sums(self) -> np.ndarray:
-        return np.repeat(_row_sums(self.runs.rows), self.runs.lengths)
+        return np.repeat(_run_moments(self.runs.rows, 0)[0], self.runs.lengths)
 
     def dense(self) -> np.ndarray:
         """Dense realization including the 1/eps^2 scale (small N only)."""
@@ -209,13 +215,15 @@ def apply_linear(op: LinearChainOperator, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_sums(band: np.ndarray) -> np.ndarray:
-    # column by column, in less than half the time of band.sum(axis=1);
-    # the bits agree up to width 7 (numpy regroups wider rows pairwise)
-    out = band[:, 0].copy()
-    for c in range(1, band.shape[1]):
-        out += band[:, c]
-    return out
+def _run_moments(rows: np.ndarray, q_max: int) -> np.ndarray:
+    """(q_max + 1, n) offset moments M_q = sum_k rows[:, K+k] k^q of n band
+    rows, float or exact (Fractions), added column by column: M_0 has the bits
+    of rows.sum(axis=1) up to width 7 (numpy regroups wider rows pairwise)."""
+    terms = rows.T[:, None]  # (2K+1, 1, n), offset by offset
+    if q_max:
+        K = (rows.shape[1] - 1) // 2
+        terms = terms * (np.arange(-K, K + 1)[:, None] ** np.arange(q_max + 1))[:, :, None]
+    return functools.reduce(np.add, terms)
 
 
 @functools.lru_cache(maxsize=64)
@@ -634,9 +642,9 @@ def _moment_defect(moments, rows: np.ndarray):
 
 def _constants_defect(op: LinearChainOperator):
     """(max |row sum|, whether the band annihilates constants), by
-    `_moment_defect` of the row sums of the band's run rows."""
+    `_moment_defect` of M_0 of the band's run rows."""
     rows = op.runs.rows
-    return _moment_defect(_row_sums(rows), rows)
+    return _moment_defect(_run_moments(rows, 0)[0], rows)
 
 
 def to_strain_form(op: LinearChainOperator) -> StrainFormOperator:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qclab import (
     ChainConfig,
@@ -13,6 +15,7 @@ from qclab import (
     ModelKind,
     RegionPartition,
     assemble_operator,
+    classify,
     consistency_sweep,
     default_witness,
     ghost_force,
@@ -21,6 +24,9 @@ from qclab import (
     moment_residuals,
 )
 from qclab.consistency import _moment_sums
+from qclab.models import COUPLED
+from conftest import POTENTIALS
+from test_models import drawn_run_band, exact_moment_rows, moment_sums_power_table
 
 HALF_PART = RegionPartition([(0.0, 0.5)], interface_width_m=4, reach=2)
 POT1 = harmonic(1.0, 1.0)
@@ -67,6 +73,15 @@ def test_qnl_moment_structure():
     assert set(nonzero) == {33, 34, 63, 64}
     j2 = {i: report.residuals[i - 1, 2] for i in nonzero}
     assert j2 == {33: 2.0, 34: -2.0, 63: -2.0, 64: 2.0}
+
+
+def test_max_abs_refuses_a_power_outside_the_three_moments():
+    # -1 used to read the j^2 column (2.0 here) and 3 raised a bare IndexError
+    report = moment_residuals(*ops(ModelKind.QNL, 64))
+    assert [report.max_abs(p) for p in (0, 1, 2)] == [0.0, 0.0, 2.0]
+    for power in (-1, 3):
+        with pytest.raises(ValueError, match=f"moment power must be 0, 1 or 2, got {power}"):
+            report.max_abs(power)
 
 
 def test_moment_rows_are_judged_relative_to_their_terms():
@@ -291,3 +306,84 @@ def test_exact_moment_sums_are_fractions_matching_the_float_sums(potential, F):
         assert np.abs(exact.astype(float) - floats).max() <= 1e-13 * scale
         if potential is POT1:  # integer stencils: the float sums are exact
             assert (exact.astype(float) == floats).all()
+
+
+def assert_moment_sums_match_exact_rows(op, ref, rng):
+    """Float and exact `_moment_sums` of op against ref, on the run starts of
+    either, the atoms before them and 32 drawn rows (96 of those at most):
+    the exact sums are `exact_moment_rows`' and the float sums lie within its
+    bound (2K+1) eps_mach max_k |delta_k j^p|; on a chain of 64 atoms or
+    fewer every exact row is `exact_moments_by_row`'s."""
+    N = op.config.N
+    starts = np.union1d(op.runs.starts, ref.runs.starts)
+    rows = np.unique(np.concatenate([starts, starts - 1, rng.integers(0, N, 32)]) % N)
+    rows = rows[np.linspace(0, len(rows) - 1, min(len(rows), 96)).astype(int)]
+    want, bounds = exact_moment_rows(op, ref, rows)
+    got, exact = _moment_sums(op, ref, exact=False), _moment_sums(op, ref, exact=True)
+    assert exact[rows].tolist() == want
+    for row, sums, bound in zip(got[rows], want, bounds):
+        assert all(abs(Fraction(x) - w) <= e for x, w, e in zip(row, sums, bound)), (row, sums)
+    if N <= 64:
+        assert exact.tolist() == exact_moments_by_row(op, ref)
+
+
+@settings(max_examples=40)
+@given(
+    N=st.integers(40, 2048),
+    ends=st.sampled_from([1, 2, 3]).flatmap(
+        lambda n: st.lists(st.integers(0, 2**16), min_size=2 * n, max_size=2 * n, unique=True)),
+    m=st.integers(1, 8),
+    potential=st.sampled_from(["harmonic", "lennard_jones"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_moment_sums_of_coupled_kinds_match_the_exact_rows(N, ends, m, potential, seed):
+    # every coupled kind on a drawn geometry, CUSTOM with a normal block (a
+    # least-squares stencil is no dyadic rational either) up to m = 8
+    pot, F = POTENTIALS[potential]
+    config = ChainConfig(N=N, F=F, R=2)
+    ends = sorted(e / 2**16 for e in ends)
+    partition = RegionPartition(list(zip(ends[::2], ends[1::2])), interface_width_m=m, reach=2)
+    try:
+        classify(partition, config)
+    except ValueError:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((m, m))
+    ref = assemble_operator(ModelKind.ATOMISTIC, config, pot)
+    for kind in sorted(COUPLED):
+        stencil = InterfaceStencil(m, block + block.T) if kind is ModelKind.CUSTOM else None
+        op = assemble_operator(kind, config, pot, partition=partition, stencil=stencil)
+        assert_moment_sums_match_exact_rows(op, ref, rng)
+
+
+@settings(max_examples=40)
+@given(
+    R=st.integers(1, 4),
+    wider=st.booleans(),
+    N=st.integers(8, 1024),
+    runs_reference=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_moment_sums_of_hand_built_runs_match_the_exact_rows(R, wider, N, runs_reference, seed):
+    # an operator of half-width R or R + 1 with runs of 1..K+2 atoms against
+    # the atomistic reference (one run) or a reference with runs of its own:
+    # the merged runs start where either operator's do. A NaN entry makes
+    # the NaN rows of the power table
+    K = R + wider
+    assume(N >= 2 * (2 * K + 2))
+    config = ChainConfig(N=N, F=1.1, R=R)
+    rng = np.random.default_rng(seed)
+
+    def hand_built(kind, half_width):
+        band = drawn_run_band(rng, N, half_width, "runs") * rng.uniform(0.1, 10.0)
+        return LinearChainOperator(config, kind, band, np.zeros(N))
+
+    op = hand_built(ModelKind.CUSTOM, K)
+    ref = (hand_built(ModelKind.ATOMISTIC, R) if runs_reference
+           else assemble_operator(ModelKind.ATOMISTIC, config, lennard_jones()))
+    assert_moment_sums_match_exact_rows(op, ref, rng)
+    band = np.array(op.band)
+    band[rng.integers(0, N), rng.integers(0, 2 * K + 1)] = np.nan
+    op = LinearChainOperator(config, ModelKind.CUSTOM, band, np.zeros(N))
+    got, old = _moment_sums(op, ref, exact=False), moment_sums_power_table(op, ref)
+    assert (np.isnan(got) == np.isnan(old)).all() and np.isnan(got).any()
