@@ -524,14 +524,17 @@ def convergence_study(
 ) -> ConvergenceTable:
     """Solve L^kind u_qc = L^a u (ghost of L^kind on the left) across chain
     sizes and record ||D e||_p for e = u - u_qc. Raises ValueError for an
-    N_list that is not strictly increasing, and for a p_list that is empty
-    or repeats a p."""
+    N_list that is not strictly increasing, and, before the first rung, for
+    a p_list that is empty, repeats a p or holds a p outside [1, inf]."""
     kind = ModelKind(kind)
     p_list = list(p_list)
     if not p_list:
         raise ValueError("p_list must name at least one p")
     if len(set(p_list)) < len(p_list):
         raise ValueError(f"p_list must not repeat a p, got {p_list}")
+    for p in p_list:
+        if not p >= 1:  # NaN fails too
+            raise ValueError(f"p must lie in [1, inf], got {p}")
     rows = []
     checks = []
     per_p = {p: [] for p in p_list}

@@ -19,15 +19,14 @@ directly from closed-form rows and carry no energy.
 An operator is assembled from a small table of the kind's distinct rows and
 a per-atom code into it, and stores its runs: the atoms where the code
 changes to another row, and each run's row; no (N, 2K+1) band is formed.
-An energy kind's code has one bit per anchored bond-term group that can
-reach the row; QCF codes each atom's region, and CUSTOM adds a code per
-block row. A coupled band is O(m) runs (one for the translation-invariant
-kinds), so every check of row facts (row sums, max |entry|, transpose gaps,
-first moments, bound_C) costs O(runs), and one kernel, `_runs_apply`,
-applies the operator (and sums its products' magnitudes on request) and its
-strain form. It, the row codes and the bond arguments read neighbours as
-windows of one `chain.wrap_pad` padding; an anchored bond-term group holds
-its anchor set as a boolean mask, read through windows.
+An energy kind's code has one bit per offset at which an anchored bond-term
+group reaches the row from the kind's anchor indicator; QCF codes each
+atom's region, and CUSTOM adds a code per block row. A coupled band is O(m)
+runs (one for the translation-invariant kinds), so every check of row facts
+(row sums, max |entry|, transpose gaps, first moments, bound_C) costs
+O(runs), and one kernel, `_runs_apply`, applies the operator (and sums its
+products' magnitudes on request) and its strain form. It, the row codes and
+the bond arguments read neighbours as windows of one `chain.wrap_pad` padding.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import ChainConfig, PeriodicField, wrap_pad
-from .potentials import PairPotential, evaluate, singular
+from .potentials import PairPotential, _finite_step, evaluate, singular
 from .regions import RegionPartition, classify, membership_mask
 
 
@@ -298,8 +297,8 @@ def _runs_apply(runs: _Runs, v, floor: bool = False):
 
 class _TermGroup(NamedTuple):
     shell: int            # neighbor distance r; bond argument is r F + g.u/eps
-    anchors: object       # None for every atom, else the name of an
-                          # `_anchor_sets` mask, read through windows
+    anchors: object       # None for every atom, True for the atoms on the
+                          # kind's `_indicator`, False for those off it
     pattern: tuple        # ((offset, coeff), ...) defining g relative to anchor
     weight: float
 
@@ -316,7 +315,8 @@ def _coupled_partition(kind: ModelKind, config: ChainConfig, partition):
 @functools.lru_cache(maxsize=None)
 def _term_spec(kind: ModelKind, R: int) -> tuple:
     """Bond-term groups of an energy-based kind (its callers refuse any
-    other), anchored on every atom (None) or on a set of `_anchor_sets`, named."""
+    other), anchored on every atom (None), or on the atoms on (True) or off
+    (False) the kind's `_indicator`."""
     G = _TermGroup
     if kind is ModelKind.ATOMISTIC:
         return tuple(G(r, None, ((0, 1.0), (-r, -1.0)), 1.0) for r in range(1, R + 1))
@@ -326,30 +326,30 @@ def _term_spec(kind: ModelKind, R: int) -> tuple:
         # Per-atom energies, half of each incident bond; continuum atoms use
         # nearest-neighbor strains (Cauchy-Born) for both shells.
         return tuple(g for r, fr in ((1, 1.0), (2, 2.0)) for g in (
-            G(r, "A", ((0, 1.0), (-r, -1.0)), 0.5), G(r, "A", ((r, 1.0), (0, -1.0)), 0.5),
-            G(r, "C", ((0, fr), (-1, -fr)), 0.5), G(r, "C", ((1, fr), (0, -fr)), 0.5),
+            G(r, True, ((0, 1.0), (-r, -1.0)), 0.5), G(r, True, ((r, 1.0), (0, -1.0)), 0.5),
+            G(r, False, ((0, fr), (-1, -fr)), 0.5), G(r, False, ((1, fr), (0, -fr)), 0.5),
         ))
     # QNL: first neighbors atomistic everywhere; the second-neighbor pair
     # (i-2, i) is an atomistic bond when either endpoint is in A, else it is
     # split into the two overlapping nearest-neighbor halves.
-    return (G(1, None, ((0, 1.0), (-1, -1.0)), 1.0), G(2, "P", ((0, 1.0), (-2, -1.0)), 1.0),
-            G(2, "L", ((-1, 2.0), (-2, -2.0)), 0.5), G(2, "L", ((0, 2.0), (-1, -2.0)), 0.5))
+    return (G(1, None, ((0, 1.0), (-1, -1.0)), 1.0), G(2, True, ((0, 1.0), (-2, -1.0)), 1.0),
+            G(2, False, ((-1, 2.0), (-2, -2.0)), 0.5), G(2, False, ((0, 2.0), (-1, -2.0)), 0.5))
 
 
-def _anchor_sets(kind: ModelKind, mask) -> dict:
-    """Anchor indicators of QCE (regions A and C) or QNL (atoms i whose pair
-    (i-2, i) is atomistic, P, an end in A, or local, L)."""
+def _indicator(kind: ModelKind, mask) -> np.ndarray:
+    """The anchor indicator of QCE (the atoms of region A) or QNL (the atoms
+    i whose pair (i-2, i) is atomistic, an end in A) from the membership mask."""
     if kind is ModelKind.QCE:
-        return {"A": mask, "C": ~mask}
-    pair = mask | wrap_pad(mask, 2, 0)[:len(mask)]  # membership of atom i-2
-    return {"P": pair, "L": ~pair}
+        return mask
+    return mask | wrap_pad(mask, 2, 0)[:len(mask)]  # membership of atom i-2
 
 
 def _bond_terms(kind, config: ChainConfig, potential, u: PeriodicField, partition, order):
     """Each bond-term group of an energy-based kind with its anchor mask (None
-    for every atom) and phi^(order) of its anchors' arguments rF + g.u/eps by
-    one `evaluate`. Every group reads one window per pattern offset of u padded
-    by R wrapped values and keeps its anchors' arguments by the mask. Raises
+    for every atom, else the kind's `_indicator` or its complement) and
+    phi^(order) of its anchors' arguments rF + g.u/eps by one `evaluate`.
+    Every group reads one window per pattern offset of u padded by R wrapped
+    values and keeps its anchors' arguments by the mask. Raises
     ValueError for a field of another size, and naming the first singular
     argument by its group and atom where evaluate refuses, and a non-finite
     field by its first such atom; other errors pass."""
@@ -362,17 +362,16 @@ def _bond_terms(kind, config: ChainConfig, potential, u: PeriodicField, partitio
     if not math.isfinite(max(float(u.values.max()), -float(u.values.min()))):  # NaN or inf
         i = int(np.argmin(np.isfinite(u.values)))
         raise ValueError(f"field is not finite at atom {i + 1}: {u.values[i]}")
-    sets = {}
     if kind in COUPLED:
-        mask = membership_mask(_coupled_partition(kind, config, partition), config)
-        sets = _anchor_sets(kind, mask)
+        ind = _indicator(kind, membership_mask(_coupled_partition(kind, config, partition), config))
+        masks = (~ind, ind)
     vp = wrap_pad(u.values, R, R)
     for g in _term_spec(kind, R):
         s = np.zeros(N)
         for off, c in g.pattern:
             s += c * vp[R + off:R + off + N]
         args = g.shell * config.F + s / config.epsilon
-        at = sets.get(g.anchors)
+        at = None if g.anchors is None else masks[g.anchors]
         if at is not None:
             args = args[at]
         try:
@@ -433,17 +432,18 @@ def energy_gradient(
 @functools.lru_cache(maxsize=None)
 def _energy_tables(kind: ModelKind, R: int):
     """Code bits and per-shell row tables of an energy kind, shared read-only.
-    Bit j of row i's code, (name, o1) = bits[j], is set when atom i - o1 lies
-    in that anchor set. bands[r-1, code] and gweights[r-1, code] are shell r's
-    band row and gradient weight: sums of products of small integers and
-    halves, exact in any order, so each row has the bits of a scatter."""
+    Bit j of row i's code, o1 = bits[j], is set when atom i - o1 lies on the
+    kind's `_indicator` (QCE: offsets -2..2, QNL: -2..0). bands[r-1, code]
+    and gweights[r-1, code] are shell r's band row and gradient weight: sums
+    of products of small integers and halves, exact in any order, so each
+    row has the bits of a scatter."""
     spec = _term_spec(kind, R)
-    bits = sorted({(g.anchors, o1) for g in spec if g.anchors for o1, _ in g.pattern})
+    bits = sorted({o1 for g in spec if g.anchors is not None for o1, _ in g.pattern})
     codes = np.arange(2 ** len(bits))
     bands, gweights = np.zeros((R, len(codes), 2 * R + 1)), np.zeros((R, len(codes)))
     for g in spec:
         for o1, c1 in g.pattern:
-            at = 1 if g.anchors is None else (codes >> bits.index((g.anchors, o1))) & 1
+            at = 1 if g.anchors is None else (codes >> bits.index(o1)) & 1 == g.anchors
             gweights[g.shell - 1] += at * (g.weight * c1)
             for o2, c2 in g.pattern:
                 bands[g.shell - 1, :, R + o2 - o1] += at * (g.weight * c1 * c2)
@@ -452,15 +452,14 @@ def _energy_tables(kind: ModelKind, R: int):
 
 
 def _row_codes(kind: ModelKind, bits, mask) -> np.ndarray:
-    """Each row's `_energy_tables` code (at most 8 bits), read through one
-    window per offset of each anchor indicator, padded with its wrapped ends."""
+    """Each row's `_energy_tables` code (at most 5 bits), read through one
+    window per offset of the kind's `_indicator`, padded with its wrapped ends."""
     N = len(mask)
-    lo, hi = max(0, *(o for _, o in bits)), max(0, *(-o for _, o in bits))
-    padded = {name: wrap_pad(ind, lo, hi).view(np.uint8)
-              for name, ind in _anchor_sets(kind, mask).items()}
+    lo, hi = max(0, *bits), max(0, *(-o for o in bits))
+    padded = wrap_pad(_indicator(kind, mask), lo, hi).view(np.uint8)
     code = np.zeros(N, np.uint8)
-    for j, (name, o1) in enumerate(bits):
-        code |= padded[name][lo - o1:lo - o1 + N] << j
+    for j, o1 in enumerate(bits):
+        code |= padded[lo - o1:lo - o1 + N] << j
     return code
 
 
@@ -622,12 +621,10 @@ def _telescope(band: np.ndarray) -> np.ndarray:
 
 
 def _bound_C(strain: np.ndarray) -> float:
-    """bound_C, the largest row l1 norm of strain rows (`_telescope`'s), summed
-    column by column as in row_sums; an operator's run rows give its band's."""
-    row_l1, magnitude = np.abs(strain[:, 0]), np.empty(len(strain))
-    for j in range(1, strain.shape[1]):
-        row_l1 += np.abs(strain[:, j], out=magnitude)
-    return float(row_l1.max())
+    """bound_C, the largest row l1 norm of strain rows (`_telescope`'s): M_0
+    of their magnitudes by `_run_moments`, the column fold of row_sums; an
+    operator's run rows give its band's."""
+    return float(_run_moments(np.abs(strain), 0)[0].max())
 
 
 def _moment_defect(moments, rows: np.ndarray):
@@ -678,16 +675,16 @@ def hessian_consistency_check(
 ) -> float:
     """Worst deviation (in eps^2 stencil units) between the assembled linear
     part and central finite differences of the analytic scaled gradient,
-    taken with a strain-sized step eps*step."""
+    taken with a strain-sized step eps*step. Raises ValueError for a step
+    that is zero or not finite."""
     kind = ModelKind(kind)
     if kind not in ENERGY_BASED:
         raise ValueError(f"{kind.value} does not derive from an energy")
     if config.N > 512:
         raise ValueError("hessian check is a dense diagnostic; use N <= 512")
+    N, eps = config.N, config.epsilon
+    h = eps * _finite_step(step)
     op = assemble_operator(kind, config, potential, partition=partition)
-    N = config.N
-    eps = config.epsilon
-    h = eps * step
     fd = np.zeros((N, N))
     base = np.zeros(N)
     for k in range(N):

@@ -72,16 +72,27 @@ def evaluate(pot: PairPotential, s, order: int = 0):
     return out if out.ndim else float(out)
 
 
+def _finite_step(step: float) -> float:
+    """A finite-difference step, refused when it is zero or not finite."""
+    if step == 0 or not math.isfinite(step):
+        raise ValueError(f"step must be finite and nonzero, got {step}")
+    return step
+
+
 def derivative_check(pot: PairPotential, s_samples, step: float = 1e-6) -> float:
     """Worst relative error of the analytic derivatives against central
-    finite differences of the next lower order. Empty sample list gives 0."""
-    worst = 0.0
+    finite differences of the next lower order; a NaN error gives NaN.
+    Empty sample list gives 0. Raises ValueError for a step that is zero or
+    not finite and for a sample that is not finite."""
+    _finite_step(step)
+    errors = [0.0]
     for s in s_samples:
+        if not math.isfinite(s):
+            raise ValueError(f"sample s = {s} is not finite")
         for order in (1, 2):
             lo = evaluate(pot, s - step, order - 1)
             hi = evaluate(pot, s + step, order - 1)
             fd = (hi - lo) / (2.0 * step)
             exact = evaluate(pot, s, order)
-            err = abs(fd - exact) / max(1.0, abs(exact))
-            worst = max(worst, err)
-    return worst
+            errors.append(abs(fd - exact) / max(1.0, abs(exact)))
+    return float(np.max(errors))

@@ -31,7 +31,7 @@ from qclab import (
     symmetry_defect,
     to_strain_form,
 )
-from qclab import convergence
+from qclab import consistency, convergence
 from qclab.consistency import _slope_or_nan
 from qclab.convergence import (
     RESIDUAL_RTOL,
@@ -1283,6 +1283,19 @@ def test_study_names_a_repeated_p():
             convergence_study(
                 ModelKind.QNL, default_witness, [64, 128], p_list, POT1, partition=HALF_PART
             )
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.0, -math.inf, math.nan])
+def test_study_names_a_bad_p_before_it_assembles(bad, monkeypatch):
+    # a p below 1 or NaN was refused only by the first rung's norms, after
+    # two assemblies and a solve
+    assembled = []
+    monkeypatch.setattr(consistency, "assemble_operator",
+                        lambda *args, **kwargs: assembled.append(args))
+    with pytest.raises(ValueError, match=rf"^p must lie in \[1, inf\], got {bad}$"):
+        convergence_study(ModelKind.QNL, default_witness, [64, 128], [1.0, bad], POT1,
+                          partition=HALF_PART)
+    assert assembled == []
 
 
 def test_study_refuses_an_empty_p_list():

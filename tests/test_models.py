@@ -50,11 +50,13 @@ from qclab.models import (
     ENERGY_BASED,
     L1_ROW,
     _TermGroup,
-    _anchor_sets,
     _assembled,
     _band_of,
     _band_runs,
     _bound_C,
+    _energy_tables,
+    _indicator,
+    _row_codes,
     _run_moments,
     _runs_apply,
     _stencil_row,
@@ -104,13 +106,15 @@ def brute_force_gradient(kind, config, pot, u):
 
 
 def term_groups_reference(kind, config, mask):
-    """The bond-term groups of `_term_spec` with their anchor sets as distinct
-    0-based index arrays, the form the modulo and add.at oracles read; mask is
-    the membership mask of a coupled kind's partition (unused otherwise)."""
+    """The bond-term groups of `_term_spec` with their anchors as distinct
+    0-based index arrays (the atoms off and on the kind's `_indicator`), the
+    form the modulo and add.at oracles read; mask is the membership mask of
+    a coupled kind's partition (unused otherwise)."""
     everyone = np.arange(config.N)
     anchors = {None: everyone}
     if kind in COUPLED:
-        anchors.update((name, everyone[ind]) for name, ind in _anchor_sets(kind, mask).items())
+        ind = _indicator(kind, mask)
+        anchors.update({False: everyone[~ind], True: everyone[ind]})
     return [_TermGroup(r, anchors[s], pattern, w) for r, s, pattern, w in _term_spec(kind, config.R)]
 
 
@@ -376,6 +380,36 @@ def test_deep_region_rows_match_pure_stencils(kind):
         np.testing.assert_array_equal(op.row(i)[1][K - 2 : K + 3], ATOM_ROW)
     for i in labels.atoms(INTERIOR_CONTINUUM):
         np.testing.assert_array_equal(op.row(i)[1][K - 2 : K + 3], CONT_ROW)
+
+
+@pytest.mark.parametrize("kind, offsets", [(ModelKind.QCE, [-2, -1, 0, 1, 2]),
+                                           (ModelKind.QNL, [-2, -1, 0])])
+def test_energy_tables_take_one_bit_per_offset_of_the_indicator(kind, offsets):
+    # one code bit per offset of the kind's one anchor indicator: QCE 5 bits
+    # and 32 rows, QNL 3 bits and 8 rows
+    bits, bands, gweights = _energy_tables(kind, 2)
+    assert bits == offsets
+    assert bands.shape == (2, 2 ** len(offsets), 5) and gweights.shape == (2, 2 ** len(offsets))
+
+
+@pytest.mark.parametrize("kind", [ModelKind.QCE, ModelKind.QNL])
+def test_every_code_is_realized_and_matches_the_add_at_rows(kind):
+    # every membership mask of a ring of 8 atoms: each code its indicator
+    # gives a row reads the band row and ghost weight that np.add.at scatters
+    # there, bit for bit, and every code of the table occurs on some ring
+    N, R = 8, 2
+    config = ChainConfig(N=N, F=1.2, R=R)
+    bits, bands, gweights = _energy_tables(kind, R)
+    seen = set()
+    for pattern in range(2 ** N):
+        mask = (pattern >> np.arange(N)) & 1 == 1
+        codes = _row_codes(kind, bits, mask)
+        want, want_g = shell_bands_add_at(term_groups_reference(kind, config, mask), N, R, R)
+        for r in range(R):
+            assert bands[r][codes].tobytes() == want[r].tobytes(), (pattern, r)
+            assert gweights[r][codes].tobytes() == want_g[r].tobytes(), (pattern, r)
+        seen.update(codes.tolist())
+    assert seen == set(range(2 ** len(bits)))
 
 
 def test_row_sums_vanish_for_shift_invariant_models():
@@ -708,6 +742,15 @@ def test_hessian_check_rejects_force_based():
     config = ChainConfig(N=32, F=1.2, R=2)
     with pytest.raises(ValueError):
         hessian_consistency_check(ModelKind.QCF, config, POT1, partition=HALF_PART)
+
+
+@pytest.mark.parametrize("step", [0.0, math.nan, math.inf])
+def test_hessian_check_names_a_degenerate_step(step):
+    # step=0 returned NaN behind a RuntimeWarning, and step=nan was refused
+    # as a field that is not finite at atom 1
+    config = ChainConfig(N=32, F=1.2, R=2)
+    with pytest.raises(ValueError, match=rf"^step must be finite and nonzero, got {step}$"):
+        hessian_consistency_check(ModelKind.ATOMISTIC, config, POT1, step=step)
 
 
 def test_hessian_check_refuses_a_long_chain():

@@ -87,6 +87,28 @@ def test_derivative_check_empty_samples():
     assert derivative_check(lennard_jones(), []) == 0.0
 
 
+@pytest.mark.parametrize("step", [0.0, math.nan, math.inf])
+def test_derivative_check_names_a_degenerate_step(step):
+    # step=0 raised a bare ZeroDivisionError, and step=nan returned 0.0
+    with pytest.raises(ValueError, match=rf"^step must be finite and nonzero, got {step}$"):
+        derivative_check(harmonic(1.0, 1.0), [1.0], step=step)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_derivative_check_names_a_sample_that_is_not_finite(bad):
+    # a NaN or infinite sample returned 0.0, a perfect match
+    with pytest.raises(ValueError, match=rf"^sample s = {bad} is not finite$"):
+        derivative_check(harmonic(1.0, 1.0), [1.0, bad], step=1e-6)
+
+
+def test_derivative_check_keeps_a_nan_error():
+    # at s = 1e-30 both Lennard-Jones values overflow to inf, and their
+    # difference quotient is NaN: the worst error is NaN, not the 0.0 that
+    # max(0.0, nan) gives
+    with np.errstate(over="ignore"):
+        assert math.isnan(derivative_check(lennard_jones(), [1.0, 1e-30], step=1e-31))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_potentials_reject_nonfinite_parameters(bad):
     with pytest.raises(ValueError, match="k must be finite"):
