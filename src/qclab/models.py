@@ -344,15 +344,24 @@ def _indicator(kind: ModelKind, mask) -> np.ndarray:
     return mask | wrap_pad(mask, 2, 0)[:len(mask)]  # membership of atom i-2
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_terms(kind: ModelKind, R: int) -> tuple:
+    """`_term_spec`'s distinct bond arguments (shell, pattern shifted to start
+    at offset 0) and its groups as (g, index of g's argument, d): g's argument
+    at atom i is that argument's at i + d, d being g's first offset."""
+    spec = _term_spec(kind, R)
+    shifted = [(g.shell, tuple((o - g.pattern[0][0], c) for o, c in g.pattern)) for g in spec]
+    keys = tuple(dict.fromkeys(shifted))  # in order of first use
+    return keys, tuple((g, keys.index(key), g.pattern[0][0]) for g, key in zip(spec, shifted))
+
+
 def _bond_terms(kind, config: ChainConfig, potential, u: PeriodicField, partition, order):
-    """Each bond-term group of an energy-based kind with its anchor mask (None
-    for every atom, else the kind's `_indicator` or its complement) and
-    phi^(order) of its anchors' arguments rF + g.u/eps by one `evaluate`.
-    Every group reads one window per pattern offset of u padded by R wrapped
-    values and keeps its anchors' arguments by the mask. Raises
-    ValueError for a field of another size, and naming the first singular
-    argument by its group and atom where evaluate refuses, and a non-finite
-    field by its first such atom; other errors pass."""
+    """Each bond-term group g of an energy-based kind as (g, d, phi, at): phi^(order) of its
+    `_shared_terms` argument rF + g.u/eps at j = -R..N+R-1, wrapped (one `evaluate` per
+    argument), and g's anchor mask (the kind's `_indicator`, its complement, or None for
+    every atom) at atoms j - d; atom i reads entry R + d + i. Raises ValueError for a field
+    of another size or not finite (at its first such atom), and naming the first group and
+    anchor that read a singular argument; other errors pass, and no unread one is refused."""
     kind = ModelKind(kind)
     if kind not in ENERGY_BASED:
         raise ValueError(f"{kind.value} does not derive from an energy")
@@ -362,66 +371,58 @@ def _bond_terms(kind, config: ChainConfig, potential, u: PeriodicField, partitio
     if not math.isfinite(max(float(u.values.max()), -float(u.values.min()))):  # NaN or inf
         i = int(np.argmin(np.isfinite(u.values)))
         raise ValueError(f"field is not finite at atom {i + 1}: {u.values[i]}")
+    keys, groups = _shared_terms(kind, R)
     if kind in COUPLED:
         ind = _indicator(kind, membership_mask(_coupled_partition(kind, config, partition), config))
+        ind = wrap_pad(ind, 2 * R, 2 * R)
         masks = (~ind, ind)
-    vp = wrap_pad(u.values, R, R)
-    for g in _term_spec(kind, R):
-        s = np.zeros(N)
-        for off, c in g.pattern:
-            s += c * vp[R + off:R + off + N]
-        args = g.shell * config.F + s / config.epsilon
-        at = None if g.anchors is None else masks[g.anchors]
-        if at is not None:
-            args = args[at]
+    vp, phis = wrap_pad(u.values, 2 * R, 2 * R), []
+    args = [shell * config.F + sum(c * vp[R + o:N + 3 * R + o] for o, c in pattern) / config.epsilon
+            for shell, pattern in keys]  # each sum from 0 and in pattern order
+    views = [(g, k, d, None if g.anchors is None else masks[g.anchors][R - d:N + 3 * R - d])
+             for g, k, d in groups]
+    for k, arg in enumerate(args):
         try:
-            phi = evaluate(potential, args, order)
+            phis.append(evaluate(potential, arg, order))
         except ValueError:
-            bad = np.flatnonzero(singular(potential, args))
-            if not bad.size:
+            bad = [singular(potential, x) for x in args]
+            if not bad[k].any():
                 raise
-            first = bad[0]
-            atom = first if at is None else np.flatnonzero(at)[first]
-            raise ValueError(
-                f"{potential.kind} is singular at bond argument s = {float(args[first])!r}: "
-                f"{kind.value} bond of shell r={g.shell} anchored at atom {atom + 1}"
-            ) from None
-        yield g, at, phi
+            for g, kk, d, at in views:
+                w = slice(R + d, R + d + N)
+                if (reads := bad[kk][w] & (True if at is None else at[w])).any():
+                    i = int(reads.argmax())
+                    raise ValueError(f"{potential.kind} is singular at bond argument s = "
+                                     f"{float(args[kk][w][i])!r}: {kind.value} bond of shell "
+                                     f"r={g.shell} anchored at atom {i + 1}") from None
+            phis.append(evaluate(potential, np.where(bad[k], 1.0, arg), order))  # read by no group
+    return [(g, d, phis[k], at) for g, k, d, at in views]
 
 
-def total_energy(
-    kind: ModelKind,
-    config: ChainConfig,
-    potential: PairPotential,
-    u: PeriodicField,
-    partition: RegionPartition | None = None,
-) -> float:
-    """Scaled total energy sum_terms w * eps * phi(rF + strain)."""
-    eps = config.epsilon
+def total_energy(kind: ModelKind, config: ChainConfig, potential: PairPotential,
+                 u: PeriodicField, partition: RegionPartition | None = None) -> float:
+    """Scaled total energy sum_terms w * eps * phi(rF + strain), by group in atom order."""
+    N, R, eps = config.N, config.R, config.epsilon
     total = 0.0
-    for g, _, phi in _bond_terms(kind, config, potential, u, partition, 0):
-        total += g.weight * eps * float(np.sum(phi))
+    for g, d, phi, at in _bond_terms(kind, config, potential, u, partition, 0):
+        w = slice(R + d, R + d + N)
+        total += g.weight * eps * float((phi[w] if at is None else phi[w][at[w]]).sum())
     return total
 
 
-def energy_gradient(
-    kind: ModelKind,
-    config: ChainConfig,
-    potential: PairPotential,
-    u: PeriodicField,
-    partition: RegionPartition | None = None,
-) -> np.ndarray:
-    """Scaled gradient (1/eps) dE/du as a raw array; at u = 0 this is the ghost field."""
-    N = config.N
+def energy_gradient(kind: ModelKind, config: ChainConfig, potential: PairPotential,
+                    u: PeriodicField, partition: RegionPartition | None = None) -> np.ndarray:
+    """Scaled gradient (1/eps) dE/du as a raw array; at u = 0 this is the ghost field.
+    A group's terms w c phi', zero off its anchors, add at each pattern offset as one
+    window; every pattern is ((d, c), (o, -c)), so o subtracts them (the same bits)."""
+    N, R = config.N, config.R
     grad = np.zeros(N)
-    for g, at, dphi in _bond_terms(kind, config, potential, u, partition, 1):
-        if at is not None:  # the anchors' derivatives in a zero field
-            dphi, anchored = np.zeros(N), dphi
-            dphi[at] = anchored
-        for off, c in g.pattern:  # grad[(i + off) mod N] += term[i], split at the wrap
-            term, w = g.weight * c * dphi, off % N
-            grad[w:] += term[:N - w]
-            grad[:w] += term[N - w:]
+    for g, d, dphi, at in _bond_terms(kind, config, potential, u, partition, 1):
+        (_, c), (o, _) = g.pattern
+        term = dphi * (g.weight * c) if at is None else \
+            np.multiply(dphi, g.weight * c, out=np.zeros(N + 2 * R), where=at)
+        grad += term[R:R + N]
+        grad -= term[R + d - o:R + d - o + N]
     return grad / config.epsilon
 
 
@@ -666,24 +667,22 @@ def symmetry_defect(op: LinearChainOperator) -> float:
     return _transpose_gap(op.runs) / op.config.epsilon**2
 
 
-def hessian_consistency_check(
-    kind: ModelKind,
-    config: ChainConfig,
-    potential: PairPotential,
-    partition: RegionPartition | None = None,
-    step: float = 1e-5,
-) -> float:
+def hessian_consistency_check(kind: ModelKind, config: ChainConfig, potential: PairPotential,
+                              partition: RegionPartition | None = None, step: float = 1e-5) -> float:
     """Worst deviation (in eps^2 stencil units) between the assembled linear
     part and central finite differences of the analytic scaled gradient,
     taken with a strain-sized step eps*step. Raises ValueError for a step
-    that is zero or not finite."""
+    that is zero or not finite, or whose eps*step is below the smallest
+    normal float (a subnormal or zero h)."""
     kind = ModelKind(kind)
     if kind not in ENERGY_BASED:
         raise ValueError(f"{kind.value} does not derive from an energy")
     if config.N > 512:
         raise ValueError("hessian check is a dense diagnostic; use N <= 512")
     N, eps = config.N, config.epsilon
-    h = eps * _finite_step(step)
+    if abs(h := eps * _finite_step(step)) < np.finfo(float).tiny:
+        raise ValueError(f"step {step} at N={N} gives a strain step eps * step = {h} "
+                         f"below the smallest normal float")
     op = assemble_operator(kind, config, potential, partition=partition)
     fd = np.zeros((N, N))
     base = np.zeros(N)

@@ -744,12 +744,16 @@ def test_hessian_check_rejects_force_based():
         hessian_consistency_check(ModelKind.QCF, config, POT1, partition=HALF_PART)
 
 
-@pytest.mark.parametrize("step", [0.0, math.nan, math.inf])
+@pytest.mark.parametrize("step", [0.0, math.nan, math.inf, 5e-324, -1e-307])
 def test_hessian_check_names_a_degenerate_step(step):
-    # step=0 returned NaN behind a RuntimeWarning, and step=nan was refused
-    # as a field that is not finite at atom 1
+    # step=0 and step=5e-324 (whose eps * step underflows to 0) returned NaN
+    # behind a RuntimeWarning, and step=nan was refused as a field that is
+    # not finite at atom 1
     config = ChainConfig(N=32, F=1.2, R=2)
-    with pytest.raises(ValueError, match=rf"^step must be finite and nonzero, got {step}$"):
+    tiny = {5e-324: "0.0", -1e-307: "-3.125e-309"}  # eps * step at N = 32
+    want = (f"step {step} at N=32 gives a strain step eps * step = {tiny[step]} below the "
+            "smallest normal float" if step in tiny else f"step must be finite and nonzero, got {step}")
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         hessian_consistency_check(ModelKind.ATOMISTIC, config, POT1, step=step)
 
 
@@ -1636,6 +1640,80 @@ def test_singular_lennard_jones_bond_is_named(kind):
         with pytest.raises(ValueError, match=want):
             fn(kind, config, lennard_jones(), field, partition=part)
     assert math.isfinite(total_energy(kind, config, POT1, field, partition=part))
+
+
+@pytest.mark.parametrize("kind, atom, named", [
+    (ModelKind.QCE, 17, 16), (ModelKind.QNL, 17, 17), (ModelKind.ATOMISTIC, 17, 17),
+    (ModelKind.QCE, 1, 1), (ModelKind.QNL, 1, 1), (ModelKind.ATOMISTIC, 1, 1),
+])
+def test_singular_bond_is_named_at_a_cut_and_across_the_wrap(kind, atom, named):
+    """Bond (16, 17) crosses the cut of (0, 0.5]: QCE first reads it from its
+    second A-anchored group, whose window is shifted by one, at atom 16; the
+    every-atom shell-1 group of QNL and the atomistic kind reads it at atom
+    17. Bond (32, 1) crosses the wrap and is read at atom 1 by every kind."""
+    config = ChainConfig(N=32, F=1.1, R=2)
+    u = np.zeros(32)
+    u[atom - 1] = -1.2 * config.epsilon
+    s = config.F + u[atom - 1] / config.epsilon
+    want = (f"lennard_jones is singular at bond argument s = {float(s)!r}: {kind.value} "
+            f"bond of shell r=1 anchored at atom {named}")
+    part = None if kind is ModelKind.ATOMISTIC else HALF_PART
+    for fn in (total_energy, energy_gradient):
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            fn(kind, config, lennard_jones(), PeriodicField(config, u), partition=part)
+
+
+def test_a_singular_argument_that_no_group_reads_is_not_refused(monkeypatch):
+    """QCE's shell-2 atomistic argument at atom i, rF + (u_i - u_{i-2})/eps,
+    is read where atom i or atom i - 2 lies in A. A stand-in potential is
+    singular at exactly one of its values: at atom 25 (C, as is atom 23) it
+    is read by no group, and the energy and gradient keep their bits; at
+    atom 5 (A) it is named."""
+    config = ChainConfig(N=32, F=1.1, R=2)
+    u = PeriodicField(config, 0.01 * np.random.default_rng(3).standard_normal(32) / 32)
+    pot, v = lennard_jones(), u.values
+    want = [fn(ModelKind.QCE, config, pot, u, partition=HALF_PART)
+            for fn in (total_energy, energy_gradient)]
+    for atom, named in ((25, None), (5, 5)):
+        target = 2 * config.F + (0 + 1.0 * v[atom - 1] + -1.0 * v[atom - 3]) / config.epsilon
+
+        def singular(pot, s, target=target):
+            return np.asarray(s) == target
+
+        def evaluate_(pot, s, order, singular=singular):
+            if singular(pot, s).any():
+                raise ValueError("stand-in potential is singular")
+            return evaluate(pot, s, order)
+
+        monkeypatch.setattr("qclab.models.singular", singular)
+        monkeypatch.setattr("qclab.models.evaluate", evaluate_)
+        for fn, value in zip((total_energy, energy_gradient), want):
+            if named is None:
+                got = fn(ModelKind.QCE, config, pot, u, partition=HALF_PART)
+                assert np.asarray(got).tobytes() == np.asarray(value).tobytes()
+                continue
+            with pytest.raises(ValueError, match=re.escape(
+                    f"s = {float(target)!r}: qce bond of shell r=2 anchored at atom {named}")):
+                fn(ModelKind.QCE, config, pot, u, partition=HALF_PART)
+
+
+@pytest.mark.parametrize("kind, R, calls", [
+    (ModelKind.QCE, 2, 3), (ModelKind.QNL, 2, 3),
+    *((k, R, R) for k in (ModelKind.ATOMISTIC, ModelKind.CONTINUUM) for R in (1, 2, 3)),
+])
+def test_each_distinct_bond_argument_is_evaluated_once(kind, R, calls, monkeypatch):
+    # QCE's 8 bond-term groups and QNL's 4 read three arguments: phi(F + s1),
+    # phi(2F + s2) and phi(2F + 2 s1); the pure kinds read one per shell
+    config = ChainConfig(N=32, F=1.1, R=R)
+    u = PeriodicField(config, 0.01 * np.random.default_rng(R).standard_normal(32) / 32)
+    part = HALF_PART if kind in COUPLED else None
+    seen = []
+    monkeypatch.setattr("qclab.models.evaluate", lambda *a: seen.append(a) or evaluate(*a))
+    for pot in (POT1, lennard_jones()):
+        for fn in (total_energy, energy_gradient):
+            seen.clear()
+            fn(kind, config, pot, u, partition=part)
+            assert len(seen) == calls, (fn.__name__, pot.kind)
 
 
 @pytest.mark.parametrize(
