@@ -38,6 +38,7 @@ from .models import (
     ModelKind,
     _bound_C,
     _constants_defect,
+    _field_values,
     _moment_defect,
     _run_moments,
     _Runs,
@@ -427,13 +428,14 @@ def solve_equilibrium(op: LinearChainOperator, f) -> PeriodicField:
     one `_runs_apply` pass sums A u and |A| |u| from the same products. The
     ghost is not read (it may be broadcast); u is returned without a copy.
 
-    Raises ValueError for a right-hand side of another shape than (N,) or
-    with a non-finite entry, for an operator with nonzero row sums and for
-    a band that is neither symmetric nor a half-width-2 band that passes the
-    patch test; NumericalError when C or T is singular, when the kernel is
-    larger than the constants, or when the residual misses the contract.
+    Raises ValueError for a right-hand side of another shape than (N,), on
+    another chain (a PeriodicField) or with a non-finite entry, for an
+    operator with nonzero row sums and for a band that is neither symmetric
+    nor a half-width-2 band that passes the patch test; NumericalError when
+    C or T is singular, when the kernel is larger than the constants, or
+    when the residual misses the contract.
     """
-    fv = f.values if isinstance(f, PeriodicField) else np.asarray(f, dtype=float)
+    fv = _field_values(op.config, f)
     N = op.config.N
     if fv.shape != (N,):
         raise ValueError(f"right-hand side has shape {fv.shape}, expected ({N},)")

@@ -6,7 +6,7 @@ second-neighbor operator form an integer linear system in the m(m+1)/2
 symmetric block unknowns. Entries outside the block are pinned by symmetry
 with the pure rows: continuum values for columns j < 1, atomistic values for
 j > m. All quantities are in dimensionless second-neighbor (L2) units, with
-pure stencils
+the pure stencils the models assemble, read off `models._block_frame`:
 
     atomistic  (-1, 0, 2, 0, -1)      continuum  (0, -4, 8, -4, 0).
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import _integer
-from .models import ATOM_L2, CONT_L2, InterfaceStencil
+from .models import InterfaceStencil, _block_frame
 
 POWERS = (0, 1, 2)  # moments against u_j = 1, j, j^2
 
@@ -91,13 +91,12 @@ def _equations(m: int, n_unknowns: int, column):
     column maps integer arrays of i and j elementwise.
 
     Columns run over j = -1 .. m+2, every column a second-neighbor row of
-    the block reaches.
+    the block reaches. A pure entry that is not an integer raises CertificateError.
     """
-    i = np.arange(1, m + 1)[:, None]                    # block rows
-    j = np.arange(-1, m + 3)                            # columns
-    off = j - i
-    la = sum(c * (off == o) for o, c in ATOM_L2.items())
-    lc = sum(c * (off == o) for o, c in CONT_L2.items())
+    i, j, pure = _block_frame(m)
+    lc, la = ints = pure.astype(np.int64)
+    if not (ints == pure).all():  # else the integer sums below would truncate it
+        raise CertificateError(f"m={m}: pure L2 entry {pure[ints != pure][0]} is not an integer")
     # defect weight of each column: L^c - L^a where j < 1 is pinned to the
     # continuum, -L^a where the block unknown sits, zero where j > m is
     # pinned atomistic
@@ -237,12 +236,8 @@ def qcf_witness_block(m: int) -> np.ndarray:
     """Unsymmetric block realizing zero defect for m >= 4: rows 1..m//2 (at
     least the first two) are pure continuum stencils, the rest (at least the
     last two) pure atomistic, so every row's moments vanish and the pinned
-    off-block entries are matched exactly."""
+    off-block entries (the equations' `_block_frame`) are matched exactly."""
     if m < 4:
         raise ValueError("the force-based witness needs m >= 4")
-    block = np.zeros((m, m))
-    for i in range(1, m + 1):
-        native = CONT_L2 if i <= m // 2 else ATOM_L2
-        for j in range(1, m + 1):
-            block[i - 1, j - 1] = native.get(j - i, 0)
-    return block
+    i, _, (cont, atom) = _block_frame(m)
+    return np.where(i <= m // 2, cont[:, 2:m + 2], atom[:, 2:m + 2])

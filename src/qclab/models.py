@@ -13,8 +13,8 @@ difference pattern. Everything else derives from that table:
 
 Operators store their rows in eps^2-scaled dimensionless units (integer or
 small-rational entries for unit moduli); application divides by eps^2. The
-force-based QCF and the parametric interface-stencil model are assembled
-directly from closed-form rows and carry no energy.
+force-based QCF and the parametric interface-stencil model carry no energy:
+they read the pure rows off the atomistic and continuum tables (`_pure_rows`).
 
 An operator is assembled from a small table of the kind's distinct rows and
 a per-atom code into it, and stores its runs: the atoms where the code
@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import ChainConfig, PeriodicField, wrap_pad
+from .chain import ChainConfig, PeriodicField, _integer, wrap_pad
 from .potentials import PairPotential, _finite_step, evaluate, singular
 from .regions import RegionPartition, classify, membership_mask
 
@@ -58,14 +58,6 @@ ENERGY_BASED = frozenset(
 )
 COUPLED = frozenset({ModelKind.QCE, ModelKind.QNL, ModelKind.QCF, ModelKind.CUSTOM})
 
-# The integer stencils, offset -> coefficient, behind every force-based row
-# and the interface certificate: the first-neighbor row shared by every model,
-# (L1 u)_j = -eps^2 D^2 u_j, and the pure atomistic and continuum
-# second-neighbor (L2) rows in dimensionless L2 units.
-L1_ROW = {-1: -1, 0: 2, 1: -1}
-ATOM_L2 = {-2: -1, 0: 2, 2: -1}
-CONT_L2 = {-1: -4, 0: 8, 1: -4}
-
 # Largest |ghost| (force units) for which an operator still has a strain form,
 # and largest max |row sum| / max |entry| of a band that annihilates constants.
 STRAIN_FORM_TOL = 1e-12
@@ -80,6 +72,8 @@ class InterfaceStencil:
     block: np.ndarray
 
     def __init__(self, m: int, block):
+        if (m := _integer("m", m)) < 1:
+            raise ValueError(f"m must be positive, got {m}")
         blk = np.asarray(block, dtype=float).copy()
         if blk.shape != (m, m):
             raise ValueError(f"expected a {m}x{m} block, got {blk.shape}")
@@ -90,7 +84,7 @@ class InterfaceStencil:
         if not np.array_equal(blk, blk.T):
             raise ValueError("interface stencil block must be exactly symmetric")
         blk.flags.writeable = False
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "block", blk)
 
 
@@ -197,13 +191,22 @@ class LinearChainOperator:
         return A / self.config.epsilon**2
 
 
+def _field_values(config: ChainConfig, u) -> np.ndarray:
+    """The values of u, a PeriodicField on config's chain or an array-like;
+    raises ValueError for a field of another chain, naming both."""
+    if not isinstance(u, PeriodicField):
+        return np.asarray(u, dtype=float)
+    if u.config != config:
+        raise ValueError(f"operator and field live on different chains: {config} and {u.config}")
+    return u.values
+
+
 def apply(op: LinearChainOperator, u):
     """Apply the affine operator: linear part plus ghost field; u is a
-    PeriodicField or an array-like of N values."""
-    v = u.values if isinstance(u, PeriodicField) else np.asarray(u, dtype=float)
-    out = apply_linear(op, v) + op.ghost
+    PeriodicField on op's chain or an array-like of N values."""
+    out = apply_linear(op, _field_values(op.config, u)) + op.ghost
     if isinstance(u, PeriodicField):
-        return PeriodicField(u.config, out)
+        return PeriodicField(op.config, out)
     return out
 
 
@@ -437,7 +440,7 @@ def _energy_tables(kind: ModelKind, R: int):
     kind's `_indicator` (QCE: offsets -2..2, QNL: -2..0). bands[r-1, code]
     and gweights[r-1, code] are shell r's band row and gradient weight: sums
     of products of small integers and halves, exact in any order, so each
-    row has the bits of a scatter."""
+    row has the bits of a scatter. The pure rows are read off them (`_pure_rows`)."""
     spec = _term_spec(kind, R)
     bits = sorted({o1 for g in spec if g.anchors is not None for o1, _ in g.pattern})
     codes = np.arange(2 ** len(bits))
@@ -464,12 +467,21 @@ def _row_codes(kind: ModelKind, bits, mask) -> np.ndarray:
     return code
 
 
-def _stencil_row(row_map: dict, K: int) -> np.ndarray:
-    """The offset -> coefficient table as one row of a half-width-K band."""
-    row = np.zeros(2 * K + 1)
-    for off, c in row_map.items():
-        row[K + off] = c
-    return row
+def _pure_rows(K: int) -> np.ndarray:
+    """The first-neighbor row (L1 u)_j = -eps^2 D^2 u_j and the pure continuum and
+    atomistic L2 rows as rows of a half-width-K >= 2 band: the shells of the R = 2
+    atomistic and continuum `_energy_tables` at code 0, the rows the energies assemble."""
+    rows, atom = np.zeros((3, 2 * K + 1)), _energy_tables(ModelKind.ATOMISTIC, 2)[1]
+    rows[:, K - 2:K + 3] = atom[0, 0], _energy_tables(ModelKind.CONTINUUM, 2)[1][1, 0], atom[1, 0]
+    return rows
+
+
+def _block_frame(m: int):
+    """An m-atom interface block's rows i = 1..m (a column), the columns j = -1..m+2
+    its second-neighbor rows reach, and the continuum and atomistic entries of row i
+    at column j, stacked (the L2 rows of `_pure_rows`)."""
+    i, j = np.arange(1, m + 1)[:, None], np.arange(-1, m + 3)
+    return i, j, _pure_rows(m + 1)[1:, m + 1 + j - i]
 
 
 def assemble_from_moduli(
@@ -535,26 +547,26 @@ def _assembled(kind: ModelKind, config: ChainConfig, partition, stencil, moduli:
             if K > N:  # only without interfaces: classify fits every block in the ring
                 raise ValueError(f"custom block of width m={m} needs a band of half-width {K}, "
                                  f"which wraps the ring of N={N} atoms more than once")
-        l2 = [_stencil_row(CONT_L2, K), _stencil_row(ATOM_L2, K)]
+        l1, *l2 = _pure_rows(K)
         if kind is ModelKind.CUSTOM:
             # block row i reads continuum values at j < 1, the block at
             # 1 <= j <= m and atomistic values at j > m (j = -1 .. m+2)
-            i, js = np.arange(1, m + 1)[:, None], np.arange(-1, m + 3)
-            coeffs = np.where(js < 1, l2[0][K + js - i], l2[1][K + js - i])
+            i, js, (cont, atom) = _block_frame(m)
+            coeffs = np.where(js < 1, cont, atom)
             coeffs[:, 2:m + 2] = stencil.block
             rows = np.zeros((2, m, 2 * K + 1))
             for side, direction in enumerate((1, -1)):
                 rows[side, i - 1, K + direction * (js - i)] += coeffs
             l2 += list(rows.reshape(2 * m, 2 * K + 1))
             if m == 1:  # codes 4 (CA) and 5 (AC): the continuum atom before the block
-                # reads the atomistic atom after it as that one reads it back
-                l2 += [l2[0] + _stencil_row({0: 1, 2: -1}, K)[::d] for d in (1, -1)]
+                # reads the atomistic atom after it as that one reads it back (K = 2)
+                l2 += [l2[0] + np.array([0.0, 0.0, 1.0, 0.0, -1.0])[::d] for d in (1, -1)]
             code = code.astype(np.min_scalar_type(len(l2) - 1))
             ac = np.array([cut == "AC" for _, cut in regions.boundaries], dtype=bool)
             if m == 1:  # the continuum neighbour sits before a CA block, after an AC one
                 code[(regions.blocks[:, 0] - 1 + np.where(ac, 1, -1)) % N] = 4 + ac
             code[regions.blocks - 1] = np.arange(2, m + 2) + m * ac[:, None]
-        table = second[0] * _stencil_row(L1_ROW, K) + second[1] * np.array(l2)
+        table = second[0] * l1 + second[1] * np.array(l2)
         gtable = np.zeros(len(table))
     # a run can start only at atom 1 and where the code changes
     starts = np.concatenate(([0], (code[1:] != code[:-1]).nonzero()[0] + 1))
@@ -574,10 +586,18 @@ def assemble_operator(
 ) -> LinearChainOperator:
     """Linearize a model at u = 0: linear part (1/eps) Hessian of the energy,
     ghost field (1/eps) grad E(0). QCF/custom are assembled from their
-    defining rows and have zero ghost."""
+    defining rows and have zero ghost. Raises ValueError naming the first shell
+    whose bond length rF is singular for the potential."""
     kind = ModelKind(kind)
     rF = np.arange(1, config.R + 1) * config.F  # the shells' bond lengths at u = 0
-    second, first = evaluate(potential, rF, 2), evaluate(potential, rF, 1)
+    try:
+        second, first = evaluate(potential, rF, 2), evaluate(potential, rF, 1)
+    except ValueError:  # named only on refusal, so a good chain pays nothing for it
+        if not (bad := singular(potential, rF)).any():
+            raise
+        r = int(bad.argmax()) + 1
+        raise ValueError(f"{potential.kind} is singular at the bond length rF = "
+                         f"{float(rF[r - 1])!r} of shell r={r} (F={config.F})") from None
     return assemble_from_moduli(kind, config, second, first, partition=partition, stencil=stencil)
 
 
@@ -599,11 +619,10 @@ class StrainFormOperator:
     bound_C: float
 
     def apply_strain(self, du):
-        v = du.values if isinstance(du, PeriodicField) else np.asarray(du, float)
-        out = _runs_apply(self.runs, v)
+        out = _runs_apply(self.runs, _field_values(self.config, du))
         out /= self.config.epsilon
         if isinstance(du, PeriodicField):
-            return PeriodicField(du.config, out)
+            return PeriodicField(self.config, out)
         return out
 
 

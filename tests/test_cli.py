@@ -142,6 +142,13 @@ def test_energy_rejects_force_based_model(tmp_path, capsys):
     assert "no energy" in capsys.readouterr().err
 
 
+def test_stencil_names_a_singular_lennard_jones_bond_length(tmp_path, capsys):
+    # exited 2 with evaluate's bare "lennard_jones is singular at s <= 0"
+    assert run(["stencil"], tmp_path, config_text="potential = lj\nF = 0\n") == 2
+    err = capsys.readouterr().err
+    assert "singular at the bond length rF = 0.0 of shell r=1 (F=0.0)" in err
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     code = main(["energy", "--config", str(tmp_path / "absent.cfg")])
     assert code == 2
@@ -276,7 +283,7 @@ import numpy as np
 from qclab import (ChainConfig, InterfaceStencil, ModelKind, RegionPartition,
                    assemble_operator, convergence_study, harmonic, solve_equilibrium)
 from qclab.cli import main
-from qclab.models import ATOM_L2, CONT_L2
+ATOM_L2, CONT_L2 = {-2: -1, 0: 2, 2: -1}, {-1: -4, 0: 8, 1: -4}
 part = RegionPartition([(0.0, 0.5)], interface_width_m=4, reach=2)
 witness = lambda x: np.sin(2.0 * np.pi * np.asarray(x) + 0.3)
 for kind in ("qnl", "qcf"):

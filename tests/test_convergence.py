@@ -43,11 +43,14 @@ from qclab.convergence import (
     _stress_diagonals,
     _stress_lu,
 )
-from qclab.models import ATOM_L2, CONT_L2, COUPLED, LinearChainOperator
+from qclab.models import COUPLED, LinearChainOperator
 from qclab.potentials import evaluate, lennard_jones
 
 HALF_PART = RegionPartition([(0.0, 0.5)], interface_width_m=4, reach=2)
 POT1 = harmonic(1.0, 1.0)
+# the pure L2 rows, offset -> coefficient, written out as literals
+ATOM_L2 = {-2: -1, 0: 2, 2: -1}
+CONT_L2 = {-1: -4, 0: 8, 1: -4}
 
 
 def bordered_reference(op, f):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import qclab.impossibility as imp
+import qclab.models as models
 from qclab import (
     ChainConfig,
     ModelKind,
@@ -25,6 +27,7 @@ from qclab import (
 )
 from qclab.cli import main
 from qclab.models import InterfaceStencil
+import test_models
 
 ATOM_L2 = {-2: -1, -1: 0, 0: 2, 1: 0, 2: -1}
 CONT_L2 = {-2: 0, -1: -4, 0: 8, 1: -4, 2: 0}
@@ -434,3 +437,55 @@ def test_argmin_stencil_roundtrip():
     s = build_constraint_system(3)
     x = s.block_to_vector(result.stencil.block)
     np.testing.assert_allclose(s.vector_to_block(x), result.stencil.block)
+
+
+def test_the_pure_rows_have_one_source(monkeypatch):
+    """A patched atomistic shell-2 row of models._energy_tables moves QCF's
+    atomistic rows, CUSTOM's pinned entries, the consistency equations and
+    the force-based witness together, each against an oracle that reads the
+    same patched row from its own literals; a half-integer row makes the
+    equations refuse rather than truncate."""
+    tables = models._energy_tables
+
+    def patch(scale):
+        def patched(kind, R):
+            bits, bands, gweights = tables(kind, R)
+            if kind is ModelKind.ATOMISTIC and R == 2:
+                bands = bands * np.array([1.0, scale])[:, None, None]
+            return bits, bands, gweights
+        monkeypatch.setattr(models, "_energy_tables", patched)
+        for cache in (models._assembled, imp.build_constraint_system):
+            cache.cache_clear()
+
+    scaled = {o: 2 * c for o, c in ATOM_L2.items()}
+    for module in (test_models, sys.modules[__name__]):
+        monkeypatch.setattr(module, "ATOM_L2", scaled)
+    try:
+        patch(2.0)
+        config = ChainConfig(N=64, F=1.2, R=2)
+        part = RegionPartition([(0.0, 0.5)], interface_width_m=4, reach=2)
+        b = np.random.default_rng(29).standard_normal((4, 4))
+        for kind, stencil in ((ModelKind.QCF, None), (ModelKind.CUSTOM, InterfaceStencil(4, b + b.T))):
+            op = assemble_operator(kind, config, harmonic(1.0, 1.0), partition=part, stencil=stencil)
+            want = test_models.native_rows_reference(kind, config, [1.0, 1.0], part, stencil)
+            assert np.ascontiguousarray(op.band).tobytes() == want.tobytes(), kind
+            if kind is ModelKind.QCF:  # L1 plus twice the atomistic L2 row, deep in A
+                assert op.row(16)[1].tolist() == [-2.0, -1.0, 6.0, -1.0, -2.0]
+        for m in range(1, 9):
+            col_of = {pair: idx for idx, pair in enumerate(imp.pair_index(m))}
+            s = build_constraint_system(m)
+            want = equations_loop(m, len(col_of), lambda i, j: col_of[min(i, j), max(i, j)])
+            assert np.array_equal(s.matrix, want[0]) and np.array_equal(s.rhs, want[1]), m
+            if m >= 4:
+                native = [CONT_L2 if i <= m // 2 else scaled for i in range(1, m + 1)]
+                want = [[native[i - 1].get(j - i, 0) for j in range(1, m + 1)] for i in range(1, m + 1)]
+                assert qcf_witness_block(m).tolist() == want, m
+        patch(1.5)
+        for m in (1, 4):
+            with pytest.raises(imp.CertificateError, match=rf"m={m}: pure L2 entry -1.5 is not an integer"):
+                build_constraint_system(m)
+            with pytest.raises(imp.CertificateError, match="is not an integer"):
+                min_residual(m, symmetric=False)
+    finally:
+        for cache in (models._assembled, imp.build_constraint_system):
+            cache.cache_clear()

@@ -44,11 +44,8 @@ from qclab import (
 from qclab.consistency import _moment_sums
 from conftest import POTENTIALS, _block_atoms_reference, draw_geometry
 from qclab.models import (
-    ATOM_L2,
-    CONT_L2,
     COUPLED,
     ENERGY_BASED,
-    L1_ROW,
     _TermGroup,
     _assembled,
     _band_of,
@@ -59,7 +56,6 @@ from qclab.models import (
     _row_codes,
     _run_moments,
     _runs_apply,
-    _stencil_row,
     _telescope,
     _term_spec,
     _transpose_gap,
@@ -72,6 +68,20 @@ POT1 = harmonic(1.0, 1.0)
 
 ATOM_ROW = np.array([-1.0, -1.0, 4.0, -1.0, -1.0])
 CONT_ROW = np.array([0.0, -5.0, 10.0, -5.0, 0.0])
+
+# The pure rows, offset -> coefficient, written out independently of the
+# bond-term tables that qclab reads them from.
+L1_ROW = {-1: -1, 0: 2, 1: -1}
+ATOM_L2 = {-2: -1, 0: 2, 2: -1}
+CONT_L2 = {-1: -4, 0: 8, 1: -4}
+
+
+def stencil_row(row_map, K):
+    """The offset -> coefficient table as one row of a half-width-K band."""
+    row = np.zeros(2 * K + 1)
+    for off, c in row_map.items():
+        row[K + off] = c
+    return row
 
 
 def brute_force_energy(kind, config, pot, u):
@@ -154,7 +164,7 @@ def native_rows_reference(kind, config, second, partition, stencil=None):
     regions = classify(partition, config)
     m = partition.interface_width_m
     K = 2 if kind is ModelKind.QCF else max(2, m + 1)
-    l2 = np.where(regions.in_atomistic[:, None], _stencil_row(ATOM_L2, K), _stencil_row(CONT_L2, K))
+    l2 = np.where(regions.in_atomistic[:, None], stencil_row(ATOM_L2, K), stencil_row(CONT_L2, K))
     if kind is ModelKind.CUSTOM:
         js = np.arange(-1, m + 3)
         for boundary in regions.boundaries:
@@ -172,7 +182,7 @@ def native_rows_reference(kind, config, second, partition, stencil=None):
                 neighbour = (atoms[0] - 1 - direction) % config.N
                 l2[neighbour, K] += 1.0
                 l2[neighbour, K + 2 * direction] -= 1.0
-    return second[0] * _stencil_row(L1_ROW, K) + second[1] * l2
+    return second[0] * stencil_row(L1_ROW, K) + second[1] * l2
 
 
 def bond_arguments_modulo(kind, config, u, partition):
@@ -935,6 +945,14 @@ def test_interface_stencil_names_an_entry_that_is_not_finite(bad):
     block[2, 1] = block[1, 2] = bad
     with pytest.raises(ValueError, match=rf"not finite at row 2, column 3: {bad}$"):
         InterfaceStencil(3, block)
+
+
+@pytest.mark.parametrize("m", [2.0, 0, -1])
+def test_interface_stencil_refuses_an_m_that_is_not_a_positive_integer(m):
+    # 2.0 went through int(), and 0 was accepted with an empty block
+    want = "m must be an integer, got 2.0" if isinstance(m, float) else f"m must be positive, got {m}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        InterfaceStencil(m, np.zeros((2, 2)) if m == 2.0 else np.zeros((0, 0)))
 
 
 def test_custom_operator_is_symmetric_with_zero_ghost():
@@ -1744,6 +1762,39 @@ def test_energy_path_rejects_a_field_of_another_chain(kind, field_N):
     for fn in (total_energy, energy_gradient):
         with pytest.raises(ValueError, match=want):
             fn(kind, config, POT1, field, partition=part)
+
+
+def test_operator_entry_points_refuse_a_field_of_another_chain():
+    # apply and apply_strain labelled their result with the field's chain,
+    # and solve_equilibrium solved for it; a raw array keeps its checks
+    config, other = ChainConfig(N=16, F=1.2), ChainConfig(N=16, F=2.0)
+    op = assemble_operator(ModelKind.ATOMISTIC, config, POT1)
+    field = sample_field(default_witness, other)
+    want = re.escape(f"operator and field live on different chains: {config} and {other}")
+    for fn in (lambda f: apply(op, f), to_strain_form(op).apply_strain,
+               lambda f: solve_equilibrium(op, f)):
+        with pytest.raises(ValueError, match=want):
+            fn(field)
+        fn(field.values)
+        assert fn(sample_field(default_witness, config)).config == config
+
+
+@pytest.mark.parametrize("F", [0.0, -1.1])
+@pytest.mark.parametrize("kind", [ModelKind.ATOMISTIC, ModelKind.QCF])
+def test_lennard_jones_assembly_names_a_singular_bond_length(kind, F):
+    # evaluate's bare "lennard_jones is singular at s <= 0" named no bond
+    config = ChainConfig(N=64, F=F, R=2)
+    want = re.escape(f"lennard_jones is singular at the bond length rF = {F!r} of shell r=1 (F={F})")
+    with pytest.raises(ValueError, match=want):
+        assemble_operator(kind, config, lennard_jones(), partition=HALF_PART)
+
+
+def test_assembly_passes_an_evaluate_error_that_is_no_singular_bond(monkeypatch):
+    def refuse(potential, s, order=0):
+        raise ValueError("a stand-in refusal")
+    monkeypatch.setattr("qclab.models.evaluate", refuse)
+    with pytest.raises(ValueError, match="^a stand-in refusal$"):
+        assemble_operator(ModelKind.ATOMISTIC, ChainConfig(N=16, F=1.1), lennard_jones())
 
 
 def test_symmetry_defect_of_a_band_holding_a_nan_is_nan():
