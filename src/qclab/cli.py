@@ -335,7 +335,7 @@ def cmd_certify(cfg: RunConfig, args) -> int:
                 f"bound {bound:.8f}"
             )
     _emit(cfg.out, ("m", "value", "min_residual", "bound"), rows)
-    if cfg.m_max >= 4:
+    if args.report and cfg.m_max >= 4:  # the unsymmetric diagnostic is read only here
         unsym = min_residual(4, symmetric=False).residual
         lines.append(
             f"symmetry dropped at m=4: residual {unsym:.2e} (force-based witness feasible)"

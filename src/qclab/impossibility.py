@@ -40,9 +40,18 @@ class CertificateError(RuntimeError):
 
 def pair_index(m: int):
     """Ordered unknowns (k, l), k <= l, of the symmetric m x m block: the
-    upper triangle in row-major order, as np.triu_indices(m) gives it."""
-    k, l = np.triu_indices(m)
-    return list(zip((k + 1).tolist(), (l + 1).tolist()))
+    upper triangle in row-major order."""
+    return [(k, l) for k in range(1, m + 1) for l in range(k, m + 1)]
+
+
+@functools.lru_cache(maxsize=1)
+def _positions(m: int) -> np.ndarray:
+    """Read-only (m, m) map of 0-based block entry (k, l) to its unknown in pair_index(m)."""
+    k = np.arange(m)
+    lo, hi = np.minimum.outer(k, k), np.maximum.outer(k, k)
+    pos = lo * m - lo * (lo - 1) // 2 + hi - lo
+    pos.flags.writeable = False
+    return pos
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,14 +72,10 @@ class ConstraintSystem:
         return row // 3 + 1, POWERS[row % 3]
 
     def block_to_vector(self, block: np.ndarray) -> np.ndarray:
-        return np.asarray(block, dtype=float)[np.triu_indices(self.m)]
+        return np.asarray(block, dtype=float)[np.tri(self.m, dtype=bool).T]  # upper triangle
 
     def vector_to_block(self, x: np.ndarray) -> np.ndarray:
-        k, l = np.triu_indices(self.m)
-        blk = np.zeros((self.m, self.m))
-        blk[k, l] = x
-        blk[l, k] = x
-        return blk
+        return np.asarray(x, dtype=float)[_positions(self.m)]
 
     def defect(self, x: np.ndarray) -> np.ndarray:
         """Moment defects sum_j (L^qc - L^a)_{ij} p(j) at candidate x."""
@@ -85,10 +90,10 @@ def _consistency_rows(m: int) -> np.ndarray:
     return np.flatnonzero(np.arange(3 * m) % 3)
 
 
-def _equations(m: int, n_unknowns: int, column):
+def _equations(m: int, n_unknowns: int, column: np.ndarray):
     """Integer (matrix, rhs) of the consistency equations, defect = rhs -
-    matrix . x, where block entry (i, j) is the unknown x[column(i, j)];
-    column maps integer arrays of i and j elementwise.
+    matrix . x, where block entry (i, j) is the unknown x[column[i-1, j-1]].
+    Each row of column is one-to-one, so one assignment sets every entry.
 
     Columns run over j = -1 .. m+2, every column a second-neighbor row of
     the block reaches. A pure entry that is not an integer raises CertificateError.
@@ -101,11 +106,10 @@ def _equations(m: int, n_unknowns: int, column):
     # continuum, -L^a where the block unknown sits, zero where j > m is
     # pinned atomistic
     weight = np.where(j < 1, lc - la, np.where(j <= m, -la, 0))
-    rhs = (weight @ (j ** np.array(POWERS)[:, None]).T).reshape(-1)  # row 3(i-1) + ip
+    jp = j ** np.array(POWERS)[:, None]  # (power, column)
+    rhs = (weight @ jp.T).reshape(-1)  # row 3(i-1) + ip
     matrix = np.zeros((3 * m, n_unknowns), dtype=np.int64)
-    bi, bj = np.broadcast_arrays(i, np.arange(1, m + 1))
-    for ip, p in enumerate(POWERS):
-        np.subtract.at(matrix, (3 * (bi - 1) + ip, column(bi, bj)), bj**p)
+    matrix[3 * (i - 1) + np.arange(len(POWERS))[:, None, None], column] = -jp[:, None, 2:m + 2]
     return matrix, rhs
 
 
@@ -121,12 +125,8 @@ def build_constraint_system(m: int) -> ConstraintSystem:
     m = _integer("m", m)
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    k, l = np.triu_indices(m)
-    column = np.empty((m, m), dtype=np.int64)  # position of (k, l) in pair_index(m)
-    column[k, l] = column[l, k] = np.arange(len(k))
-    matrix, rhs = _equations(m, len(k), lambda i, j: column[i - 1, j - 1])
-    matrix.flags.writeable = False
-    rhs.flags.writeable = False
+    matrix, rhs = _equations(m, m * (m + 1) // 2, _positions(m))
+    matrix.flags.writeable = rhs.flags.writeable = False
     return ConstraintSystem(m=m, matrix=matrix, rhs=rhs)
 
 
@@ -223,7 +223,7 @@ def min_residual(m: int, symmetric: bool = True) -> MinResidualResult:
     else:  # free m x m block, row-major unknowns
         if m < 1:
             raise ValueError(f"m must be positive, got {m}")
-        matrix, rhs = _equations(m, m * m, lambda i, j: (i - 1) * m + (j - 1))
+        matrix, rhs = _equations(m, m * m, np.arange(m * m).reshape(m, m))
     M = matrix[rows].astype(float)
     b = rhs[rows].astype(float)
     x, *_ = np.linalg.lstsq(M, b, rcond=None)
@@ -237,6 +237,7 @@ def qcf_witness_block(m: int) -> np.ndarray:
     least the first two) are pure continuum stencils, the rest (at least the
     last two) pure atomistic, so every row's moments vanish and the pinned
     off-block entries (the equations' `_block_frame`) are matched exactly."""
+    m = _integer("m", m)
     if m < 4:
         raise ValueError("the force-based witness needs m >= 4")
     i, _, (cont, atom) = _block_frame(m)

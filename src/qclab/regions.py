@@ -98,11 +98,18 @@ def membership_mask(partition: RegionPartition, config: ChainConfig) -> np.ndarr
     problems = validate(partition)
     if problems:
         raise ValueError("invalid partition: " + "; ".join(problems))
-    x = config.positions()
     mask = np.zeros(config.N, dtype=bool)
-    for a, b in partition.atomistic_intervals:
-        mask |= (x > a) & (x <= b)
+    for a, b in partition.atomistic_intervals:  # the atoms with a < i/N <= b, as one slice
+        mask[_first_above(a, config.N) - 1:_first_above(b, config.N) - 1] = True
     return mask
+
+
+def _first_above(x: float, N: int) -> int:
+    """Least i with i/N > x, the compare positions() makes; int(x N) - 1 is below it."""
+    i = int(x * N) - 1
+    while i / N <= x:
+        i += 1
+    return i
 
 
 def region_boundaries(mask: np.ndarray) -> list:

@@ -79,9 +79,71 @@ def test_equations_match_loop_reference():
         want = equations_loop(m, len(col_of), lambda i, j: col_of[min(i, j), max(i, j)])
         assert s.matrix.dtype == s.rhs.dtype == np.int64
         assert np.array_equal(s.matrix, want[0]) and np.array_equal(s.rhs, want[1])
-        got = imp._equations(m, m * m, free)
+        got = imp._equations(m, m * m, np.arange(m * m).reshape(m, m))
         want = equations_loop(m, m * m, free)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def triu_positions(m):
+    """The (m, m) map of block entry (k, l) to its unknown, built the way the
+    symmetric system was first built: np.triu_indices, mirrored."""
+    k, l = np.triu_indices(m)
+    column = np.empty((m, m), dtype=np.int64)
+    column[k, l] = column[l, k] = np.arange(len(k))
+    return column
+
+
+def equations_scatter(m, n_unknowns, column):
+    """The first vectorised build of the system: one np.subtract.at per power
+    over the broadcast block, with column(i, j) mapping arrays elementwise."""
+    i, j, pure = models._block_frame(m)
+    lc, la = pure.astype(np.int64)
+    weight = np.where(j < 1, lc - la, np.where(j <= m, -la, 0))
+    rhs = (weight @ (j ** np.array(imp.POWERS)[:, None]).T).reshape(-1)
+    matrix = np.zeros((3 * m, n_unknowns), dtype=np.int64)
+    bi, bj = np.broadcast_arrays(i, np.arange(1, m + 1))
+    for ip, p in enumerate(imp.POWERS):
+        np.subtract.at(matrix, (3 * (bi - 1) + ip, column(bi, bj)), bj**p)
+    return matrix, rhs
+
+
+def test_systems_match_the_scatter_oracle_byte_for_byte():
+    """The single assignment of _equations and the position map give the
+    bytes of the subtract.at / triu_indices construction, symmetric systems
+    for m = 1..64 and free ones for m = 1..40; it relies on each row of both
+    column maps being one-to-one in j, which is checked too."""
+    for m in range(1, 65):
+        column = triu_positions(m)
+        assert imp._positions(m).tobytes() == column.tobytes() and not imp._positions(m).flags.writeable
+        assert imp.pair_index(m) == [(k + 1, l + 1) for k, l in zip(*np.triu_indices(m))]
+        s = build_constraint_system(m)
+        matrix, rhs = equations_scatter(m, m * (m + 1) // 2, lambda i, j: column[i - 1, j - 1])
+        assert s.matrix.tobytes() == matrix.tobytes() and s.rhs.tobytes() == rhs.tobytes(), m
+        assert s.matrix.shape == matrix.shape and s.rhs.dtype == rhs.dtype == np.int64
+        free = np.arange(m * m).reshape(m, m)
+        for col in (column, free):
+            assert all(len(set(row)) == m for row in col.tolist()), m
+        if m <= 40:
+            got = imp._equations(m, m * m, free)
+            want = equations_scatter(m, m * m, lambda i, j: (i - 1) * m + (j - 1))
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes(), m
+
+
+def test_block_unpacking_matches_the_triu_oracle_bit_for_bit():
+    rng = np.random.default_rng(30)
+    for m in range(1, 65):
+        s = build_constraint_system(m)
+        k, l = np.triu_indices(m)
+        x = rng.standard_normal(len(k))
+        x[rng.integers(len(k))] = -0.0
+        want = np.zeros((m, m))
+        want[k, l] = x
+        want[l, k] = x
+        blk = s.vector_to_block(x)
+        assert blk.dtype == want.dtype and blk.tobytes() == want.tobytes(), m
+        assert s.block_to_vector(blk).tobytes() == x.tobytes(), m
+        b = rng.standard_normal((m, m))  # unsymmetric: the upper triangle is read
+        assert s.block_to_vector(b).tobytes() == b[k, l].tobytes(), m
 
 
 def test_system_shapes():
@@ -294,7 +356,7 @@ def test_cached_system_is_shared_and_read_only():
         s.rhs[0] = 1
 
 
-def test_certify_builds_each_symmetric_system_once(tmp_path, monkeypatch):
+def test_certify_builds_each_symmetric_system_once(tmp_path, monkeypatch, capsys):
     builds = Counter()
     equations = imp._equations
 
@@ -305,10 +367,15 @@ def test_certify_builds_each_symmetric_system_once(tmp_path, monkeypatch):
     monkeypatch.setattr(imp, "_equations", counted)  # the system cache starts empty
     cfg = tmp_path / "certify.cfg"
     cfg.write_text("m_min=1\nm_max=8\n")
-    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
     want = Counter({(m, "symmetric"): 1 for m in range(1, 9)})
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
+    assert builds == want    # the unsymmetric diagnostic is built only for the report
+    builds.clear()
+    imp.build_constraint_system.cache_clear()
+    assert main(["certify", "--report", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
     want[4, "free"] = 1      # the unsymmetric min residual at m = 4
     assert builds == want
+    assert "symmetry dropped at m=4" in capsys.readouterr().out
 
 
 def test_min_residual_attains_certificate_bound():
@@ -385,6 +452,13 @@ def test_qcf_witness_zeroes_all_equations_exactly():
                 assert exact_defect(block, m, i, p) == 0
     with pytest.raises(ValueError):
         qcf_witness_block(3)
+
+
+@pytest.mark.parametrize("m", [4.0, "4"])
+def test_qcf_witness_block_names_a_non_integer_m(m):
+    with pytest.raises(ValueError, match=re.escape(f"m must be an integer, got {m!r}")):
+        qcf_witness_block(m)
+    assert qcf_witness_block(np.int64(4)).tobytes() == qcf_witness_block(4).tobytes()
 
 
 def test_symmetric_argmin_defect_is_orthogonal_to_weights_span():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qclab import (
     INTERFACE,
@@ -161,6 +163,36 @@ def test_region_boundaries_match_loop_reference():
         assert all(type(b) is int for b, _ in got)
 
 
+def _mask_reference(partition, config):
+    """Membership by comparing every position i/N against every interval."""
+    x = config.positions()
+    mask = np.zeros(config.N, dtype=bool)
+    for a, b in partition.atomistic_intervals:
+        mask |= (x > a) & (x <= b)
+    return mask
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_membership_mask_matches_the_compare_oracle(data):
+    """One slice per interval sets the atoms the compare oracle sets: N =
+    16..4096 and 2^18, 1-3 intervals, ends drawn anywhere, at 0, at 1.0, on
+    an atom position i/N or one float step either side of it."""
+    N = data.draw(st.one_of(st.integers(16, 4096), st.just(2**18)))
+
+    def end():
+        at = data.draw(st.integers(0, N)) / N
+        near = [0.0, 1.0, at, min(1.0, np.nextafter(at, 2.0)), max(0.0, np.nextafter(at, -1.0))]
+        return data.draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(near)))
+
+    ends = sorted({end() for _ in range(2 * data.draw(st.integers(1, 3)))})
+    intervals = list(zip(ends[::2], ends[1::2]))
+    assume(intervals)
+    partition, config = RegionPartition(intervals), ChainConfig(N=N, F=1.0)
+    got = membership_mask(partition, config)
+    assert got.dtype == bool and np.array_equal(got, _mask_reference(partition, config))
+
+
 def _classify_reference(partition, config):
     """Set-window and roll-loop reference for classify: returns (labels,
     mask, boundaries) or raises the same ValueError."""
@@ -168,10 +200,7 @@ def _classify_reference(partition, config):
     if problems:
         raise ValueError("invalid partition: " + "; ".join(problems))
     N, reach, m = config.N, partition.reach, partition.interface_width_m
-    x = config.positions()
-    mask = np.zeros(N, dtype=bool)
-    for a, b in partition.atomistic_intervals:
-        mask |= (x > a) & (x <= b)
+    mask = _mask_reference(partition, config)
     boundaries = _region_boundaries_loop(mask)
     if boundaries:
         n_intervals = max(len(boundaries) // 2, 1)
