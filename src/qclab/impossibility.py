@@ -96,8 +96,10 @@ def _equations(m: int, n_unknowns: int, column: np.ndarray):
     Each row of column is one-to-one, so one assignment sets every entry.
 
     Columns run over j = -1 .. m+2, every column a second-neighbor row of
-    the block reaches. A pure entry that is not an integer raises CertificateError.
-    """
+    the block reaches. An m below 1 raises ValueError; a pure entry that is
+    not an integer raises CertificateError."""
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
     i, j, pure = _block_frame(m)
     lc, la = ints = pure.astype(np.int64)
     if not (ints == pure).all():  # else the integer sums below would truncate it
@@ -123,8 +125,6 @@ def build_constraint_system(m: int) -> ConstraintSystem:
     system of 2 but is refused, as is any m that is not an integer.
     """
     m = _integer("m", m)
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
     matrix, rhs = _equations(m, m * (m + 1) // 2, _positions(m))
     matrix.flags.writeable = rhs.flags.writeable = False
     return ConstraintSystem(m=m, matrix=matrix, rhs=rhs)
@@ -221,9 +221,7 @@ def min_residual(m: int, symmetric: bool = True) -> MinResidualResult:
         system = build_constraint_system(m)
         matrix, rhs = system.matrix, system.rhs
     else:  # free m x m block, row-major unknowns
-        if m < 1:
-            raise ValueError(f"m must be positive, got {m}")
-        matrix, rhs = _equations(m, m * m, np.arange(m * m).reshape(m, m))
+        matrix, rhs = _equations(m, m * m, np.arange(m)[:, None] * m + np.arange(m))
     M = matrix[rows].astype(float)
     b = rhs[rows].astype(float)
     x, *_ = np.linalg.lstsq(M, b, rcond=None)

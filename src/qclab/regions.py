@@ -90,26 +90,19 @@ class AtomLabels:
 
 
 def membership_mask(partition: RegionPartition, config: ChainConfig) -> np.ndarray:
-    """Boolean mask over atoms 1..N: True where i/N lies in A.
-
-    Raises ValueError("invalid partition: ...") listing every problem that
-    `validate` reports.
-    """
+    """Boolean mask over atoms 1..N: True where a < i/N <= b, the compares
+    positions() makes, for an interval (a, b] of A. Raises ValueError("invalid
+    partition: ...") listing every problem that `validate` reports."""
     problems = validate(partition)
     if problems:
         raise ValueError("invalid partition: " + "; ".join(problems))
-    mask = np.zeros(config.N, dtype=bool)
-    for a, b in partition.atomistic_intervals:  # the atoms with a < i/N <= b, as one slice
-        mask[_first_above(a, config.N) - 1:_first_above(b, config.N) - 1] = True
+    N = config.N
+    mask = np.zeros(N, dtype=bool)
+    for a, b in partition.atomistic_intervals:
+        # the least i with i/N > x is k = int(x N), plus one for each of k, k + 1 with i/N <= x
+        lo, hi = (k + (k / N <= x) + ((k + 1) / N <= x) for x in (a, b) for k in [int(x * N)])
+        mask[lo - 1:hi - 1] = True
     return mask
-
-
-def _first_above(x: float, N: int) -> int:
-    """Least i with i/N > x, the compare positions() makes; int(x N) - 1 is below it."""
-    i = int(x * N) - 1
-    while i / N <= x:
-        i += 1
-    return i
 
 
 def region_boundaries(mask: np.ndarray) -> list:
