@@ -13,12 +13,15 @@ only up to a constant. The band's symmetry picks one of two factorizations:
   tridiagonal. T is solved, and two running sums give the displacements.
 
 Any other band is refused with a ValueError naming the test it failed. C
-and T are factored by `_factor`, which drops outer diagonal pairs that are
-exactly zero, picks the kernel, forms C^-1 1 or T^-T 1 and raises the one
+and T are read off the operator's runs as runs of their own rows and
+factored by `_factor`, which drops outer diagonal pairs that are exactly
+zero, picks the kernel, forms C^-1 1 or T^-T 1 and raises the one
 NumericalError that names a singular C or T. The kernels are cyclic
 reduction on the ring in numpy for a tridiagonal C or T (no pivoting: every
-C and T that assembly produces is strictly diagonally dominant) and one
-banded LU of the folded ring, LAPACK gbtrf, for a wider C. The right-hand
+C and T that assembly produces is strictly diagonally dominant), which
+reduces its levels of `_LONG_LEVEL` rows or more on runs and only the
+shorter ones as arrays, and one banded LU of the folded ring, LAPACK gbtrf,
+for a wider C, on the diagonals repeated over the atoms. The right-hand
 side is projected off the left-null direction (the mean in stress form,
 T^-T 1 in patch form), and the one solve is checked once against the 1e-10
 ||f|| residual contract. Only gbtrf loads scipy.linalg.
@@ -41,7 +44,9 @@ from .models import (
     _field_values,
     _moment_defect,
     _run_moments,
+    _LONG_RUN,
     _Runs,
+    _runs,
     _runs_apply,
     _telescope,
     _transpose_gap,
@@ -51,6 +56,12 @@ from .potentials import PairPotential
 from .regions import RegionPartition
 
 RESIDUAL_RTOL = 1e-10
+# Levels of the ring kernel this long or longer are reduced on runs
+# (`_level_on_runs`). A level on runs costs about 75 numpy calls whatever its
+# length, a whole level about 22 on arrays of half its length. On one Intel
+# Xeon vCPU a level of 2^14 rows on runs made a QCF solve at N = 2^14 8%
+# slower, and one of 2^15 rows made N = 2^15 no slower (QNL 8-12% faster).
+_LONG_LEVEL = 32768
 
 
 class NumericalError(RuntimeError):
@@ -124,86 +135,187 @@ def _cyclic_banded(diags, tol):
     return solve
 
 
-def _reduce_forward(d, dn, nrb, left, right, wrap, t):
+def _scale(segments, x, out):
+    """out = coefficient * x for a coefficient given as (start, end, value)
+    segments, value one scalar over a long run or an array over a stretch of
+    short rows: one multiply per segment; out may be x."""
+    for s, e, v in segments:
+        np.multiply(x[s:e], v, out=out[s:e])
+    return out
+
+
+def _segments(bounds, r, values):
+    """The coefficients of a level on runs as segments (`_scale`). Kept piece
+    i covers rows bounds[i]..bounds[i+1] - 1 and has the values[:, i] of its
+    representative: -1/b_odd, c_even, a_odd and c_odd, the coefficients of
+    odd rows 0..o - 1 (the first r pieces; c_odd ends at m - 1), and
+    a_even, which serves odd row j as a_{2j+2}, one row down. A piece of
+    `_LONG_RUN` rows or more gives each one scalar, and each stretch of
+    shorter pieces one array."""
+    m, o = int(bounds[-1]), int(bounds[r])
+    n = bounds[1:] - bounds[:-1]
+    long = n >= _LONG_RUN
+    short = np.repeat(values, np.where(long, 0, n), axis=1)  # the short pieces' rows
+    lo, is_long, pieces = bounds.tolist(), long.tolist(), values.T.tolist()
+    ends = (o, o, o, m - 1, m - 1)
+    out, i, at = ([], [], [], [], []), 0, 0
+    while i < len(is_long):
+        j = i + 1
+        if is_long[i]:  # rows s..e-1 of the odd coefficients, s-1..e-2 of a_even
+            s, e, group = lo[i], lo[j], pieces[i]
+        else:
+            while j < len(is_long) and not is_long[j]:
+                j += 1
+            s, e = lo[i], lo[j]
+            group, at = short[:, at:at + e - s], at + e - s
+        for segs, v, end, shift in zip(out, group, ends, (0, 0, 0, 0, 1)):
+            # kept 0's a_even is the wrap, no right coefficient
+            first, last = max(s - shift, 0), min(e - shift, end)
+            if last > first:
+                segs.append((first, last, v if is_long[i] else v[first + shift - s:last + shift - s]))
+        i = j
+    return out
+
+
+def _reduce_forward(d, dn, mul, nrb, left, right, wrap, t):
     """One level of forward elimination into dn, the kept rows 0, 2, ...: with
     t = nrb d_odd, kept j gains left[j] t[j] and kept j + 1 gains right[j]
-    t[j]; on an even ring kept 0 gains wrap t[-1] from across the wrap."""
-    o, k = len(nrb), len(dn) - 1
-    de, t = d[0::2], np.multiply(nrb, d[1::2], out=t[:o])
+    t[j]; on an even ring kept 0 gains wrap t[-1] from across the wrap. mul
+    multiplies by the level's coefficients nrb, left and right: np.multiply
+    for whole arrays, `_scale` for segments."""
+    o, k = len(d) // 2, len(dn) - 1
+    de, t = d[0::2], mul(nrb, d[1::2], out=t[:o])
     dn[o:] = de[o:]
-    np.multiply(left, t, out=dn[:o])
+    mul(left, t, out=dn[:o])
     dn[:o] += de[:o]
-    dn[1:] += np.multiply(right, t[:k], out=t[:k])
+    dn[1:] += mul(right, t[:k], out=t[:k])
     if k < o:
         dn[0] += wrap * t[k]
 
 
-def _reduce_back(d, x, nrb, left, right, wrap, t):
+def _reduce_back(d, x, mul, nrb, left, right, wrap, t):
     """One level of back substitution, in place: the kept rows of d take x,
     and odd row j takes nrb[j] (left[j] x[j] + right[j] x[j + 1] - d[j]); on
     an even ring the last odd row takes wrap x[0] from across the wrap in
-    place of its right term."""
-    o, k = len(nrb), len(x) - 1
+    place of its right term. mul is as in `_reduce_forward`."""
+    o, k = len(d) // 2, len(x) - 1
     xo = d[1::2]
-    np.subtract(np.multiply(left, x[:o], out=t[:o]), xo, out=xo)
-    xo[:k] += np.multiply(right, x[1:], out=t[:k])
+    np.subtract(mul(left, x[:o], out=t[:o]), xo, out=xo)
+    xo[:k] += mul(right, x[1:], out=t[:k])
     if k < o:
         xo[k] += wrap * x[0]
-    xo *= nrb
+    mul(nrb, xo, out=xo)
     d[0::2] = x
 
 
-def _cyclic_tridiagonal(lower, diag, upper, tol):
-    """Factor the cyclic tridiagonal T with T[i, i-1] = lower[i], T[i, i] =
-    diag[i] and T[i, i+1] = upper[i], indices mod N: lower[0] is the corner
-    T[0, N-1] and upper[-1] the corner T[N-1, 0].
+def _eliminate(ae, be, ce, ao, bo, co, tol, t1, t2):
+    """One level of cyclic reduction: the kept rows' (a2, b2, c2) after the
+    odd rows (ao, bo, co) are eliminated, kept row j reading odd rows j - 1
+    and j, and -1/bo. On an even ring kept 0 meets odd o - 1 across the
+    wrap, on an odd ring kept 0 and kept m - 1. t1 and t2 are scratch of at
+    least len(bo). Returns (nrb, a2, b2, c2), or None when some |bo| is not
+    above tol."""
+    m, o = len(be), len(bo)
+    k = m - 1  # odd rows with a kept row on their right, but for the wrap
+    if not float(np.abs(bo, out=t1[:o]).min()) > tol:
+        return None
+    nrb = np.divide(-1.0, bo)
+    ab, cb = np.multiply(ao, nrb, out=t1[:o]), np.multiply(co, nrb, out=t2[:o])
+    a2, b2, c2 = np.empty(m), be.copy(), np.empty(m)
+    np.multiply(ae[1:], ab[:k], out=a2[1:])
+    np.multiply(ce[:o], cb, out=c2[:o])
+    if k < o:  # even ring: kept 0 and odd o - 1 meet across the wrap
+        a2[0] = ae[0] * ab[k]
+        b2[0] += ae[0] * cb[k]
+    else:  # odd ring: kept 0 and kept m - 1 meet across the wrap
+        a2[0], c2[k] = ae[0], ce[k]
+    b2[:o] += np.multiply(ce[:o], ab, out=ab)
+    b2[1:] += np.multiply(ae[1:], cb[:k], out=cb[:k])
+    return nrb, a2, b2, c2
+
+
+def _level_on_runs(ring: _Runs, tol):
+    """One level of cyclic reduction on the runs of the ring's rows. Kept row
+    j reads rows 2j - 1..2j + 1 only, so the kept rows between two run
+    boundaries share their new row: `_eliminate` runs on one representative
+    of each such stretch, on the kept row s >> 1 that straddles each
+    boundary s and on kept rows 0, 1 and m - 1 next to the wrap, with the
+    float operations of a whole level in the same order. Returns the level,
+    its coefficients as segments (`_segments`) and an array for its forward
+    elimination, and the runs of the kept rows' ring, equal neighbours
+    merged; or None when a pivot is not above tol."""
+    starts, _, rows, n = ring
+    m, o = (n + 1) // 2, n // 2
+    half = starts >> 1  # the start 0 gives kept rows 0 and 1
+    q = np.concatenate(([m - 1], half, half + 1))
+    q.sort()
+    q = q[np.concatenate(([True], q[1:] != q[:-1]))]
+    q = q[:len(q) - (q[-1] == m)]  # the representatives
+    p, r = len(q), len(q) - (m > o)  # on an odd ring kept m - 1 has no odd row
+    near = rows[np.searchsorted(starts, np.concatenate((2 * q, 2 * q[:r] + 1)), "right") - 1].T
+    (ae, be, ce), (ao, bo, co) = near[:, :p], near[:, p:]
+    step = _eliminate(ae, be, ce, ao, bo, co, tol, np.empty(r), np.empty(r))
+    if step is None:
+        return None
+    values = np.zeros((5, p))
+    values[:4, :r] = step[0], ce[:r], ao, co
+    values[4] = ae
+    nrb, left, back_left, back_right, right = _segments(np.append(q, m), r, values)
+    steps = ((left, right, ae[0]), (back_left, back_right, co[-1]))  # as on a whole level
+    return (_scale, nrb, steps, np.empty(m)), _runs(q, np.stack(step[1:], axis=1), m)
+
+
+def _cyclic_tridiagonal(ring: _Runs, tol):
+    """Factor the cyclic tridiagonal T given as runs of its rows (T[i, i-1],
+    T[i, i], T[i, i+1]), indices mod N: row 0's first entry is the corner
+    T[0, N-1] and row N-1's last the corner T[N-1, 0].
 
     Cyclic reduction on the ring (Buzbee, Golub & Nielson 1970): each level
     eliminates the odd-indexed unknowns, whose rows couple only to kept
     neighbours, and leaves the kept rows a cyclic tridiagonal Schur complement
-    of half the length. Kept row k takes alpha = a_k / b_{k-1} and gamma =
-    c_k / b_{k+1} (a, b, c being the level's lower, diagonal and upper); on an
-    odd ring rows 0 and N-1 are both kept and meet across the wrap. A ring of
-    1 or 2 is solved in closed form. There is neither pivoting nor a corner
-    correction: the C and T that assembly produces are strictly diagonally
-    dominant by rows, and so is every Schur complement. A level keeps its a,
-    c and -1/b_odd, from which the solves form alpha, gamma, a_odd/b_odd and
-    c_odd/b_odd; the transposed solve runs the same levels with the forward
-    and backward coefficients swapped, and no second reduction.
+    of half the length (`_eliminate`). A ring of 1 or 2 is solved in closed
+    form. There is neither pivoting nor a corner correction: the C and T that
+    assembly produces are strictly diagonally dominant by rows, and so is
+    every Schur complement.
+
+    A level of `_LONG_LEVEL` rows or more is reduced on the runs of its rows
+    (`_level_on_runs`), so that no array of its length is formed; the first
+    shorter level is expanded into arrays and reduced whole from there on.
+    A level keeps its a, c and -1/b_odd, as segments on runs and as arrays
+    on a short level, from which the solves form alpha, gamma, a_odd/b_odd
+    and c_odd/b_odd; one pair of step functions serves both kinds of level
+    (`_reduce_forward`, `_reduce_back`). The transposed solve runs the same
+    levels with the forward and backward coefficients swapped, and no
+    second reduction. The short levels' b2 arrays, read only while
+    factoring, then hold the forward elimination.
 
     Returns solve, where solve(b, transpose=False) gives T^-1 b, or T^-T b,
     overwriting b; or None when a pivot b_odd at some level is below tol, or
     the final ring's determinant below tol max |ring|^(n-1).
     """
-    N = len(diag)
-    t1, t2 = np.empty(N // 2), np.empty(N // 2)  # the solves keep only t1 as scratch
-    a, b, c = lower, diag, upper
+    t1 = np.empty(ring.N // 2)  # the solves' one scratch array
     levels = []
-    while len(b) > 2:
-        m, o = (len(b) + 1) // 2, len(b) // 2
-        k = m - 1  # odd rows with a kept row on their right, but for the wrap
-        ae, be, ce, ao, bo, co = a[0::2], b[0::2], c[0::2], a[1::2], b[1::2], c[1::2]
-        if not float(np.abs(bo, out=t1[:o]).min()) > tol:
+    while ring.N >= _LONG_LEVEL:
+        step = _level_on_runs(ring, tol)
+        if step is None:
             return None
-        nrb = np.divide(-1.0, bo)
-        ab, cb = np.multiply(ao, nrb, out=t1[:o]), np.multiply(co, nrb, out=t2[:o])
-        a2, b2, c2 = np.empty(m), be.copy(), np.empty(m)
-        np.multiply(ae[1:], ab[:k], out=a2[1:])
-        np.multiply(ce[:o], cb, out=c2[:o])
-        if k < o:  # even ring: kept 0 and odd o - 1 meet across the wrap
-            a2[0] = ae[0] * ab[k]
-            b2[0] += ae[0] * cb[k]
-        else:  # odd ring: kept 0 and kept m - 1 meet across the wrap
-            a2[0], c2[k] = ae[0], ce[k]
-        b2[:o] += np.multiply(ce[:o], ab, out=ab)
-        b2[1:] += np.multiply(ae[1:], cb[:k], out=cb[:k])
+        level, ring = step
+        levels.append(level)
+    a, b, c = _diagonals(ring)
+    t2 = np.empty(ring.N // 2)
+    while len(b) > 2:
+        o, k = len(b) // 2, (len(b) + 1) // 2 - 1
+        ae, ce, ao, co = a[0::2], c[0::2], a[1::2], c[1::2]
+        step = _eliminate(ae, b[0::2], ce, ao, b[1::2], co, tol, t1, t2)
+        if step is None:
+            return None
+        nrb, a, b, c = step
         # (left, right, wrap) of the normal forward and the transposed back
-        # step, then of the normal back and the transposed forward step; b2
+        # step, then of the normal back and the transposed forward step; b
         # is read only while factoring, so it then holds the level's forward
         # elimination
-        rows = ((ce[:o], ae[1:], ae[0]), (ao, co[:k], co[-1]))
-        levels.append((nrb, rows, b2))
-        a, b, c = a2, b2, c2
+        steps = ((ce[:o], ae[1:], ae[0]), (ao, co[:k], co[-1]))
+        levels.append((np.multiply, nrb, steps, b))
     if len(b) == 1:
         ring = np.array([[a[0] + b[0] + c[0]]])
     else:
@@ -214,39 +326,48 @@ def _cyclic_tridiagonal(lower, diag, upper, tol):
 
     def solve(rhs, transpose=False):
         d, chain = rhs, []
-        for nrb, rows, dn in levels:
-            _reduce_forward(d, dn, nrb, *rows[transpose], t1)
+        for mul, nrb, steps, dn in levels:
+            _reduce_forward(d, dn, mul, nrb, *steps[transpose], t1)
             chain.append(d)
             d = dn
         d[:] = (ring_inv.T if transpose else ring_inv) @ d
-        for (nrb, rows, x), dl in zip(levels[::-1], chain[::-1]):
-            _reduce_back(dl, x, nrb, *rows[not transpose], t1)
+        for (mul, nrb, steps, x), dl in zip(levels[::-1], chain[::-1]):
+            _reduce_back(dl, x, mul, nrb, *steps[not transpose], t1)
         return rhs
 
     return solve
 
 
-def _factor(diags, name, transpose=False):
-    """Factor the cyclic band matrix M with diagonals diags, as in
-    `_folded_storage`, at its true width: outer diagonal pairs that are
-    exactly zero at both ends are dropped, then a tridiagonal M goes through
-    `_cyclic_tridiagonal` and a wider one through `_cyclic_banded`.
+def _diagonals(matrix: _Runs) -> np.ndarray:
+    """The cyclic band matrix given as runs of its rows, as its diagonals:
+    row k of the (width, N) result is offset k - width // 2."""
+    return matrix.rows.T.repeat(matrix.lengths, axis=1)
+
+
+def _factor(matrix: _Runs, name, transpose=False):
+    """Factor the cyclic band matrix M given as runs of its rows (M[i, i-K],
+    ..., M[i, i+K]) at its true width: outer diagonal pairs that are exactly
+    zero are dropped, then a tridiagonal M goes through `_cyclic_tridiagonal`
+    on its runs and a wider one through `_cyclic_banded` on its diagonals.
 
     Returns (solve, g), solve as the kernel gives it and g = M^-1 1, or M^-T
     1 with transpose (a tridiagonal M only). Raises NumericalError naming M
     when M is (numerically) singular: a pivot below sqrt(eps_mach) max |M|,
     or max |g| max |M| > 1/sqrt(eps_mach) (0.6-1.7 for the model kinds).
     """
-    while len(diags) > 3 and not (diags[0].any() or diags[-1].any()):
-        diags = diags[1:-1]
-    scale = max(max(float(d.max()), -float(d.min())) for d in diags)
+    rows = matrix.rows
+    while rows.shape[1] > 3 and not (rows[:, 0].any() or rows[:, -1].any()):
+        rows = rows[:, 1:-1]
+    if rows is not matrix.rows:  # trimmed rows may repeat
+        matrix = _runs(matrix.starts, rows, matrix.N)
+    scale = max(max(float(d.max()), -float(d.min())) for d in rows.T)
     root_eps = math.sqrt(np.finfo(float).eps)
-    if len(diags) == 3:
-        solve = _cyclic_tridiagonal(*diags, root_eps * scale)
-        g = solve and solve(np.ones(len(diags[1])), transpose)
+    if rows.shape[1] == 3:
+        solve = _cyclic_tridiagonal(matrix, root_eps * scale)
+        g = solve and solve(np.ones(matrix.N), transpose)
     else:  # no transposed solve: only T asks for one, and T is tridiagonal
-        solve = _cyclic_banded(diags, root_eps * scale)
-        g = solve and solve(np.ones(len(diags[1])))
+        solve = _cyclic_banded(_diagonals(matrix), root_eps * scale)
+        g = solve and solve(np.ones(matrix.N))
     if solve is None or max(float(g.max()), -float(g.min())) * scale > 1.0 / root_eps:
         raise NumericalError(f"{name} is (numerically) singular and cannot be factored")
     return solve, g
@@ -267,9 +388,9 @@ def _close_ring(s, ramp):
     return u
 
 
-def _stress_diagonals(runs: _Runs) -> list:
-    """C of a symmetric, zero-row-sum band A = D^T C D (eps^2 units), as its
-    diagonals: C[i, i+k] is diags[Kc + k][i] for k = -Kc..Kc, Kc = max(K - 1, 1).
+def _stress_diagonals(runs: _Runs) -> _Runs:
+    """C of a symmetric, zero-row-sum band A = D^T C D (eps^2 units), as runs
+    of its rows (C[i, i-Kc], ..., C[i, i+Kc]), Kc = max(K - 1, 1).
 
     Entrywise A[i, j] = C[i, j] - C[i, j+1] - C[i+1, j] + C[i+1, j+1]. For
     the lower diagonals l_j[i] = C[i, i-j] and b_j[i] = band[i, K-j] this is
@@ -282,17 +403,17 @@ def _stress_diagonals(runs: _Runs) -> list:
     K - 1 share the values of its first atom, and for j >= 1 so does the
     first of those K - 1. The recursion therefore runs on each run's first
     atom and its last K - 1 atoms only, each reading the next one of these.
-    Each lower diagonal l_j is then repeated over the atoms, and over its
-    first j atoms once more, into one array of which the upper diagonal j
-    is a view; a solve keeps only the arrays it reads.
+    A row of C then changes only at one of these atoms or up to Kc atoms
+    before one, where its upper diagonals reach it; its runs start there.
     """
     starts, lengths, rows, N = runs
     K = (rows.shape[1] - 1) // 2
     Kc = max(K - 1, 1)
     ends = starts + lengths
     at = np.sort(np.concatenate([starts, *(np.maximum(starts, ends - j) for j in range(1, K))]))
-    at = at[np.diff(at, prepend=-1) > 0]  # not np.unique, whose first call imports numpy.ma
-    mult, ahead, b = np.diff(at, append=N), np.roll(np.arange(len(at)), -1), rows[runs.of(at)]
+    at = at[np.concatenate(([True], at[1:] != at[:-1]))]  # not np.unique, whose first call imports numpy.ma
+    ahead, b = np.arange(1, len(at) + 1), rows[runs.of(at)]
+    ahead[-1] = 0
     low = [None] * K + [np.zeros(len(at))] * (Kc + 1 - K)  # low[j] is l_j; l_1 = 0 for K = 1
     low[K - 1] = -b[:, 0]
     for j in range(K - 1, 0, -1):
@@ -301,10 +422,15 @@ def _stress_diagonals(runs: _Runs) -> list:
             nxt -= low[j + 1][ahead]
         nxt -= b[:, K - j]
         low[j - 1] = nxt
-    # l_j over the atoms, then its values at atoms 0..j-1 again: C[i, i+j] = l_j[i+j]
-    low = [np.repeat(np.concatenate((d, d)), np.concatenate((mult, np.clip(j - at, 0, mult))))
-           for j, d in enumerate(low)]
-    return [d[:N] for d in low[::-1]] + [low[j][j:] for j in range(1, Kc + 1)]
+    cuts = np.sort(np.concatenate([at, *((at - j) % N for j in range(1, Kc + 1))]))
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
+    # the place in `at` of each cut, and of the atom j after it for j = 1..Kc
+    place = [np.searchsorted(at, (cuts + j) % N, "right") - 1 for j in range(Kc + 1)]
+    C = np.empty((len(cuts), 2 * Kc + 1))
+    for j in range(Kc + 1):
+        C[:, Kc - j] = low[j][place[0]]
+        C[:, Kc + j] = low[j][place[j]]
+    return _runs(cuts, C, N)
 
 
 def _stress_lu(op: LinearChainOperator):
@@ -353,14 +479,12 @@ def _stress_lu(op: LinearChainOperator):
     return solve, w
 
 
-def _patch_diagonals(runs: _Runs) -> list:
-    """T's diagonals (b_-2, b_1 + 2 b_2, b_2) of the run rows, repeated over
-    each run; one array serves both outer ones where they agree bit for bit
-    (every QCF band), so that T's factorization keeps one column fewer."""
-    rows, lengths = runs.rows, runs.lengths
-    lower = np.repeat(rows[:, 0], lengths)
-    upper = lower if rows[:, 0].tobytes() == rows[:, 4].tobytes() else np.repeat(rows[:, 4], lengths)
-    return [lower, np.repeat(rows[:, 3] + 2.0 * rows[:, 4], lengths), upper]
+def _patch_diagonals(runs: _Runs) -> _Runs:
+    """T as runs of its rows (b_-2, b_1 + 2 b_2, b_2), one for each run of
+    band rows."""
+    T = runs.rows[:, [0, 3, 4]]
+    T[:, 1] += 2.0 * T[:, 2]
+    return _Runs(runs.starts, runs.lengths, T, runs.N)
 
 
 def _patch_lu(op: LinearChainOperator):

@@ -3,6 +3,7 @@ tests keep the expressions those paths replaced, each of which made fresh
 arrays, as oracles, and compare bytes. The same operations run in the same
 order, so every output keeps its bits."""
 
+import contextlib
 import dataclasses
 import math
 
@@ -31,11 +32,16 @@ from qclab import (
     solve_equilibrium,
     symmetry_defect,
 )
+from qclab import convergence
 from qclab.chain import wrap_pad
 from qclab.convergence import (
+    _LONG_LEVEL,
     ConvergenceChecks,
     ConvergenceRow,
+    NumericalError,
     _close_ring,
+    _cyclic_tridiagonal,
+    _diagonals,
     _factor,
     _patch_diagonals,
     _stress_diagonals,
@@ -112,14 +118,102 @@ def lp_norm_oracle(u, p):
     return float((u.config.epsilon * np.sum(a**p)) ** (1.0 / p))
 
 
+def reduce_forward_oracle(d, dn, nrb, left, right, wrap, t):
+    """The ring kernel's forward step on whole coefficient arrays."""
+    o, k = len(nrb), len(dn) - 1
+    de, t = d[0::2], np.multiply(nrb, d[1::2], out=t[:o])
+    dn[o:] = de[o:]
+    np.multiply(left, t, out=dn[:o])
+    dn[:o] += de[:o]
+    dn[1:] += np.multiply(right, t[:k], out=t[:k])
+    if k < o:
+        dn[0] += wrap * t[k]
+
+
+def reduce_back_oracle(d, x, nrb, left, right, wrap, t):
+    """The ring kernel's back step on whole coefficient arrays."""
+    o, k = len(nrb), len(x) - 1
+    xo = d[1::2]
+    np.subtract(np.multiply(left, x[:o], out=t[:o]), xo, out=xo)
+    xo[:k] += np.multiply(right, x[1:], out=t[:k])
+    if k < o:
+        xo[k] += wrap * x[0]
+    xo *= nrb
+    d[0::2] = x
+
+
+def ring_kernel_oracle(lower, diag, upper, tol):
+    """Cyclic reduction of the cyclic tridiagonal (lower, diag, upper) with
+    every level held as whole arrays, as the ring kernel factored before it
+    kept its long levels on runs: the reference its solves are held to bit
+    for bit. Returns solve(b, transpose=False), or None for a pivot or final
+    ring at or below tol."""
+    N = len(diag)
+    t1, t2 = np.empty(N // 2), np.empty(N // 2)
+    a, b, c = lower, diag, upper
+    levels = []
+    while len(b) > 2:
+        m, o = (len(b) + 1) // 2, len(b) // 2
+        k = m - 1
+        ae, be, ce, ao, bo, co = a[0::2], b[0::2], c[0::2], a[1::2], b[1::2], c[1::2]
+        if not float(np.abs(bo, out=t1[:o]).min()) > tol:
+            return None
+        nrb = np.divide(-1.0, bo)
+        ab, cb = np.multiply(ao, nrb, out=t1[:o]), np.multiply(co, nrb, out=t2[:o])
+        a2, b2, c2 = np.empty(m), be.copy(), np.empty(m)
+        np.multiply(ae[1:], ab[:k], out=a2[1:])
+        np.multiply(ce[:o], cb, out=c2[:o])
+        if k < o:
+            a2[0] = ae[0] * ab[k]
+            b2[0] += ae[0] * cb[k]
+        else:
+            a2[0], c2[k] = ae[0], ce[k]
+        b2[:o] += np.multiply(ce[:o], ab, out=ab)
+        b2[1:] += np.multiply(ae[1:], cb[:k], out=cb[:k])
+        rows = ((ce[:o], ae[1:], ae[0]), (ao, co[:k], co[-1]))
+        levels.append((nrb, rows, b2))
+        a, b, c = a2, b2, c2
+    if len(b) == 1:
+        ring = np.array([[a[0] + b[0] + c[0]]])
+    else:
+        ring = np.array([[b[0], a[0] + c[0]], [a[1] + c[1], b[1]]])
+    if not abs(np.linalg.det(ring)) > tol * float(np.abs(ring).max()) ** (len(b) - 1):
+        return None
+    ring_inv = np.linalg.inv(ring)
+
+    def solve(rhs, transpose=False):
+        d, chain = rhs, []
+        for nrb, rows, dn in levels:
+            reduce_forward_oracle(d, dn, nrb, *rows[transpose], t1)
+            chain.append(d)
+            d = dn
+        d[:] = (ring_inv.T if transpose else ring_inv) @ d
+        for (nrb, rows, x), dl in zip(levels[::-1], chain[::-1]):
+            reduce_back_oracle(dl, x, nrb, *rows[not transpose], t1)
+        return rhs
+
+    return solve
+
+
+def factor_oracle(diags, transpose=False):
+    """`_factor` of a tridiagonal matrix through `ring_kernel_oracle`: (solve,
+    g), or None where `_factor` raises its NumericalError."""
+    scale = max(max(float(d.max()), -float(d.min())) for d in diags)
+    root_eps = math.sqrt(np.finfo(float).eps)
+    solve = ring_kernel_oracle(*diags, root_eps * scale)
+    g = solve and solve(np.ones(len(diags[1])), transpose)
+    if solve is None or max(float(g.max()), -float(g.min())) * scale > 1.0 / root_eps:
+        return None
+    return solve, g
+
+
 def solve_oracle(op, f):
     """solve_equilibrium's arithmetic for an R = 2 band, every step into a
-    fresh array; the factorization, `_factor` and its ring kernel, is the
-    module's own."""
+    fresh array, and C or T factored by `factor_oracle` on whole diagonals."""
     N, eps2, band = op.config.N, op.config.epsilon**2, op.band
     if op.kind is ModelKind.QCF:
         diags = [band[:, 0], band[:, 3] + 2.0 * band[:, 4], band[:, 4]]
-        T, w = _factor(diags, "patch matrix T", True)
+        T, w = factor_oracle(diags, True)
         ww = float(w @ w)
 
         def solve(r):
@@ -133,7 +227,7 @@ def solve_oracle(op, f):
             s -= s.mean()
             return close_ring_oracle(s)
     else:
-        C, g = _factor(stress_diagonals_oracle(band), "stress matrix C")
+        C, g = factor_oracle(stress_diagonals_oracle(band))
         g_sum, w = float(g.sum()), np.ones(N)
 
         def solve(r):
@@ -218,7 +312,7 @@ def test_band_paths_match_their_oracles(N, K, broadcast, seed):
     op = LinearChainOperator(config, ModelKind.CUSTOM, band, np.zeros(N))
     want = window_apply(band, -K, v) / config.epsilon**2
     assert apply_linear(op, v).tobytes() == want.tobytes()
-    got = _stress_diagonals(op.runs)
+    got = _diagonals(_stress_diagonals(op.runs))
     assert [d.tobytes() for d in got] == [d.tobytes() for d in stress_diagonals_oracle(band)]
     assert _close_ring(v.copy(), np.empty(N)).tobytes() == close_ring_oracle(v).tobytes()
     field = PeriodicField(config, v)
@@ -263,11 +357,11 @@ def assert_runs_match_band_oracles(op, band):
     assert same_bits(symmetry_defect(op), float(np.max(gaps)) / eps**2)
     if N <= 512:
         assert same_bits(op.dense(), dense_oracle(band, eps))
-    got = _stress_diagonals(op.runs)
+    got = _diagonals(_stress_diagonals(op.runs))
     assert [d.tobytes() for d in got] == [d.tobytes() for d in stress_diagonals_oracle(band)]
     if K == 2:
         want = [band[:, 0], band[:, 3] + 2.0 * band[:, 4], band[:, 4]]
-        assert all(same_bits(d, w) for d, w in zip(_patch_diagonals(op.runs), want))
+        assert all(same_bits(d, w) for d, w in zip(_diagonals(_patch_diagonals(op.runs)), want))
 
 
 def admissible_partition(rng, config, n_intervals, m):
@@ -398,7 +492,7 @@ def test_solves_match_their_oracle(kind, potential, random_geometry):
     pot, F = POTENTIALS[potential]
     kind = ModelKind(kind)
     rng = np.random.default_rng(43)
-    for N in (64, 257, 4096):
+    for N in (64, 257, 4096, 2 * _LONG_LEVEL + 1):  # the last with 2 levels on runs
         geometries = [(ChainConfig(N=N, F=F, R=2), HALF_PART)]
         if kind in COUPLED:
             geometries += [random_geometry(rng, N, potential, n)[::2] for n in (1, 3)]
@@ -408,6 +502,82 @@ def test_solves_match_their_oracle(kind, potential, random_geometry):
             f = rng.standard_normal(N)
             f[rng.random(N) < 0.1] = -0.0
             assert solve_equilibrium(op, f).values.tobytes() == solve_oracle(op, f).tobytes()
+
+
+def drawn_ring(rng, N, n_runs, single_ends, signs, dominant):
+    """(lower, diag, upper) of a cyclic tridiagonal matrix on N rows in up
+    to n_runs runs of random lengths, each run one row of random entries;
+    with single_ends the first and the last row are runs of their own. The
+    off-diagonal entries have both signs, the diagonal the drawn one; a
+    dominant diagonal outweighs the row's off-diagonal entries."""
+    starts = [0, *rng.choice(np.arange(1, N), min(n_runs, N) - 1, replace=False).tolist()]
+    if single_ends:
+        starts += [1, N - 1]
+    starts = np.unique(np.clip(starts, 0, N - 1))
+    r = len(starts)
+    lower, upper = rng.uniform(-1.0, 1.0, r), rng.uniform(-1.0, 1.0, r)
+    sign = {"positive": 1.0, "negative": -1.0, "mixed": rng.choice([-1.0, 1.0], r)}[signs]
+    diag = sign * (np.abs(lower) + np.abs(upper) if dominant else 0.0) + sign * rng.uniform(0.05, 2.0, r)
+    lengths = np.diff(starts, append=N)
+    return [np.repeat(v, lengths) for v in (lower, diag, upper)]
+
+
+@settings(max_examples=200)
+@given(
+    N=st.one_of(st.integers(1, 70), st.integers(_LONG_LEVEL - 3, 3 * _LONG_LEVEL)),
+    n_runs=st.integers(1, 40),
+    single_ends=st.booleans(),
+    signs=st.sampled_from(["positive", "negative", "mixed"]),
+    dominant=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ring_kernel_on_runs_matches_its_oracle(N, n_runs, single_ends, signs, dominant, seed):
+    # the ring kernel reduces levels of _LONG_LEVEL rows or more on runs and
+    # the shorter ones whole; its factor, g, solve and transposed solve keep
+    # the bits of the kernel that held every level whole, and both refuse the
+    # same rings. A ring without a dominant diagonal may overflow in both
+    rng = np.random.default_rng(seed)
+    diags = drawn_ring(rng, N, n_runs, single_ends, signs, dominant)
+    ring = _band_runs(np.stack(diags, axis=1))
+    tol = math.sqrt(np.finfo(float).eps) * max(np.abs(d).max() for d in diags)
+    b = rng.standard_normal(N)
+    b[rng.random(N) < 0.1] = -0.0
+    with contextlib.nullcontext() if dominant else np.errstate(all="ignore"):
+        assert (_cyclic_tridiagonal(ring, tol) is None) == (ring_kernel_oracle(*diags, tol) is None)
+        for transpose in (False, True):
+            want = factor_oracle(diags, transpose)
+            if want is None:
+                with pytest.raises(NumericalError, match="ring matrix is"):
+                    _factor(ring, "ring matrix", transpose)
+                continue
+            solve, g = _factor(ring, "ring matrix", transpose)
+            assert g.tobytes() == want[1].tobytes()
+            for t in (False, True):
+                assert solve(b.copy(), t).tobytes() == want[0](b.copy(), t).tobytes()
+
+
+@pytest.mark.parametrize("j, name, level", [(3, "stress matrix C", 0), (4, "patch matrix T", 2)])
+def test_ring_kernel_refuses_a_pivot_on_runs_and_on_a_whole_level(j, name, level, monkeypatch):
+    # row j at 1e-17 with no neighbours is kept as it is until it is
+    # eliminated: odd j at the first level, which is long and reduced on
+    # runs, j = 4 at the third, which is short and reduced whole. The kernel
+    # refuses at that level, and `_factor` raises the error naming the matrix
+    N = 2 * _LONG_LEVEL  # levels of N and N / 2 rows on runs, then whole ones
+    lower, diag, upper = np.ones(N), np.full(N, 4.0), np.full(N, 2.0)
+    lower[j], diag[j], upper[j] = 0.0, 1e-17, 0.0
+    ring = _band_runs(np.stack([lower, diag, upper], axis=1))
+    steps, eliminate = [], convergence._eliminate
+
+    def traced(*args):
+        out = eliminate(*args)
+        steps.append(out is not None)
+        return out
+
+    monkeypatch.setattr(convergence, "_eliminate", traced)
+    with pytest.raises(NumericalError, match=f"{name} is"):
+        _factor(ring, name)
+    assert steps == [True] * level + [False]
+    assert ring_kernel_oracle(lower, diag, upper, 4.0 * math.sqrt(np.finfo(float).eps)) is None
 
 
 @pytest.mark.parametrize("potential", sorted(POTENTIALS))

@@ -37,13 +37,14 @@ from qclab.convergence import (
     RESIDUAL_RTOL,
     _cyclic_banded,
     _cyclic_tridiagonal,
+    _diagonals,
     _factor,
     _folded_storage,
     _patch_lu,
     _stress_diagonals,
     _stress_lu,
 )
-from qclab.models import COUPLED, LinearChainOperator
+from qclab.models import COUPLED, LinearChainOperator, _band_runs
 from qclab.potentials import evaluate, lennard_jones
 
 HALF_PART = RegionPartition([(0.0, 0.5)], interface_width_m=4, reach=2)
@@ -856,6 +857,12 @@ def ring_matrix(lower, diag, upper):
     return T
 
 
+def ring_runs(lower, diag, upper):
+    """The cyclic tridiagonal T with rows (lower, diag, upper), as the runs
+    of its rows that the ring kernel takes."""
+    return _band_runs(np.stack([lower, diag, upper], axis=1))
+
+
 @settings(max_examples=120)
 @given(
     N=st.one_of(st.integers(1, 9), st.integers(10, 300)),
@@ -872,7 +879,7 @@ def test_ring_kernel_matches_dense_solve(N, signs, seed):
     diag = sign * (np.abs(lower) + np.abs(upper) + rng.uniform(0.05, 2.0, N))
     T = ring_matrix(lower, diag, upper)
     for transpose, M in ((False, T), (True, T.T)):
-        solve, g = _factor([lower, diag, upper], "ring matrix", transpose)
+        solve, g = _factor(ring_runs(lower, diag, upper), "ring matrix", transpose)
         assert np.abs(M @ g - 1.0).max() <= 1e-13 * np.abs(M).max() * np.abs(g).max()
         b = rng.standard_normal(N)
         x = solve(b.copy(), transpose)
@@ -886,8 +893,8 @@ def ring_refuses(lower, diag, upper):
     sqrt(eps_mach) max |T|; `_factor` must then raise the error naming T."""
     tol = math.sqrt(np.finfo(float).eps) * max(np.abs(t).max() for t in (lower, diag, upper))
     with pytest.raises(NumericalError, match="ring matrix is"):
-        _factor([lower, diag, upper], "ring matrix")
-    return _cyclic_tridiagonal(lower, diag, upper, tol) is None
+        _factor(ring_runs(lower, diag, upper), "ring matrix")
+    return _cyclic_tridiagonal(ring_runs(lower, diag, upper), tol) is None
 
 
 def test_ring_kernel_refuses_a_roundoff_pivot_and_a_singular_final_ring():
@@ -992,7 +999,7 @@ def test_wide_symmetric_bands_take_the_stress_route(N, band, ends, potential, se
     # the kernel follows C's true width: gbtrf when a diagonal beyond +-1 is
     # nonzero (atomistic chains, and dense blocks of m >= 4 on most
     # geometries), the ring when the trim leaves C tridiagonal
-    diags = _stress_diagonals(op.runs)
+    diags = _diagonals(_stress_diagonals(op.runs))
     wide = any(d.any() for d in diags[:len(diags) // 2 - 1])
     assert wide or kind is not ModelKind.ATOMISTIC
     assert routes == ["stress"] + ["gbtrf"] * wide and checks == [(N, True)]
@@ -1005,7 +1012,7 @@ def test_wide_symmetric_bands_take_the_stress_route(N, band, ends, potential, se
         tol = 4.0 * residual_contract(op, want, f) / c  # as for the R = 2 kinds
         assert lp_norm(difference(PeriodicField(config, u - want), 1, 1), math.inf) <= tol
     if N <= 64:  # C rebuilds the band: A[i, j] = C[i, j] - C[i, j+1] - C[i+1, j] + C[i+1, j+1]
-        diags = _stress_diagonals(op.runs)
+        diags = _diagonals(_stress_diagonals(op.runs))
         Kc = (len(diags) - 1) // 2
         idx = np.arange(N)
         dense = np.zeros((N, N))
@@ -1032,7 +1039,7 @@ def test_wide_stress_path_pivots_through_indefinite_stress_matrices(monkeypatch)
         A = D.T @ C @ D
         band = np.stack([A[idx, (idx + k) % N] for k in range(-Kc - 1, Kc + 2)], axis=1)
         op = LinearChainOperator(config, ModelKind.ATOMISTIC, band, np.zeros(N))
-        rebuilt = _stress_diagonals(op.runs)
+        rebuilt = _diagonals(_stress_diagonals(op.runs))
         for k in range(-Kc, Kc + 1):
             assert np.abs(rebuilt[Kc + k] - C[idx, (idx + k) % N]).max() <= 1e-13 * np.abs(C).max()
         v = rng.standard_normal(N)
@@ -1124,7 +1131,7 @@ def test_folded_storage_matches_scatter_reference(random_geometry):
         # F = 1.3 stretches every Lennard-Jones modulus negative
         for F, R, kind in itertools.product((1.1, 1.3), (3, 4), (ModelKind.ATOMISTIC, ModelKind.CONTINUUM)):
             ops.append(assemble_operator(kind, ChainConfig(N=N, F=F, R=R), pot))
-        bands += [np.array(_stress_diagonals(op.runs)) for op in ops]
+        bands += [_diagonals(_stress_diagonals(op.runs)) for op in ops]
     # bands as wide as the ring or wider, which the fold wraps more than once
     for N in (3, 4, 5, 8):
         for K in (1, 3, N, N + 2):

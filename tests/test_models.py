@@ -1169,19 +1169,18 @@ def test_invariant_assembly_peak_memory():
                          ids=lambda k: k.value)
 def test_warm_solve_peaks_below_its_ceiling(kind):
     # tracemalloc peak of a warm solve at N = 2^16, in band columns of 8N
-    # bytes: 9.5 for each, under half a column below each ceiling. No
-    # temporary as large as a band is formed (the |A| |u| floor sums the
-    # magnitudes of the residual's products), the factorization is freed
-    # before the residual check, the ring's levels reuse their diagonals and
-    # keep one half-length scratch array, one array serves both outer
-    # diagonals of QCF's T and both off-diagonals of a tridiagonal C, and
-    # the stress solve makes its scratch only after the ring kernel has run.
-    # Solves that formed np.abs(band) and kept the factorization through the
-    # check peaked at 15, 20 and 17; with a second scratch array, and T's
-    # outer diagonals read from a stored band, at 11, 11 and 9; with C's
-    # upper diagonal rolled into its own array, and the stress solve's
-    # scratch alive through the kernel, at 10.5, 10.5 and 9.5.
-    ceiling = {ModelKind.ATOMISTIC: 10, ModelKind.QNL: 10, ModelKind.QCF: 10}[kind]
+    # bytes: 7.0 for each, one column below the ceiling. The peak is the
+    # factorization, which the solve's two columns join: g = C^-1 1 or T^-T
+    # 1, the left-null vector, the ring's scratch and its levels. Levels of
+    # 2^15 rows or more stay on runs, so only the shorter ones hold arrays
+    # of their coefficients, and each level holds one array for its forward
+    # elimination. No temporary as large as a band is formed (the |A| |u|
+    # floor sums the magnitudes of the residual's products), and the
+    # factorization is freed before the residual check. Solves that formed
+    # np.abs(band) and kept the factorization through the check peaked at
+    # 15, 20 and 17; with every level of the ring held as arrays, at 9.5
+    # each.
+    ceiling = 8
     config = ChainConfig(N=2**16, F=1.2, R=2)
     op = assemble_operator(kind, config, POT1, partition=HALF_PART if kind in COUPLED else None)
     f = np.sin(2.0 * np.pi * config.positions())
@@ -1203,12 +1202,13 @@ def test_warm_solve_peaks_below_its_ceiling(kind):
 def test_warm_study_rung_peaks_below_its_ceiling(kind):
     # tracemalloc peak of one warm convergence_study rung at N = 2^16 (the
     # witness sampled, both operators assembled, L^a u, the solve and the
-    # error norms), in columns of 8N bytes: 11.5 for both, half a column
-    # below the ceiling; that is the solve's peak plus the witness and the
-    # right-hand side. With a ghost of N zeros, the |A| |u| floor in a second
+    # error norms), in columns of 8N bytes: 9.0 for both, one column below
+    # the ceiling; that is the solve's peak plus the witness and the
+    # right-hand side. With every level of the ring kernel held as arrays it
+    # peaked at 11.5; with a ghost of N zeros, the |A| |u| floor in a second
     # kernel pass, C's upper diagonal rolled into its own array and the
-    # solve's scratch alive through the ring kernel, it peaked at 13.5 (QNL)
-    # and 12.5 (QCF)
+    # solve's scratch alive through the ring kernel, at 13.5 (QNL) and 12.5
+    # (QCF)
     N = 2**16
     args = (kind, default_witness, [N], [1.0, 2.0, math.inf], POT1, HALF_PART)
     convergence_study(*args)  # warm: one-time allocations stay out of the peak
@@ -1219,7 +1219,7 @@ def test_warm_study_rung_peaks_below_its_ceiling(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 8 * N
+    assert peak <= 10 * 8 * N
 
 
 @pytest.mark.parametrize("potential", sorted(POTENTIALS))
